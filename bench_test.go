@@ -9,21 +9,16 @@
 package htap_test
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
 	"htap/internal/accel"
 	"htap/internal/ch"
 	"htap/internal/core"
-	"htap/internal/dist"
-	"htap/internal/exec"
 	"htap/internal/experiments"
 	"htap/internal/htapbench"
 	"htap/internal/micro"
-	"htap/internal/obs"
 )
 
 // benchOpts sizes experiment benchmarks for repeatable sub-second windows.
@@ -197,25 +192,7 @@ func BenchmarkTable2RS(b *testing.B) {
 	}
 }
 
-// --- B1/B2: CH-benCHmark and HTAPBench rules ---
-
-// BenchmarkCHMixed runs the unthrottled CH-benCHmark rule on architecture A.
-func BenchmarkCHMixed(b *testing.B) {
-	e, s := loadedEngine(b, core.ArchA)
-	defer e.Close()
-	b.ResetTimer()
-	var tpmC, qphh float64
-	for i := 0; i < b.N; i++ {
-		res := htapbench.Run(htapbench.Config{
-			Engine: e, Scale: s, TPWorkers: 2, APStreams: 2,
-			Duration:     300 * time.Millisecond,
-			SyncInterval: 50 * time.Millisecond, Seed: int64(i),
-		})
-		tpmC, qphh = res.TpmC, res.QphH
-	}
-	b.ReportMetric(tpmC, "tpmC")
-	b.ReportMetric(qphh, "QphH")
-}
+// --- B2: the HTAPBench rule ---
 
 // BenchmarkHTAPBench runs the paced HTAPBench rule: a fixed tpmC target,
 // measuring the analytical throughput sustained beside it.
@@ -233,122 +210,6 @@ func BenchmarkHTAPBench(b *testing.B) {
 		qphh = res.QphH
 	}
 	b.ReportMetric(qphh, "QphH@6000tpmC")
-}
-
-// BenchmarkCHQueries times each of the 22 analytical queries on a loaded
-// architecture-A engine.
-func BenchmarkCHQueries(b *testing.B) {
-	e, _ := loadedEngine(b, core.ArchA)
-	defer e.Close()
-	qs := ch.Queries()
-	for i := 1; i <= 22; i++ {
-		q := qs[i]
-		b.Run(fmt.Sprintf("Q%02d", i), func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				q(ch.Bind(context.Background(), e))
-			}
-		})
-	}
-}
-
-// BenchmarkParallelOperators pins the degree of parallelism explicitly
-// (rather than inheriting GOMAXPROCS) and times the morsel-driven scan →
-// aggregate pipeline (Q1), the selective scan (Q6), and the join-heavy
-// plan (Q12) at DOP 1 and 4. Run with
-//
-//	go test -run='^$' -bench=BenchmarkParallelOperators -count=2 -cpu=1,4 .
-//
-// to cross DOP with scheduler width; on a single-core host DOP>1 measures
-// partitioning overhead, not speedup (see BENCH_parallel.json).
-func BenchmarkParallelOperators(b *testing.B) {
-	e, _ := loadedEngine(b, core.ArchA)
-	defer e.Close()
-	qs := ch.Queries()
-	for _, qn := range []int{1, 6, 12} {
-		for _, dop := range []int{1, 4} {
-			q := qs[qn]
-			b.Run(fmt.Sprintf("Q%02d/dop=%d", qn, dop), func(b *testing.B) {
-				e.(core.Paralleler).SetParallelism(dop)
-				defer e.(core.Paralleler).SetParallelism(0) // restore GOMAXPROCS default
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					q(ch.Bind(context.Background(), e))
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTPCC times each TPC-C transaction type on architecture A.
-func BenchmarkTPCC(b *testing.B) {
-	e, s := loadedEngine(b, core.ArchA)
-	defer e.Close()
-	d := ch.NewDriver(e, s)
-	rng := rand.New(rand.NewSource(1))
-	cases := map[string]func(context.Context, *rand.Rand) error{
-		"new-order":    d.NewOrder,
-		"payment":      d.Payment,
-		"order-status": d.OrderStatus,
-		"delivery":     d.Delivery,
-		"stock-level":  d.StockLevel,
-	}
-	for name, fn := range cases {
-		fn := fn
-		b.Run(name, func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				if err := fn(context.Background(), rng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMemGovernor prices bounded-memory execution on the agg-heavy
-// (Q1) and join-heavy (Q12) plans: ungoverned, governed with an unbounded
-// budget (pure accounting overhead — Grow/Shrink on every operator batch),
-// and governed with a starving 16KB per-query budget (every materializing
-// operator takes its full spill path: grace join partitions, external sort
-// runs, aggregate state spills, all through the simulated disk). The
-// spilled-bytes metric is reported so BENCH_mem.json records how much I/O
-// the budget bought. See BENCH_mem.json for measured numbers and reading.
-func BenchmarkMemGovernor(b *testing.B) {
-	e, _ := loadedEngine(b, core.ArchA)
-	defer e.Close()
-	qs := ch.Queries()
-	modes := []struct {
-		name   string
-		budget int64
-	}{
-		{"unbounded", 0},
-		{"accounted", 1 << 30},
-		{"spill-16k", 16 << 10},
-	}
-	for _, qn := range []int{1, 12, 18} {
-		for _, m := range modes {
-			q := qs[qn]
-			b.Run(fmt.Sprintf("Q%02d/%s", qn, m.name), func(b *testing.B) {
-				var gov *exec.Governor
-				if m.budget > 0 {
-					gov = exec.NewGovernor(0, nil)
-					gov.SetQueryLimit(m.budget)
-					e.(core.MemGoverned).SetMemGovernor(gov)
-					defer e.(core.MemGoverned).SetMemGovernor(nil)
-				}
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					q(ch.Bind(context.Background(), e))
-				}
-				b.StopTimer()
-				if gov != nil {
-					b.ReportMetric(float64(gov.SpillBytes())/float64(b.N), "spillB/op")
-					if gov.LiveSpillFiles() != 0 {
-						b.Fatalf("%d spill files leaked", gov.LiveSpillFiles())
-					}
-				}
-			})
-		}
-	}
 }
 
 // --- B3: micro-benchmarks ---
@@ -389,69 +250,6 @@ func BenchmarkTradeoff(b *testing.B) {
 	for _, p := range pts {
 		b.ReportMetric(p.TPS, fmt.Sprintf("tps@sync=%s", p.SyncInterval))
 		b.ReportMetric(p.FreshLagMs, fmt.Sprintf("lag-ms@sync=%s", p.SyncInterval))
-	}
-}
-
-// --- D1: distributed execution (internal/dist) ---
-
-// loadedDist builds a coordinator over n arch-A shards holding 4
-// warehouses of CH data.
-func loadedDist(b *testing.B, n int) (core.Engine, ch.Scale) {
-	b.Helper()
-	engines := make([]core.Engine, n)
-	for i := range engines {
-		engines[i] = experiments.NewEngine(core.ArchA)
-	}
-	d, err := dist.New(4, engines...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := ch.SmallScale(4)
-	s.Customers = 60
-	s.Orders = 60
-	s.Items = 200
-	if _, err := ch.NewGenerator(s).Load(d); err != nil {
-		b.Fatal(err)
-	}
-	d.Sync()
-	return d, s
-}
-
-// BenchmarkDistShards runs the same mixed workload against 1, 2, and 4
-// shards behind the coordinator: the throughput-vs-shard-count headline
-// for BENCH_dist.json. Cross-warehouse NewOrders/Payments pay two-phase
-// commit; analytical queries scatter to every shard and merge.
-func BenchmarkDistShards(b *testing.B) {
-	for _, n := range []int{1, 2, 4} {
-		n := n
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			e, s := loadedDist(b, n)
-			defer e.Close()
-			merge := obs.Default.Counter("htap_dist_merge_rows_total", nil)
-			groups := obs.Default.Counter("htap_dist_partial_groups_total", nil)
-			m0, g0 := merge.Value(), groups.Value()
-			b.ResetTimer()
-			var txns, queries int64
-			for i := 0; i < b.N; i++ {
-				res := htapbench.Run(htapbench.Config{
-					Engine: e, Scale: s, TPWorkers: 2, APStreams: 1,
-					Duration: 200 * time.Millisecond, QuerySet: []int{1, 6},
-					SyncInterval: 50 * time.Millisecond, Seed: int64(i),
-				})
-				txns += res.Txns
-				queries += res.Queries
-			}
-			el := b.Elapsed().Seconds()
-			b.ReportMetric(float64(txns)/el, "txn/s")
-			b.ReportMetric(float64(queries)/el, "query/s")
-			if queries > 0 {
-				// Rows the coordinator pulled off shard streams per query,
-				// and the partial group states that replaced them on pushed
-				// aggregations — the merge-volume story for BENCH_dist.json.
-				b.ReportMetric(float64(merge.Value()-m0)/float64(queries), "merged-rows/query")
-				b.ReportMetric(float64(groups.Value()-g0)/float64(queries), "partial-groups/query")
-			}
-		})
 	}
 }
 

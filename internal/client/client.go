@@ -563,22 +563,18 @@ func adoptRemoteProfile(ctx context.Context, eos wire.EOS) {
 	}
 }
 
-// Query satisfies the engine Query surface by materializing a remote
-// table scan into an exec plan. Cancellation aborts the stream and the
-// server-side scan.
-func (r *Remote) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	m := wire.Scan{Deadline: deadlineOf(ctx), Table: table, Cols: cols}
-	if pred != nil {
-		m.HasPred, m.PredCol, m.PredLo, m.PredHi = true, pred.Col, pred.Lo, pred.Hi
-	}
-	m.Profile = exec.ProfileFrom(ctx) != nil
-	var sch []types.Column
-	var rows []types.Row
-	err := r.do(ctx, wire.ClassOLAP, func(c *conn, sp *obs.Span) error {
+// stream sends one analytical request and materializes the batch stream
+// that answers it — the round trip behind Query, RunCH and a
+// FragmentSource's fetch. encode builds the payload around the attempt's
+// trace context (zeros when untraced). Retries ride do()'s normal loop:
+// every such request is read-only and idempotent.
+func (r *Remote) stream(ctx context.Context, typ byte, encode func(traceID, spanID uint64) []byte) (sch []types.Column, rows []types.Row, err error) {
+	err = r.do(ctx, wire.ClassOLAP, func(c *conn, sp *obs.Span) error {
+		var traceID, spanID uint64
 		if sp != nil {
-			m.TraceID, m.SpanID = sp.TraceID(), sp.SpanID()
+			traceID, spanID = sp.TraceID(), sp.SpanID()
 		}
-		typ, payload, err := c.roundTrip(ctx, wire.MsgScan, m.Encode(nil))
+		typ, payload, err := c.roundTrip(ctx, typ, encode(traceID, spanID))
 		if err != nil {
 			return err
 		}
@@ -589,6 +585,33 @@ func (r *Remote) Query(ctx context.Context, table string, cols []string, pred *e
 		}
 		return err
 	})
+	return sch, rows, err
+}
+
+// scan runs fragment m on the server and materializes its rows.
+func (r *Remote) scan(ctx context.Context, m *wire.Fragment) ([]types.Column, []types.Row, error) {
+	return r.stream(ctx, wire.MsgFragment, func(traceID, spanID uint64) []byte {
+		m.TraceID, m.SpanID = traceID, spanID
+		return m.Encode(nil)
+	})
+}
+
+// newFragment is the plain table scan every fragment starts as. pred is the
+// advisory zone-map range, exactly as on the local Query path.
+func newFragment(ctx context.Context, table string, cols []string, pred *exec.ScanPred) wire.Fragment {
+	m := wire.Fragment{Deadline: deadlineOf(ctx), Table: table, Cols: cols, Profile: exec.ProfileFrom(ctx) != nil}
+	if pred != nil {
+		m.HasPred, m.PredCol, m.PredLo, m.PredHi = true, pred.Col, pred.Lo, pred.Hi
+	}
+	return m
+}
+
+// Query satisfies the engine Query surface by materializing a remote
+// table scan — a fragment with nothing pushed down — into an exec plan.
+// Cancellation aborts the stream and the server-side scan.
+func (r *Remote) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+	m := newFragment(ctx, table, cols, pred)
+	sch, rows, err := r.scan(ctx, &m)
 	if err != nil {
 		// Carry the failure on the plan: running it yields the error, and
 		// ch.RunQuery reports it, so a failed scan is never mistaken for
@@ -603,21 +626,9 @@ func (r *Remote) Query(ctx context.Context, table string, cols []string, pred *e
 // it: one round trip carries only the (small, aggregated) result set.
 func (r *Remote) RunCH(ctx context.Context, n int) ([]types.Row, error) {
 	m := wire.Query{Deadline: deadlineOf(ctx), N: uint32(n), Profile: exec.ProfileFrom(ctx) != nil}
-	var rows []types.Row
-	err := r.do(ctx, wire.ClassOLAP, func(c *conn, sp *obs.Span) error {
-		if sp != nil {
-			m.TraceID, m.SpanID = sp.TraceID(), sp.SpanID()
-		}
-		typ, payload, err := c.roundTrip(ctx, wire.MsgQuery, m.Encode(nil))
-		if err != nil {
-			return err
-		}
-		var eos wire.EOS
-		_, rows, eos, err = readStream(ctx, c, typ, payload)
-		if err == nil {
-			adoptRemoteProfile(ctx, eos)
-		}
-		return err
+	_, rows, err := r.stream(ctx, wire.MsgQuery, func(traceID, spanID uint64) []byte {
+		m.TraceID, m.SpanID = traceID, spanID
+		return m.Encode(nil)
 	})
 	return rows, err
 }

@@ -36,15 +36,11 @@ type FragmentSource struct {
 // wire carries only the column names). pred is the advisory zone-map range,
 // exactly as on the local Query path.
 func (r *Remote) Fragment(ctx context.Context, table string, schema []types.Column, pred *exec.ScanPred) *FragmentSource {
-	m := wire.Fragment{Deadline: deadlineOf(ctx), Table: table}
-	for _, c := range schema {
-		m.Cols = append(m.Cols, c.Name)
+	cols := make([]string, len(schema))
+	for i, c := range schema {
+		cols[i] = c.Name
 	}
-	if pred != nil {
-		m.HasPred, m.PredCol, m.PredLo, m.PredHi = true, pred.Col, pred.Lo, pred.Hi
-	}
-	m.Profile = exec.ProfileFrom(ctx) != nil
-	return &FragmentSource{r: r, ctx: ctx, m: m, schema: schema}
+	return &FragmentSource{r: r, ctx: ctx, m: newFragment(ctx, table, cols, pred), schema: schema}
 }
 
 // OnError registers the sink that receives a fetch failure. Without a sink
@@ -87,29 +83,13 @@ func fragPredOf(p exec.PushedPred) (wire.FragPred, bool) {
 }
 
 // fetch runs the fragment once, materializing the shard's (filtered,
-// projected) rows. Retries ride the pool's normal do() loop — the fragment
-// is read-only and idempotent.
+// projected) rows.
 func (s *FragmentSource) fetch() {
 	if s.started {
 		return
 	}
 	s.started = true
-	var rows []types.Row
-	err := s.r.do(s.ctx, wire.ClassOLAP, func(c *conn, sp *obs.Span) error {
-		if sp != nil {
-			s.m.TraceID, s.m.SpanID = sp.TraceID(), sp.SpanID()
-		}
-		typ, payload, err := c.roundTrip(s.ctx, wire.MsgFragment, s.m.Encode(nil))
-		if err != nil {
-			return err
-		}
-		var eos wire.EOS
-		_, rows, eos, err = readStream(s.ctx, c, typ, payload)
-		if err == nil {
-			adoptRemoteProfile(s.ctx, eos)
-		}
-		return err
-	})
+	_, rows, err := s.r.scan(s.ctx, &s.m)
 	if err != nil {
 		if s.onErr != nil {
 			s.onErr(err)

@@ -2,25 +2,16 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"htap/internal/colstore"
 	"htap/internal/datasync"
 	"htap/internal/delta"
-	"htap/internal/disk"
 	"htap/internal/exec"
-	"htap/internal/freshness"
 	"htap/internal/obs"
-	"htap/internal/planner"
 	"htap/internal/rowstore"
-	"htap/internal/sched"
 	"htap/internal/txn"
 	"htap/internal/types"
-	"htap/internal/wal"
 )
 
 // SyncStrategy selects the data-synchronization technique of an engine.
@@ -52,28 +43,10 @@ type ConfigA struct {
 // be merged to the column store" (§2.1(a)); analytical queries perform the
 // in-memory delta + column scan.
 type EngineA struct {
-	memGoverned
-	ts      *tableSet
-	mgr     *txn.Manager
-	walDev  *disk.Device
-	wal     *wal.Log
-	rows    []*rowstore.Store
-	cols    []*colstore.Table
-	deltas  []*delta.Mem
-	fb      *planner.Feedback
-	tracker *freshness.Tracker
-	mode    atomic.Uint32
-	par     atomic.Int32
-	cfg     ConfigA
-	om      archMetrics
-	obsFns  []*obs.FuncHandle
-
-	syncMu sync.Mutex
-	stop   chan struct{}
-	wg     sync.WaitGroup
-
-	idxMu     sync.RWMutex
-	secondary map[string]*rowstore.SecondaryIndex
+	rowEngine
+	cols   []*colstore.Table
+	deltas []*delta.Mem
+	cfg    ConfigA
 }
 
 // NewEngineA builds architecture A over the given schemas.
@@ -81,59 +54,21 @@ func NewEngineA(cfg ConfigA) *EngineA {
 	if cfg.Strategy == 0 {
 		cfg.Strategy = SyncMerge
 	}
-	e := &EngineA{
-		ts:      newTableSet(cfg.Schemas),
-		mgr:     txn.NewManager(),
-		walDev:  disk.New(disk.DefaultConfig()),
-		fb:      planner.NewFeedback(0),
-		tracker: freshness.NewTracker(),
-		cfg:     cfg,
-		om:      newArchMetrics(ArchA),
-		stop:    make(chan struct{}),
-	}
-	e.wal = wal.New(e.walDev, "wal-a")
+	e := &EngineA{cfg: cfg}
+	e.init(ArchA, "primary-row+inmem-col", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	for i, s := range cfg.Schemas {
 		e.rows = append(e.rows, rowstore.New(uint32(i), s))
 		e.cols = append(e.cols, colstore.NewTable(s))
-		observeSelectivity(e.fb, ArchA, e.cols[len(e.cols)-1])
+		observeSelectivity(e.fb, ArchA, e.cols[i])
 		e.deltas = append(e.deltas, delta.NewMem())
 	}
-	e.mode.Store(uint32(sched.Shared))
-	e.par.Store(int32(cfg.Parallelism))
-	e.obsFns = registerEngineFuncs(ArchA, e.Freshness, e.walDev.Stats)
-	if cfg.SyncInterval > 0 {
-		e.wg.Add(1)
-		go e.syncLoop()
-	}
-	return e
-}
-
-// Name implements Engine.
-func (e *EngineA) Name() string { return "primary-row+inmem-col" }
-
-// Arch implements Engine.
-func (e *EngineA) Arch() Arch { return ArchA }
-
-// Tables implements Engine.
-func (e *EngineA) Tables() []*types.Schema { return e.ts.schemas }
-
-// Schema implements Engine.
-func (e *EngineA) Schema(table string) *types.Schema { return e.ts.schema(table) }
-
-func (e *EngineA) syncLoop() {
-	defer e.wg.Done()
-	t := time.NewTicker(e.cfg.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-t.C:
-			if e.shouldSync() {
-				e.Sync()
-			}
+	e.serve(e, e.walDev.Stats)
+	e.every(cfg.SyncInterval, func() {
+		if e.shouldSync() {
+			e.Sync()
 		}
-	}
+	})
+	return e
 }
 
 func (e *EngineA) shouldSync() bool {
@@ -149,120 +84,22 @@ func (e *EngineA) shouldSync() bool {
 	return false
 }
 
-// txA is the architecture-A transaction.
-type txA struct {
-	e   *EngineA
-	ctx context.Context
-	tx  *txn.Txn
-}
-
-// Begin implements Engine.
-func (e *EngineA) Begin(ctx context.Context) Tx {
-	e.om.begins.Inc()
-	return &txA{e: e, ctx: ctxOrBackground(ctx), tx: e.mgr.Begin()}
-}
-
-func (t *txA) store(table string) (*rowstore.Store, error) {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return nil, err
-	}
-	return t.e.rows[id], nil
-}
-
-func (t *txA) Get(table string, key int64) (types.Row, error) {
-	s, err := t.store(table)
-	if err != nil {
-		return nil, err
-	}
-	r, err := s.Get(t.tx, key)
-	if errors.Is(err, rowstore.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return r, err
-}
-
-func (t *txA) Insert(table string, row types.Row) error {
-	s, err := t.store(table)
-	if err != nil {
-		return err
-	}
-	return s.Insert(t.tx, row)
-}
-
-func (t *txA) Update(table string, row types.Row) error {
-	s, err := t.store(table)
-	if err != nil {
-		return err
-	}
-	return s.Update(t.tx, row)
-}
-
-func (t *txA) Delete(table string, key int64) error {
-	s, err := t.store(table)
-	if err != nil {
-		return err
-	}
-	err = s.Delete(t.tx, key)
-	if errors.Is(err, rowstore.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-
-func (t *txA) Commit() error {
-	e := t.e
-	if err := t.ctx.Err(); err != nil {
-		t.Abort()
-		return err
-	}
-	start := time.Now()
-	ts, err := t.tx.Commit(func(commitTS uint64, writes []txn.Write) error {
-		// MVCC + logging (§2.2(1)(i)): redo first, then install, then the
-		// delta store. A WAL failure (an injected fault, a crashed device)
-		// aborts the transaction before anything is installed.
-		for _, s := range e.rows {
-			if err := s.LogWrites(e.wal, t.tx.ID, writes); err != nil {
-				return fmt.Errorf("core: wal append: %w", err)
-			}
-		}
-		if _, err := e.wal.Append(wal.Record{Txn: t.tx.ID, Type: wal.RecCommit}); err != nil {
-			return fmt.Errorf("core: wal commit: %w", err)
-		}
-		byTable := groupWrites(writes)
-		for id, ws := range byTable {
-			e.rows[id].Apply(commitTS, ws)
-			e.deltas[id].Append(commitTS, ws)
-		}
-		return nil
+// installWrites is architecture A's install step: new versions in the row
+// store, and the same writes appended to the in-memory delta store.
+func (e *EngineA) installWrites(commitTS uint64, writes []txn.Write) {
+	eachTable(writes, func(id uint32, ws []txn.Write) {
+		e.rows[id].Apply(commitTS, ws)
+		e.deltas[id].Append(commitTS, ws)
 	})
-	if err != nil {
-		e.om.aborts.Inc()
-		return wrapTxnErr(err)
-	}
-	e.om.commits.Inc()
-	e.om.commitLat.Since(start)
-	if t.tx.Pending() > 0 {
-		e.tracker.Committed(ts)
-	}
-	return nil
 }
 
-func (t *txA) Abort() {
-	t.e.om.aborts.Inc()
-	t.tx.Abort()
-}
-
-// Load implements Engine.
+// Load implements Engine. The row lands in both stores so experiments start
+// synchronized.
 func (e *EngineA) Load(table string, row types.Row) error {
-	id, err := e.ts.id(table)
-	if err != nil {
+	if err := e.rowEngine.Load(table, row); err != nil {
 		return err
 	}
-	if err := e.rows[id].Load(row); err != nil {
-		return err
-	}
-	e.cols[id].Append(row)
+	e.cols[e.ts.mustID(table)].Append(row)
 	return nil
 }
 
@@ -272,75 +109,36 @@ func (e *EngineA) Load(table string, row types.Row) error {
 func (e *EngineA) Source(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
 	id := e.ts.mustID(table)
 	var overlay *delta.Overlay
-	if sched.Mode(e.mode.Load()) == sched.Shared {
+	if e.shared() {
 		overlay = e.deltas[id].Overlay(e.mgr.Oracle().Watermark())
 	}
 	return exec.NewColScan(ctx, e.cols[id], cols, pred, overlay)
 }
 
-// Query implements Engine.
-func (e *EngineA) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	e.om.queries.Inc()
-	return e.govern(ctx, ArchA.Label(), exec.From(e.Source(ctx, table, cols, pred)).Parallel(resolveDOP(&e.par)))
-}
-
-// Sync implements Engine.
+// Sync implements Engine: merge every delta into its column table, or
+// rebuild the table from the row store, per the configured strategy.
 func (e *EngineA) Sync() {
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
-	start := time.Now()
-	sp := syncSpan(ArchA)
-	upTo := e.mgr.Oracle().Watermark()
-	for i := range e.cols {
-		if e.cfg.Strategy == SyncRebuild {
-			child := sp.Child("rebuild").AttrInt("table", int64(i))
-			datasync.Rebuild(e.cols[i], e.rows[i], e.deltas[i], upTo)
-			child.End()
-		} else {
-			child := sp.Child("merge").AttrInt("table", int64(i))
-			datasync.MergeDelta(e.cols[i], e.deltas[i], upTo)
-			child.End()
+	e.syncRound(func(sp *obs.Span) uint64 {
+		upTo := e.mgr.Oracle().Watermark()
+		for i := range e.cols {
+			if e.cfg.Strategy == SyncRebuild {
+				child := sp.Child("rebuild").AttrInt("table", int64(i))
+				datasync.Rebuild(e.cols[i], e.rows[i], e.deltas[i], upTo)
+				child.End()
+			} else {
+				child := sp.Child("merge").AttrInt("table", int64(i))
+				datasync.MergeDelta(e.cols[i], e.deltas[i], upTo)
+				child.End()
+			}
 		}
-	}
-	e.tracker.Applied(upTo)
-	sp.End()
-	e.om.syncs.Inc()
-	e.om.syncLat.Since(start)
-}
-
-// GC reclaims row versions older than the current watermark that are
-// shadowed by newer ones; §2.2(1)'s MVCC leaves them behind. It returns
-// the number of reclaimed versions.
-func (e *EngineA) GC() int64 {
-	ts := e.mgr.Oracle().Watermark()
-	var reclaimed int64
-	for _, s := range e.rows {
-		reclaimed += s.GC(ts)
-	}
-	return reclaimed
-}
-
-// SetMode implements Engine.
-func (e *EngineA) SetMode(m sched.Mode) { e.mode.Store(uint32(m)) }
-
-// SetParallelism implements Paralleler.
-func (e *EngineA) SetParallelism(n int) { e.par.Store(int32(n)) }
-
-// Freshness implements Engine. In Shared mode the analytical view scans
-// the in-memory delta and therefore sees every commit (§2.2(2)(i): "the
-// data freshness is high"); in Isolated mode staleness is bounded by the
-// last merge.
-func (e *EngineA) Freshness() freshness.Snapshot {
-	if sched.Mode(e.mode.Load()) == sched.Shared {
-		return e.tracker.ReadWithApplied(e.mgr.Oracle().Watermark())
-	}
-	return e.tracker.Read()
+		return upTo
+	})
 }
 
 // Stats implements Engine.
 func (e *EngineA) Stats() Stats {
-	ts := e.mgr.Stats()
-	st := Stats{Commits: ts.Commits, Aborts: ts.Aborts, Conflicts: ts.Conflicts, Disk: e.walDev.Stats()}
+	st := e.txnStats()
+	st.Disk = e.walDev.Stats()
 	for i := range e.cols {
 		cs := e.cols[i].Stats()
 		st.Merges += cs.Merges
@@ -349,57 +147,4 @@ func (e *EngineA) Stats() Stats {
 		st.DeltaRows += e.deltas[i].Unmerged()
 	}
 	return st
-}
-
-// Close implements Engine.
-func (e *EngineA) Close() {
-	close(e.stop)
-	e.wg.Wait()
-	unregisterEngineFuncs(e.obsFns)
-}
-
-// groupWrites splits a write set by table id.
-func groupWrites(writes []txn.Write) map[uint32][]txn.Write {
-	m := make(map[uint32][]txn.Write)
-	for _, w := range writes {
-		m[w.Table] = append(m[w.Table], w)
-	}
-	return m
-}
-
-// wrapTxnErr marks concurrency-control failures retryable for Exec.
-func wrapTxnErr(err error) error {
-	if errors.Is(err, txn.ErrConflict) || errors.Is(err, txn.ErrReadStale) {
-		return errors.Join(errRetry, err)
-	}
-	return err
-}
-
-// AddIndex implements Indexer.
-func (e *EngineA) AddIndex(table, name string, key func(types.Row) int64) error {
-	id, err := e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	e.idxMu.Lock()
-	defer e.idxMu.Unlock()
-	if e.secondary == nil {
-		e.secondary = make(map[string]*rowstore.SecondaryIndex)
-	}
-	if _, dup := e.secondary[table+"/"+name]; dup {
-		return fmt.Errorf("core: index %s/%s already exists", table, name)
-	}
-	e.secondary[table+"/"+name] = e.rows[id].AddIndex(name, key)
-	return nil
-}
-
-// IndexLookup implements Indexer.
-func (e *EngineA) IndexLookup(table, name string, k int64) []int64 {
-	e.idxMu.RLock()
-	ix := e.secondary[table+"/"+name]
-	e.idxMu.RUnlock()
-	if ix == nil {
-		return nil
-	}
-	return ix.Lookup(k)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,9 +15,7 @@ import (
 	"htap/internal/exec"
 	"htap/internal/freshness"
 	"htap/internal/obs"
-	"htap/internal/planner"
 	"htap/internal/rowstore"
-	"htap/internal/sched"
 	"htap/internal/twopc"
 	"htap/internal/txn"
 	"htap/internal/types"
@@ -59,13 +56,18 @@ func (v *voterStorage) LatestVersion(table uint32, key int64) uint64 {
 
 // ApplyMutations implements twopc.Storage.
 func (v *voterStorage) ApplyMutations(commitTS uint64, muts []cluster.Mutation) {
-	byTable := make(map[uint32][]txn.Write)
-	for _, m := range muts {
-		byTable[m.Table] = append(byTable[m.Table], txn.Write{Table: m.Table, Key: m.Key, Op: m.Op, Row: m.Row})
-	}
-	for id, ws := range byTable {
+	eachTable(tableOrdered(writesOf(muts)), func(id uint32, ws []txn.Write) {
 		v.rows[id].Apply(commitTS, ws)
+	})
+}
+
+// writesOf is a replicated mutation batch as a write set.
+func writesOf(muts []cluster.Mutation) []txn.Write {
+	ws := make([]txn.Write, len(muts))
+	for i, m := range muts {
+		ws[i] = txn.Write{Table: m.Table, Key: m.Key, Op: m.Op, Row: m.Row}
 	}
+	return ws
 }
 
 // learnerStorage is one columnar replica's state: per-table log-based
@@ -95,13 +97,9 @@ func (l *learnerStorage) LatestVersion(table uint32, key int64) uint64 {
 // ApplyMutations implements twopc.Storage: committed writes land in the
 // log-based delta files (the TiFlash write path).
 func (l *learnerStorage) ApplyMutations(commitTS uint64, muts []cluster.Mutation) {
-	byTable := make(map[uint32][]txn.Write)
-	for _, m := range muts {
-		byTable[m.Table] = append(byTable[m.Table], txn.Write{Table: m.Table, Key: m.Key, Op: m.Op, Row: m.Row})
-	}
-	for id, ws := range byTable {
+	eachTable(tableOrdered(writesOf(muts)), func(id uint32, ws []txn.Write) {
 		l.deltas[id].Append(commitTS, ws)
-	}
+	})
 }
 
 // EngineB is architecture B (TiDB, §2.1(b)): transactions run under
@@ -111,8 +109,7 @@ func (l *learnerStorage) ApplyMutations(commitTS uint64, muts []cluster.Mutation
 // analytical scans touch only learner state — and freshness is bounded by
 // replication plus merge lag.
 type EngineB struct {
-	memGoverned
-	ts     *tableSet
+	engineBase
 	oracle *txn.Oracle
 	c      *cluster.Cluster
 	coord  *twopc.Coordinator
@@ -121,22 +118,14 @@ type EngineB struct {
 	voters   map[int]map[int]*voterStorage // pid -> nodeID
 	learners map[int]map[int]*learnerStorage
 	parts    map[int]map[int]*twopc.Participant
-	fb       *planner.Feedback
 
-	tracker *freshness.Tracker
-	mode    atomic.Uint32
-	par     atomic.Int32
+	// commits and aborts are this engine's Stats(): the archMetrics series
+	// are shared by every engine of the architecture.
 	commits atomic.Int64
 	aborts  atomic.Int64
-	om      archMetrics
-	obsFns  []*obs.FuncHandle
 	// lastCommit tracks, per partition, the highest commit timestamp that
 	// touched it; learners that applied up to it are fully caught up.
 	lastCommit []atomic.Uint64
-
-	syncMu sync.Mutex
-	stop   chan struct{}
-	wg     sync.WaitGroup
 }
 
 // NewEngineB builds and starts architecture B.
@@ -151,17 +140,13 @@ func NewEngineB(cfg ConfigB) *EngineB {
 		cfg.LearnersPer = 1
 	}
 	e := &EngineB{
-		ts:       newTableSet(cfg.Schemas),
 		oracle:   &txn.Oracle{},
 		cfg:      cfg,
 		voters:   make(map[int]map[int]*voterStorage),
 		learners: make(map[int]map[int]*learnerStorage),
 		parts:    make(map[int]map[int]*twopc.Participant),
-		fb:       planner.NewFeedback(0),
-		tracker:  freshness.NewTracker(),
-		om:       newArchMetrics(ArchB),
-		stop:     make(chan struct{}),
 	}
+	e.init(ArchB, "dist-row+col-replica", cfg.Schemas, cfg.Parallelism)
 	e.lastCommit = make([]atomic.Uint64, cfg.Partitions)
 	for pid := 0; pid < cfg.Partitions; pid++ {
 		e.voters[pid] = make(map[int]*voterStorage)
@@ -198,40 +183,9 @@ func NewEngineB(cfg ConfigB) *EngineB {
 		}
 		return e.parts[part][l.Status().ID]
 	})
-	e.mode.Store(uint32(sched.Shared))
-	e.par.Store(int32(cfg.Parallelism))
-	e.obsFns = registerEngineFuncs(ArchB, e.Freshness, func() disk.Stats { return e.Stats().Disk })
-	if cfg.MergeInterval > 0 {
-		e.wg.Add(1)
-		go e.mergeLoop()
-	}
+	e.serve(e, func() disk.Stats { return e.Stats().Disk })
+	e.every(cfg.MergeInterval, e.Sync)
 	return e
-}
-
-// Name implements Engine.
-func (e *EngineB) Name() string { return "dist-row+col-replica" }
-
-// Arch implements Engine.
-func (e *EngineB) Arch() Arch { return ArchB }
-
-// Tables implements Engine.
-func (e *EngineB) Tables() []*types.Schema { return e.ts.schemas }
-
-// Schema implements Engine.
-func (e *EngineB) Schema(table string) *types.Schema { return e.ts.schema(table) }
-
-func (e *EngineB) mergeLoop() {
-	defer e.wg.Done()
-	t := time.NewTicker(e.cfg.MergeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-t.C:
-			e.Sync()
-		}
-	}
 }
 
 // leaderStorage returns the row stores of a partition's current leader.
@@ -343,41 +297,37 @@ func (t *txB) Delete(table string, key int64) error {
 	return nil
 }
 
+// Commit runs the write set through the 2PC coordinator — one Raft round on
+// one partition, prepare and commit rounds across several — and shares the
+// epilogue of the WAL engines. An error matching twopc.ErrIndeterminate
+// means some partitions may have committed: it must not be retried.
 func (t *txB) Commit() error {
 	if t.done {
 		return txn.ErrFinished
 	}
+	e := t.e
 	if err := t.ctx.Err(); err != nil {
 		t.Abort()
 		return err
 	}
 	t.done = true
 	start := time.Now()
-	if len(t.muts) == 0 {
-		t.e.commits.Add(1)
-		t.e.om.commits.Inc()
-		return nil
-	}
-	ts, err := t.e.coord.Commit(t.readTS, t.muts)
+	ts, err := e.coord.Commit(t.ctx, t.readTS, t.muts)
 	if err != nil {
-		t.e.aborts.Add(1)
-		t.e.om.aborts.Inc()
-		if errors.Is(err, twopc.ErrConflict) {
-			return errors.Join(errRetry, err)
-		}
+		e.aborts.Add(1)
+		e.om.aborts.Inc()
 		return err
 	}
-	t.e.commits.Add(1)
-	t.e.om.commits.Inc()
-	t.e.om.commitLat.Since(start)
+	e.commits.Add(1)
+	e.committed(start, ts, len(t.muts) > 0)
 	seen := make(map[int]bool)
 	for _, m := range t.muts {
-		pid := t.e.c.Route(m.Table, m.Key).ID
+		pid := e.c.Route(m.Table, m.Key).ID
 		if seen[pid] {
 			continue
 		}
 		seen[pid] = true
-		lc := &t.e.lastCommit[pid]
+		lc := &e.lastCommit[pid]
 		for {
 			cur := lc.Load()
 			if ts <= cur || lc.CompareAndSwap(cur, ts) {
@@ -385,7 +335,6 @@ func (t *txB) Commit() error {
 			}
 		}
 	}
-	t.e.tracker.Committed(ts)
 	return nil
 }
 
@@ -425,7 +374,7 @@ func (e *EngineB) Load(table string, row types.Row) error {
 // replicas. Isolated mode scans only merged columnar data.
 func (e *EngineB) Source(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
 	id := e.ts.mustID(table)
-	shared := sched.Mode(e.mode.Load()) == sched.Shared
+	shared := e.shared()
 	var srcs []exec.Source
 	for pid := 0; pid < e.cfg.Partitions; pid++ {
 		for _, ls := range e.learners[pid] {
@@ -440,69 +389,55 @@ func (e *EngineB) Source(ctx context.Context, table string, cols []string, pred 
 	return exec.NewUnion(srcs...)
 }
 
-// Query implements Engine.
-func (e *EngineB) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	e.om.queries.Inc()
-	return e.govern(ctx, ArchB.Label(), exec.From(e.Source(ctx, table, cols, pred)).Parallel(resolveDOP(&e.par)))
-}
-
 // Sync implements Engine: every learner merges its log-based delta files
 // into its column store, up to what replication has delivered to it.
 func (e *EngineB) Sync() {
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
-	start := time.Now()
-	sp := syncSpan(ArchB)
-	for pid := 0; pid < e.cfg.Partitions; pid++ {
-		for n, ls := range e.learners[pid] {
-			child := sp.Child("learner").AttrInt("partition", int64(pid)).AttrInt("node", int64(n))
-			upTo := e.parts[pid][n].AppliedTS()
-			for tid := range ls.cols {
-				datasync.MergeDelta(ls.cols[tid], ls.deltas[tid], upTo)
+	e.syncRound(func(sp *obs.Span) uint64 {
+		for pid := 0; pid < e.cfg.Partitions; pid++ {
+			for n, ls := range e.learners[pid] {
+				child := sp.Child("learner").AttrInt("partition", int64(pid)).AttrInt("node", int64(n))
+				upTo := e.parts[pid][n].AppliedTS()
+				for tid := range ls.cols {
+					datasync.MergeDelta(ls.cols[tid], ls.deltas[tid], upTo)
+				}
+				child.End()
 			}
-			child.End()
 		}
-	}
-	e.tracker.Applied(e.minColApplied())
-	sp.End()
-	e.om.syncs.Inc()
-	e.om.syncLat.Since(start)
+		return e.minColApplied()
+	})
 }
 
-// minColApplied is the freshness watermark of the analytical view: per
-// partition, a learner whose merged watermark has reached everything the
-// partition ever committed is caught up to the global watermark (an idle
-// partition cannot hold freshness back); otherwise its merged watermark
-// counts. The minimum across partitions is the view's watermark.
-func (e *EngineB) minColApplied() uint64 {
+// minApplied folds a per-learner watermark into the analytical view's: per
+// partition, a learner whose watermark has reached everything the partition
+// ever committed is caught up to the global watermark (an idle partition
+// cannot hold freshness back); otherwise its own watermark counts. The
+// minimum across partitions is the view's watermark.
+func (e *EngineB) minApplied(applied func(pid, node int, ls *learnerStorage) uint64) uint64 {
 	global := e.oracle.Watermark()
 	min := global
 	for pid := 0; pid < e.cfg.Partitions; pid++ {
 		last := e.lastCommit[pid].Load()
-		for _, ls := range e.learners[pid] {
-			merged := uint64(1<<63 - 1)
-			for _, c := range ls.cols {
-				if a := c.Applied(); a < merged {
-					merged = a
-				}
-			}
-			eff := merged
-			if merged >= last {
-				eff = global
-			}
-			if eff < min {
-				min = eff
+		for n, ls := range e.learners[pid] {
+			if a := applied(pid, n, ls); a < last && a < min {
+				min = a
 			}
 		}
 	}
 	return min
 }
 
-// SetMode implements Engine.
-func (e *EngineB) SetMode(m sched.Mode) { e.mode.Store(uint32(m)) }
-
-// SetParallelism implements Paralleler.
-func (e *EngineB) SetParallelism(n int) { e.par.Store(int32(n)) }
+// minColApplied is the merged watermark: what Isolated-mode scans see.
+func (e *EngineB) minColApplied() uint64 {
+	return e.minApplied(func(_, _ int, ls *learnerStorage) uint64 {
+		merged := uint64(1<<63 - 1)
+		for _, c := range ls.cols {
+			if a := c.Applied(); a < merged {
+				merged = a
+			}
+		}
+		return merged
+	})
+}
 
 // Freshness implements Engine. Even in Shared mode the analytical view is
 // only as fresh as what replication has delivered to the learners; in
@@ -510,32 +445,16 @@ func (e *EngineB) SetParallelism(n int) { e.par.Store(int32(n)) }
 // the paper's "the data freshness is low since newly-updated data may have
 // not been merged to the column store".
 func (e *EngineB) Freshness() freshness.Snapshot {
-	if sched.Mode(e.mode.Load()) == sched.Shared {
+	if e.shared() {
 		return e.tracker.ReadWithApplied(e.minLearnerApplied())
 	}
 	return e.tracker.Read()
 }
 
 // minLearnerApplied is the replication watermark: the lowest commit
-// timestamp fully delivered to each partition's learner (idle partitions
-// count as caught up).
+// timestamp fully delivered to each partition's learner.
 func (e *EngineB) minLearnerApplied() uint64 {
-	global := e.oracle.Watermark()
-	min := global
-	for pid := 0; pid < e.cfg.Partitions; pid++ {
-		last := e.lastCommit[pid].Load()
-		for n := range e.learners[pid] {
-			applied := e.parts[pid][n].AppliedTS()
-			eff := applied
-			if applied >= last {
-				eff = global
-			}
-			if eff < min {
-				min = eff
-			}
-		}
-	}
-	return min
+	return e.minApplied(func(pid, n int, _ *learnerStorage) uint64 { return e.parts[pid][n].AppliedTS() })
 }
 
 // Stats implements Engine.
@@ -561,8 +480,6 @@ func (e *EngineB) Stats() Stats {
 
 // Close implements Engine.
 func (e *EngineB) Close() {
-	close(e.stop)
-	e.wg.Wait()
+	e.engineBase.Close()
 	e.c.Stop()
-	unregisterEngineFuncs(e.obsFns)
 }

@@ -2,25 +2,20 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"htap/internal/colsel"
 	"htap/internal/colstore"
 	"htap/internal/delta"
 	"htap/internal/disk"
 	"htap/internal/exec"
-	"htap/internal/freshness"
 	"htap/internal/obs"
 	"htap/internal/planner"
 	"htap/internal/rowstore"
-	"htap/internal/sched"
 	"htap/internal/txn"
 	"htap/internal/types"
-	"htap/internal/wal"
 )
 
 // ConfigC configures architecture C.
@@ -69,29 +64,14 @@ type imcsTable struct {
 // and the cost model prefers the columnar path, else they fall back to the
 // (expensive) disk row scan.
 type EngineC struct {
-	memGoverned
-	ts      *tableSet
-	mgr     *txn.Manager
-	walDev  *disk.Device
+	rowEngine
 	rowDev  *disk.Device
-	wal     *wal.Log
-	rows    []*rowstore.Store
 	imcs    []*imcsTable
 	advisor *colsel.Advisor
-	fb      *planner.Feedback
 	cfg     ConfigC
-	tracker *freshness.Tracker
-	mode    atomic.Uint32
-	par     atomic.Int32
-	om      archMetrics
-	obsFns  []*obs.FuncHandle
 
-	syncMu    sync.Mutex
 	pushdowns atomic.Int64
 	fallbacks atomic.Int64
-
-	idxMu     sync.RWMutex
-	secondary map[string]*rowstore.SecondaryIndex
 }
 
 // NewEngineC builds architecture C.
@@ -109,157 +89,30 @@ func NewEngineC(cfg ConfigC) *EngineC {
 		cfg.Policy = colsel.Static
 	}
 	e := &EngineC{
-		ts:      newTableSet(cfg.Schemas),
-		mgr:     txn.NewManager(),
-		walDev:  disk.New(disk.DefaultConfig()),
 		rowDev:  disk.New(cfg.Disk),
 		advisor: colsel.NewAdvisor(cfg.Policy, 0.8),
-		fb:      planner.NewFeedback(0),
 		cfg:     cfg,
-		tracker: freshness.NewTracker(),
-		om:      newArchMetrics(ArchC),
 	}
-	e.wal = wal.New(e.walDev, "wal-c")
+	e.init(ArchC, "disk-row+dist-col", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	for i, s := range cfg.Schemas {
 		e.rows = append(e.rows, rowstore.NewDiskBacked(uint32(i), s, e.rowDev))
 		e.imcs = append(e.imcs, &imcsTable{loaded: make(map[string]bool), delta: delta.NewMem()})
 	}
-	e.mode.Store(uint32(sched.Shared))
-	e.par.Store(int32(cfg.Parallelism))
 	// The analytical cost model charges the row device; export it (the WAL
 	// device is already covered by htap_wal_* series).
-	e.obsFns = registerEngineFuncs(ArchC, e.Freshness, e.rowDev.Stats)
+	e.serve(e, e.rowDev.Stats)
 	return e
 }
 
-// Name implements Engine.
-func (e *EngineC) Name() string { return "disk-row+dist-col" }
-
-// Arch implements Engine.
-func (e *EngineC) Arch() Arch { return ArchC }
-
-// Tables implements Engine.
-func (e *EngineC) Tables() []*types.Schema { return e.ts.schemas }
-
-// Schema implements Engine.
-func (e *EngineC) Schema(table string) *types.Schema { return e.ts.schema(table) }
-
-// txC reuses the MVCC row-store transaction of architecture A; only the
-// storage (disk-backed) and the commit hook differ.
-type txC struct {
-	e   *EngineC
-	ctx context.Context
-	tx  *txn.Txn
-}
-
-// Begin implements Engine.
-func (e *EngineC) Begin(ctx context.Context) Tx {
-	e.om.begins.Inc()
-	return &txC{e: e, ctx: ctxOrBackground(ctx), tx: e.mgr.Begin()}
-}
-
-func (t *txC) Get(table string, key int64) (types.Row, error) {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return nil, err
-	}
-	r, err := t.e.rows[id].Get(t.tx, key)
-	if errors.Is(err, rowstore.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return r, err
-}
-
-func (t *txC) Insert(table string, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	return t.e.rows[id].Insert(t.tx, row)
-}
-
-func (t *txC) Update(table string, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	return t.e.rows[id].Update(t.tx, row)
-}
-
-func (t *txC) Delete(table string, key int64) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	err = t.e.rows[id].Delete(t.tx, key)
-	if errors.Is(err, rowstore.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-
-func (t *txC) Commit() error {
-	e := t.e
-	if err := t.ctx.Err(); err != nil {
-		t.Abort()
-		return err
-	}
-	start := time.Now()
-	ts, err := t.tx.Commit(func(commitTS uint64, writes []txn.Write) error {
-		// Write-ahead for real: every redo record plus the COMMIT must be
-		// durable before any write is installed, or a failed WAL flush
-		// would leave an aborted transaction visible in the row store.
-		// Iterate tables in id order, not map order: the byte layout of the
-		// log must be deterministic so a seeded fault plan tears it at the
-		// same record boundary on every run.
-		byTable := groupWrites(writes)
-		for id := range e.rows {
-			if ws := byTable[uint32(id)]; len(ws) > 0 {
-				if err := e.rows[id].LogWrites(e.wal, t.tx.ID, ws); err != nil {
-					return fmt.Errorf("core: wal append: %w", err)
-				}
-			}
+// installWrites is architecture C's install step: new versions in the disk
+// row store; changes propagate to the IMCS only for loaded tables.
+func (e *EngineC) installWrites(commitTS uint64, writes []txn.Write) {
+	eachTable(writes, func(id uint32, ws []txn.Write) {
+		e.rows[id].Apply(commitTS, ws)
+		if e.imcs[id].isLoaded() {
+			e.imcs[id].delta.Append(commitTS, ws)
 		}
-		if _, err := e.wal.Append(wal.Record{Txn: t.tx.ID, Type: wal.RecCommit}); err != nil {
-			return fmt.Errorf("core: wal commit: %w", err)
-		}
-		for id := range e.rows {
-			ws := byTable[uint32(id)]
-			if len(ws) == 0 {
-				continue
-			}
-			e.rows[id].Apply(commitTS, ws)
-			// Changes propagate to the IMCS only for loaded tables.
-			if e.imcs[id].isLoaded() {
-				e.imcs[id].delta.Append(commitTS, ws)
-			}
-		}
-		return nil
 	})
-	if err != nil {
-		e.om.aborts.Inc()
-		return wrapTxnErr(err)
-	}
-	e.om.commits.Inc()
-	e.om.commitLat.Since(start)
-	if t.tx.Pending() > 0 {
-		e.tracker.Committed(ts)
-	}
-	return nil
-}
-
-func (t *txC) Abort() {
-	t.e.om.aborts.Inc()
-	t.tx.Abort()
-}
-
-// Load implements Engine.
-func (e *EngineC) Load(table string, row types.Row) error {
-	id, err := e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	return e.rows[id].Load(row)
 }
 
 func (it *imcsTable) isLoaded() bool {
@@ -452,7 +305,7 @@ func (e *EngineC) imcsSource(ctx context.Context, id uint32, cols []string, pred
 	d := it.delta
 	it.mu.RUnlock()
 	var overlay *delta.Overlay
-	if sched.Mode(e.mode.Load()) == sched.Shared {
+	if e.shared() {
 		full := e.ts.schemas[id]
 		raw := d.Overlay(e.mgr.Oracle().Watermark())
 		overlay = &delta.Overlay{Rows: make(map[int64]types.Row, len(raw.Rows)), Masked: raw.Masked, MaxTS: raw.MaxTS}
@@ -469,12 +322,6 @@ func (e *EngineC) imcsSource(ctx context.Context, id uint32, cols []string, pred
 		srcs[i] = exec.NewColScan(ctx, sh, cols, pred, o)
 	}
 	return exec.NewUnion(srcs...)
-}
-
-// Query implements Engine.
-func (e *EngineC) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	e.om.queries.Inc()
-	return e.govern(ctx, ArchC.Label(), exec.From(e.Source(ctx, table, cols, pred)).Parallel(resolveDOP(&e.par)))
 }
 
 // RowSource forces the disk row-store access path, bypassing the cost
@@ -518,27 +365,18 @@ func (e *EngineC) PlannerFeedback() *planner.Feedback { return e.fb }
 
 // Sync implements Engine: merge each loaded table's delta into its shards.
 func (e *EngineC) Sync() {
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
-	start := time.Now()
-	sp := syncSpan(ArchC)
-	upTo := e.mgr.Oracle().Watermark()
-	for id := range e.imcs {
-		it := e.imcs[id]
-		it.mu.RLock()
-		loaded := it.proj != nil
-		it.mu.RUnlock()
-		if !loaded {
-			continue
+	e.syncRound(func(sp *obs.Span) uint64 {
+		upTo := e.mgr.Oracle().Watermark()
+		for id, it := range e.imcs {
+			if !it.isLoaded() {
+				continue
+			}
+			child := sp.Child("merge_imcs").AttrInt("table", int64(id))
+			e.mergeIMCS(uint32(id), upTo)
+			child.End()
 		}
-		child := sp.Child("merge_imcs").AttrInt("table", int64(id))
-		e.mergeIMCS(uint32(id), upTo)
-		child.End()
-	}
-	e.tracker.Applied(upTo)
-	sp.End()
-	e.om.syncs.Inc()
-	e.om.syncLat.Since(start)
+		return upTo
+	})
 }
 
 func (e *EngineC) mergeIMCS(id uint32, upTo uint64) {
@@ -583,36 +421,10 @@ func (e *EngineC) mergeIMCS(id uint32, upTo uint64) {
 	d.MarkMerged(upTo)
 }
 
-// GC reclaims shadowed row versions older than the current watermark.
-func (e *EngineC) GC() int64 {
-	ts := e.mgr.Oracle().Watermark()
-	var reclaimed int64
-	for _, s := range e.rows {
-		reclaimed += s.GC(ts)
-	}
-	return reclaimed
-}
-
-// SetMode implements Engine.
-func (e *EngineC) SetMode(m sched.Mode) { e.mode.Store(uint32(m)) }
-
-// SetParallelism implements Paralleler.
-func (e *EngineC) SetParallelism(n int) { e.par.Store(int32(n)) }
-
-// Freshness implements Engine. Shared-mode pushdown scans overlay the
-// IMCS delta (and row-store fallbacks are always current), so the view is
-// fresh; Isolated mode is bounded by the last IMCS merge.
-func (e *EngineC) Freshness() freshness.Snapshot {
-	if sched.Mode(e.mode.Load()) == sched.Shared {
-		return e.tracker.ReadWithApplied(e.mgr.Oracle().Watermark())
-	}
-	return e.tracker.Read()
-}
-
 // Stats implements Engine.
 func (e *EngineC) Stats() Stats {
-	ts := e.mgr.Stats()
-	st := Stats{Commits: ts.Commits, Aborts: ts.Aborts, Conflicts: ts.Conflicts, Disk: e.rowDev.Stats()}
+	st := e.txnStats()
+	st.Disk = e.rowDev.Stats()
 	for _, it := range e.imcs {
 		it.mu.RLock()
 		for _, sh := range it.shards {
@@ -624,36 +436,4 @@ func (e *EngineC) Stats() Stats {
 		it.mu.RUnlock()
 	}
 	return st
-}
-
-// Close implements Engine.
-func (e *EngineC) Close() { unregisterEngineFuncs(e.obsFns) }
-
-// AddIndex implements Indexer.
-func (e *EngineC) AddIndex(table, name string, key func(types.Row) int64) error {
-	id, err := e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	e.idxMu.Lock()
-	defer e.idxMu.Unlock()
-	if e.secondary == nil {
-		e.secondary = make(map[string]*rowstore.SecondaryIndex)
-	}
-	if _, dup := e.secondary[table+"/"+name]; dup {
-		return fmt.Errorf("core: index %s/%s already exists", table, name)
-	}
-	e.secondary[table+"/"+name] = e.rows[id].AddIndex(name, key)
-	return nil
-}
-
-// IndexLookup implements Indexer.
-func (e *EngineC) IndexLookup(table, name string, k int64) []int64 {
-	e.idxMu.RLock()
-	ix := e.secondary[table+"/"+name]
-	e.idxMu.RUnlock()
-	if ix == nil {
-		return nil
-	}
-	return ix.Lookup(k)
 }

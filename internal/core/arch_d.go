@@ -3,21 +3,13 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"htap/internal/datasync"
-	"htap/internal/disk"
 	"htap/internal/exec"
-	"htap/internal/freshness"
 	"htap/internal/obs"
-	"htap/internal/planner"
-	"htap/internal/sched"
 	"htap/internal/txn"
 	"htap/internal/types"
-	"htap/internal/wal"
 )
 
 // ConfigD configures architecture D.
@@ -38,25 +30,13 @@ type ConfigD struct {
 // read-optimized. However, since there is only a delta row store for OLTP
 // workloads, the OLTP scalability is low."
 type EngineD struct {
-	memGoverned
-	ts      *tableSet
-	mgr     *txn.Manager
-	walDev  *disk.Device
-	wal     *wal.Log
-	layers  []*datasync.Layered
-	fb      *planner.Feedback
-	tracker *freshness.Tracker
-	mode    atomic.Uint32
-	par     atomic.Int32
-	om      archMetrics
-	obsFns  []*obs.FuncHandle
+	walEngine
+	layers []*datasync.Layered
 
 	// versions tracks the latest committed version per key for conflict
 	// checks: the layered store has no version chains of its own.
 	verMu    sync.RWMutex
 	versions []map[int64]uint64
-
-	syncMu sync.Mutex
 }
 
 // NewEngineD builds architecture D.
@@ -67,15 +47,8 @@ func NewEngineD(cfg ConfigD) *EngineD {
 	if cfg.L2Rows <= 0 {
 		cfg.L2Rows = 64 * 1024
 	}
-	e := &EngineD{
-		ts:      newTableSet(cfg.Schemas),
-		mgr:     txn.NewManager(),
-		walDev:  disk.New(disk.DefaultConfig()),
-		fb:      planner.NewFeedback(0),
-		tracker: freshness.NewTracker(),
-		om:      newArchMetrics(ArchD),
-	}
-	e.wal = wal.New(e.walDev, "wal-d")
+	e := &EngineD{}
+	e.init(ArchD, "primary-col+delta-row", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	for _, s := range cfg.Schemas {
 		l := datasync.NewLayered(s, cfg.L1Rows, cfg.L2Rows)
 		// Both columnar layers report under the table's name: a scan sees
@@ -85,23 +58,22 @@ func NewEngineD(cfg ConfigD) *EngineD {
 		e.layers = append(e.layers, l)
 		e.versions = append(e.versions, make(map[int64]uint64))
 	}
-	e.mode.Store(uint32(sched.Shared))
-	e.par.Store(int32(cfg.Parallelism))
-	e.obsFns = registerEngineFuncs(ArchD, e.Freshness, e.walDev.Stats)
+	e.serve(e, e.walDev.Stats)
 	return e
 }
 
-// Name implements Engine.
-func (e *EngineD) Name() string { return "primary-col+delta-row" }
-
-// Arch implements Engine.
-func (e *EngineD) Arch() Arch { return ArchD }
-
-// Tables implements Engine.
-func (e *EngineD) Tables() []*types.Schema { return e.ts.schemas }
-
-// Schema implements Engine.
-func (e *EngineD) Schema(table string) *types.Schema { return e.ts.schema(table) }
+// installWrites is architecture D's install step: the version map that
+// stands in for version chains, then the row-wise L1-delta of each table.
+func (e *EngineD) installWrites(commitTS uint64, writes []txn.Write) {
+	e.verMu.Lock()
+	for _, w := range writes {
+		e.versions[w.Table][w.Key] = commitTS
+	}
+	e.verMu.Unlock()
+	eachTable(writes, func(id uint32, ws []txn.Write) {
+		e.layers[id].Append(commitTS, ws)
+	})
+}
 
 // read returns the live image of key at the current state (L1 newest
 // first, then L2, then Main).
@@ -164,6 +136,9 @@ func (t *txD) write(table string, key int64, op txn.Op, row types.Row) error {
 			return err
 		}
 	}
+	if err := t.tx.Lock(id, key); err != nil {
+		return err
+	}
 	_, exists := t.e.read(id, key, t.tx.ReadTS)
 	if w, ok := t.tx.GetWrite(id, key); ok {
 		exists = w.Op != txn.OpDelete
@@ -203,63 +178,31 @@ func (t *txD) Delete(table string, key int64) error {
 
 func (t *txD) Commit() error {
 	e := t.e
-	if err := t.ctx.Err(); err != nil {
-		t.Abort()
+	ts, err := e.commit(t.ctx, t.tx)
+	if err != nil || t.tx.Pending() == 0 {
 		return err
 	}
-	start := time.Now()
-	ts, err := t.tx.Commit(func(commitTS uint64, writes []txn.Write) error {
-		for id := range e.layers {
-			if err := logWritesFor(e.wal, uint32(id), t.tx.ID, writes); err != nil {
-				return fmt.Errorf("core: wal append: %w", err)
-			}
+	// Layer maintenance happens on the commit path, which is precisely
+	// why the paper scores this architecture's OLTP scalability low.
+	touched := map[uint32]struct{}{}
+	minApplied := uint64(0)
+	for _, w := range t.tx.Writes() {
+		if _, done := touched[w.Table]; done {
+			continue
 		}
-		if _, err := e.wal.Append(wal.Record{Txn: t.tx.ID, Type: wal.RecCommit}); err != nil {
-			return fmt.Errorf("core: wal commit: %w", err)
+		touched[w.Table] = struct{}{}
+		e.layers[w.Table].Maintain(ts)
+		if a := e.layers[w.Table].Applied(); minApplied == 0 || a < minApplied {
+			minApplied = a
 		}
-		e.verMu.Lock()
-		for _, w := range writes {
-			e.versions[w.Table][w.Key] = commitTS
-		}
-		e.verMu.Unlock()
-		for id, ws := range groupWrites(writes) {
-			e.layers[id].Append(commitTS, ws)
-		}
-		return nil
-	})
-	if err != nil {
-		e.om.aborts.Inc()
-		return wrapTxnErr(err)
 	}
-	e.om.commits.Inc()
-	e.om.commitLat.Since(start)
-	if t.tx.Pending() > 0 {
-		e.tracker.Committed(ts)
-		// Layer maintenance happens on the commit path, which is precisely
-		// why the paper scores this architecture's OLTP scalability low.
-		touched := map[uint32]struct{}{}
-		minApplied := uint64(0)
-		for _, w := range t.tx.Writes() {
-			if _, done := touched[w.Table]; done {
-				continue
-			}
-			touched[w.Table] = struct{}{}
-			e.layers[w.Table].Maintain(ts)
-			if a := e.layers[w.Table].Applied(); minApplied == 0 || a < minApplied {
-				minApplied = a
-			}
-		}
-		if minApplied > 0 {
-			e.tracker.Applied(minApplied)
-		}
+	if minApplied > 0 {
+		e.tracker.Applied(minApplied)
 	}
 	return nil
 }
 
-func (t *txD) Abort() {
-	t.e.om.aborts.Inc()
-	t.tx.Abort()
-}
+func (t *txD) Abort() { t.e.abort(t.tx) }
 
 // Load implements Engine.
 func (e *EngineD) Load(table string, row types.Row) error {
@@ -279,7 +222,7 @@ func (e *EngineD) Load(table string, row types.Row) error {
 func (e *EngineD) Source(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
 	id := e.ts.mustID(table)
 	l := e.layers[id]
-	if sched.Mode(e.mode.Load()) == sched.Shared {
+	if e.shared() {
 		o := l.L1.Overlay(e.mgr.Oracle().Watermark())
 		return exec.NewUnion(
 			exec.NewColScan(ctx, l.Main, cols, pred, o),
@@ -292,56 +235,30 @@ func (e *EngineD) Source(ctx context.Context, table string, cols []string, pred 
 	)
 }
 
-// Query implements Engine.
-func (e *EngineD) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	e.om.queries.Inc()
-	return e.govern(ctx, ArchD.Label(), exec.From(e.Source(ctx, table, cols, pred)).Parallel(resolveDOP(&e.par)))
-}
-
 // Sync implements Engine: promote every L1 and merge every L2 down to
 // Main, making Main current.
 func (e *EngineD) Sync() {
-	e.syncMu.Lock()
-	defer e.syncMu.Unlock()
-	start := time.Now()
-	sp := syncSpan(ArchD)
-	upTo := e.mgr.Oracle().Watermark()
-	for i, l := range e.layers {
-		child := sp.Child("promote_l1").AttrInt("table", int64(i))
-		l.PromoteL1(upTo)
-		child.End()
-		child = sp.Child("merge_l2").AttrInt("table", int64(i))
-		l.MergeL2()
-		child.End()
-		if upTo > l.Main.Applied() {
-			l.Main.SetApplied(upTo)
+	e.syncRound(func(sp *obs.Span) uint64 {
+		upTo := e.mgr.Oracle().Watermark()
+		for i, l := range e.layers {
+			child := sp.Child("promote_l1").AttrInt("table", int64(i))
+			l.PromoteL1(upTo)
+			child.End()
+			child = sp.Child("merge_l2").AttrInt("table", int64(i))
+			l.MergeL2()
+			child.End()
+			if upTo > l.Main.Applied() {
+				l.Main.SetApplied(upTo)
+			}
 		}
-	}
-	e.tracker.Applied(upTo)
-	sp.End()
-	e.om.syncs.Inc()
-	e.om.syncLat.Since(start)
-}
-
-// SetMode implements Engine.
-func (e *EngineD) SetMode(m sched.Mode) { e.mode.Store(uint32(m)) }
-
-// SetParallelism implements Paralleler.
-func (e *EngineD) SetParallelism(n int) { e.par.Store(int32(n)) }
-
-// Freshness implements Engine. Shared-mode scans overlay the L1 delta and
-// see every commit; Isolated mode is bounded by layer promotion.
-func (e *EngineD) Freshness() freshness.Snapshot {
-	if sched.Mode(e.mode.Load()) == sched.Shared {
-		return e.tracker.ReadWithApplied(e.mgr.Oracle().Watermark())
-	}
-	return e.tracker.Read()
+		return upTo
+	})
 }
 
 // Stats implements Engine.
 func (e *EngineD) Stats() Stats {
-	ts := e.mgr.Stats()
-	st := Stats{Commits: ts.Commits, Aborts: ts.Aborts, Conflicts: ts.Conflicts, Disk: e.walDev.Stats()}
+	st := e.txnStats()
+	st.Disk = e.walDev.Stats()
 	for _, l := range e.layers {
 		ms, l2 := l.Main.Stats(), l.L2.Stats()
 		st.Merges += ms.Merges + l2.Merges
@@ -349,29 +266,4 @@ func (e *EngineD) Stats() Stats {
 		st.DeltaRows += l.L1.Unmerged()
 	}
 	return st
-}
-
-// Close implements Engine.
-func (e *EngineD) Close() { unregisterEngineFuncs(e.obsFns) }
-
-// logWritesFor appends redo records for one table's writes.
-func logWritesFor(l *wal.Log, table uint32, txnID uint64, writes []txn.Write) error {
-	for _, w := range writes {
-		if w.Table != table {
-			continue
-		}
-		var rt wal.RecType
-		switch w.Op {
-		case txn.OpInsert:
-			rt = wal.RecInsert
-		case txn.OpUpdate:
-			rt = wal.RecUpdate
-		case txn.OpDelete:
-			rt = wal.RecDelete
-		}
-		if _, err := l.Append(wal.Record{Txn: txnID, Type: rt, Table: table, Key: w.Key, Row: w.Row}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,0 +1,151 @@
+package core
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"htap/internal/disk"
+	"htap/internal/exec"
+	"htap/internal/freshness"
+	"htap/internal/obs"
+	"htap/internal/planner"
+	"htap/internal/sched"
+	"htap/internal/types"
+)
+
+// engineBase is everything the four architectures have in common: the table
+// registry, the analytical mode and degree of parallelism, the memory
+// governor, the htap_engine_* series and the background cadence. An
+// architecture embeds it (A, C and D through walEngine) and adds only its
+// storage layout.
+type engineBase struct {
+	memGoverned
+	arch    Arch
+	name    string
+	ts      *tableSet
+	fb      *planner.Feedback
+	tracker *freshness.Tracker
+	mode    atomic.Uint32
+	par     atomic.Int32
+	om      archMetrics
+	obsFns  []*obs.FuncHandle
+	// self is the finished engine: Query plans read through its Source.
+	self Engine
+
+	syncMu   sync.Mutex
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+}
+
+// init prepares the shared state. Constructors call it first, build their
+// stores, and finish with serve.
+func (b *engineBase) init(a Arch, name string, schemas []*types.Schema, parallelism int) {
+	b.arch, b.name = a, name
+	b.ts = newTableSet(schemas)
+	b.fb = planner.NewFeedback(0)
+	b.tracker = freshness.NewTracker()
+	b.om = newArchMetrics(a)
+	b.stop = make(chan struct{})
+	b.mode.Store(uint32(sched.Shared))
+	b.par.Store(int32(parallelism))
+}
+
+// serve publishes the finished engine e: the scrape-time gauges read its
+// Freshness and dev, and Query reads through its Source.
+func (b *engineBase) serve(e Engine, dev func() disk.Stats) {
+	b.self = e
+	b.obsFns = registerEngineFuncs(b.arch, e.Freshness, dev)
+}
+
+// every runs tick on a ticker until Close: the background synchronization
+// cadence of the engines that have one. A non-positive d starts nothing.
+func (b *engineBase) every(d time.Duration, tick func()) {
+	if d <= 0 {
+		return
+	}
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-b.stop:
+				return
+			case <-t.C:
+				tick()
+			}
+		}
+	}()
+}
+
+// Name implements Engine.
+func (b *engineBase) Name() string { return b.name }
+
+// Arch implements Engine.
+func (b *engineBase) Arch() Arch { return b.arch }
+
+// Tables implements Engine.
+func (b *engineBase) Tables() []*types.Schema { return b.ts.schemas }
+
+// Schema implements Engine.
+func (b *engineBase) Schema(table string) *types.Schema { return b.ts.schema(table) }
+
+// SetMode implements Engine.
+func (b *engineBase) SetMode(m sched.Mode) { b.mode.Store(uint32(m)) }
+
+// shared reports whether analytical reads scan the live delta.
+func (b *engineBase) shared() bool { return sched.Mode(b.mode.Load()) == sched.Shared }
+
+// SetParallelism implements Paralleler.
+func (b *engineBase) SetParallelism(n int) { b.par.Store(int32(n)) }
+
+// Query implements Engine: the architecture's Source under the engine's
+// degree of parallelism and memory governor.
+func (b *engineBase) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+	b.om.queries.Inc()
+	dop := int(b.par.Load())
+	if dop <= 0 {
+		dop = exec.DefaultParallelism()
+	}
+	return b.govern(ctx, b.arch.Label(), exec.From(b.self.Source(ctx, table, cols, pred)).Parallel(dop))
+}
+
+// syncRound runs one synchronization round under the sync lock, span and
+// metrics every architecture shares. round does the architecture's merging,
+// hanging one child span per unit of work under sp, and returns the commit
+// timestamp the analytical side has now applied.
+func (b *engineBase) syncRound(round func(sp *obs.Span) uint64) {
+	b.syncMu.Lock()
+	defer b.syncMu.Unlock()
+	start := time.Now()
+	sp := obs.Trace.Start("sync").Attr("arch", b.arch.Label())
+	b.tracker.Applied(round(sp))
+	sp.End()
+	b.om.syncs.Inc()
+	b.om.syncLat.Since(start)
+}
+
+// committed is the epilogue of a successful commit on every architecture.
+// Read-only commits count and are timed like any other; only a commit that
+// wrote moves the freshness tracker's OLTP watermark.
+func (b *engineBase) committed(start time.Time, commitTS uint64, wrote bool) {
+	b.om.commits.Inc()
+	b.om.commitLat.Since(start)
+	if wrote {
+		b.tracker.Committed(commitTS)
+	}
+}
+
+// Close implements Engine: it stops the background cadence and releases the
+// scrape-time callbacks the engine still owns. Closing twice is harmless.
+func (b *engineBase) Close() {
+	b.stopOnce.Do(func() { close(b.stop) })
+	b.wg.Wait()
+	for _, h := range b.obsFns {
+		obs.Default.Unregister(h)
+	}
+}

@@ -17,7 +17,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"context"
 	"errors"
 	"fmt"
@@ -256,12 +255,4 @@ func (ts *tableSet) schema(name string) *types.Schema {
 // exec.DefaultParallelism, i.e. GOMAXPROCS at query time.
 type Paralleler interface {
 	SetParallelism(n int)
-}
-
-// resolveDOP turns a stored parallelism setting into an effective degree.
-func resolveDOP(p *atomic.Int32) int {
-	if v := p.Load(); v > 0 {
-		return int(v)
-	}
-	return exec.DefaultParallelism()
 }

@@ -10,6 +10,7 @@ import (
 
 	"htap/internal/disk"
 	"htap/internal/exec"
+	"htap/internal/obs"
 	"htap/internal/sched"
 	"htap/internal/types"
 )
@@ -327,6 +328,44 @@ func TestStatsPopulated(t *testing.T) {
 			e.Sync()
 			return e.Stats().ColBytes > 0
 		})
+	})
+}
+
+// TestAbortAfterCommitDoesNotCount pins the `defer tx.Abort()` idiom: on a
+// transaction that already committed, Abort is not an abort.
+func TestAbortAfterCommitDoesNotCount(t *testing.T) {
+	forAll(t, func(t *testing.T, e Engine) {
+		aborts := obs.Default.Counter("htap_engine_txn_aborts_total", obs.L("arch", e.Arch().Label()))
+		commits := obs.Default.Counter("htap_engine_txn_commits_total", obs.L("arch", e.Arch().Label()))
+		before, committed, stats := aborts.Value(), commits.Value(), e.Stats()
+		for _, write := range []bool{true, false} {
+			tx := e.Begin(context.Background())
+			if write {
+				if err := tx.Insert("acct", acct(1, 1, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx.Abort()
+		}
+		if d := aborts.Value() - before; d != 0 {
+			t.Fatalf("htap_engine_txn_aborts_total moved by %d after two commits", d)
+		}
+		if d := e.Stats().Aborts - stats.Aborts; d != 0 {
+			t.Fatalf("Stats().Aborts moved by %d after two commits", d)
+		}
+		if d := commits.Value() - committed; d != 2 {
+			t.Fatalf("htap_engine_txn_commits_total moved by %d, want 2", d)
+		}
+		// An open transaction's Abort still counts, once.
+		tx := e.Begin(context.Background())
+		tx.Abort()
+		tx.Abort()
+		if d := aborts.Value() - before; d != 1 {
+			t.Fatalf("htap_engine_txn_aborts_total moved by %d after one real abort", d)
+		}
 	})
 }
 

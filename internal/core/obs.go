@@ -56,8 +56,8 @@ func newArchMetrics(a Arch) archMetrics {
 }
 
 // registerEngineFuncs exports scrape-time callbacks for one live engine: the
-// freshness lag gauges every architecture must expose, and (when dev is
-// non-nil) the engine's device counters re-labeled by architecture.
+// freshness lag gauges every architecture must expose, and the engine's
+// device counters re-labeled by architecture.
 // Rebuilding an engine of the same architecture transfers series ownership
 // to the newest instance; Close unregisters only what it still owns.
 func registerEngineFuncs(a Arch, fresh func() freshness.Snapshot, dev func() disk.Stats) []*obs.FuncHandle {
@@ -69,9 +69,6 @@ func registerEngineFuncs(a Arch, fresh func() freshness.Snapshot, dev func() dis
 		obs.Default.RegisterFunc("htap_freshness_lag_seconds", l, obs.KindGauge, func() float64 {
 			return fresh().LagTime.Seconds()
 		}),
-	}
-	if dev == nil {
-		return hs
 	}
 	for _, c := range []struct {
 		name string
@@ -94,14 +91,6 @@ func registerEngineFuncs(a Arch, fresh func() freshness.Snapshot, dev func() dis
 	return hs
 }
 
-// unregisterEngineFuncs releases the callbacks an engine registered, keeping
-// any series a newer engine has since taken over.
-func unregisterEngineFuncs(hs []*obs.FuncHandle) {
-	for _, h := range hs {
-		obs.Default.Unregister(h)
-	}
-}
-
 // observeSelectivity registers a pushed-predicate selection-density
 // observer on tbl (see colstore.Table.SetSelObserver): every segment a scan
 // filters with pushed-down predicates reports the fraction of rows its
@@ -117,10 +106,4 @@ func observeSelectivity(fb *planner.Feedback, a Arch, tbl *colstore.Table) {
 			g.Set(s)
 		}
 	})
-}
-
-// syncSpan opens the root trace span of one synchronization round; callers
-// hang one child per table (or per learner) under it.
-func syncSpan(a Arch) *obs.Span {
-	return obs.Trace.Start("sync").Attr("arch", a.Label())
 }

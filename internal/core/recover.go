@@ -4,9 +4,44 @@ import (
 	"fmt"
 
 	"htap/internal/disk"
-	"htap/internal/txn"
 	"htap/internal/wal"
 )
+
+// recover replays the redo log on dev (the device a previous instance wrote
+// its WAL to) into a freshly built engine, and adopts device and log so new
+// commits append after the recovered history. Only transactions whose
+// COMMIT record is durable are replayed — the group-commit tail that never
+// reached the device is lost — and LSN and transaction-id assignment resume
+// past everything the log holds.
+func (e *walEngine) recover(dev *disk.Device) error {
+	e.walDev = dev
+	e.wal = wal.New(dev, e.walName())
+	sum, err := replayLog(e.wal, e.replayTxn)
+	if err != nil {
+		return err
+	}
+	e.wal.SetNextLSN(sum.MaxLSN + 1)
+	e.mgr.AdvanceTxnID(sum.maxTxn)
+	return nil
+}
+
+// replayTxn installs one committed transaction's records through the same
+// install step a live commit runs, at a fresh timestamp drawn in log order,
+// so post-recovery snapshots observe the original commit order.
+func (e *walEngine) replayTxn(recs []wal.Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	writes, err := walWrites(len(e.ts.schemas), recs)
+	if err != nil {
+		return err
+	}
+	commitTS := e.mgr.Oracle().Next()
+	e.install(commitTS, tableOrdered(writes))
+	e.mgr.Oracle().Advance(commitTS)
+	e.tracker.Committed(commitTS)
+	return nil
+}
 
 // replaySummary is what one redo pass learned about the log.
 type replaySummary struct {
@@ -57,71 +92,25 @@ func replayLog(l *wal.Log, install func(recs []wal.Record) error) (replaySummary
 	return sum, nil
 }
 
-// walWrites converts one committed transaction's redo records into a write
-// set, validating table ids against the recovered schema set.
-func walWrites(nTables int, recs []wal.Record) ([]txn.Write, error) {
-	writes := make([]txn.Write, 0, len(recs))
-	for _, r := range recs {
-		if int(r.Table) >= nTables {
-			return nil, fmt.Errorf("unknown table id %d", r.Table)
-		}
-		var op txn.Op
-		switch r.Type {
-		case wal.RecInsert:
-			op = txn.OpInsert
-		case wal.RecUpdate:
-			op = txn.OpUpdate
-		case wal.RecDelete:
-			op = txn.OpDelete
-		}
-		writes = append(writes, txn.Write{Table: r.Table, Key: r.Key, Op: op, Row: r.Row})
+// recovered finishes RecoverEngineA/C/D: replay the log on dev into the
+// fresh engine e, then run one synchronization round, because replay lands
+// writes where commits do and the analytical side should start current.
+func recovered[E interface {
+	Engine
+	recover(*disk.Device) error
+}](e E, dev *disk.Device) (E, error) {
+	if err := e.recover(dev); err != nil {
+		e.Close()
+		var none E
+		return none, err
 	}
-	return writes, nil
-}
-
-// RecoverEngineA rebuilds an architecture-A engine from the redo log on
-// dev (the device a previous instance wrote its WAL to). Only transactions
-// whose COMMIT record is durable are replayed — the group-commit tail that
-// never reached the device is lost. Each replayed transaction receives a
-// fresh commit timestamp in log order, so post-recovery snapshots observe
-// the original commit order, and LSN assignment resumes past the replayed
-// history.
-func RecoverEngineA(cfg ConfigA, dev *disk.Device) (*EngineA, error) {
-	e := NewEngineA(cfg)
-	// Adopt the existing device and log so new commits append after the
-	// recovered history.
-	e.walDev = dev
-	e.wal = wal.New(dev, "wal-a")
-	res, err := replayLog(e.wal, e.replayTxn)
-	if err != nil {
-		return nil, err
-	}
-	e.wal.SetNextLSN(res.MaxLSN + 1)
-	e.mgr.AdvanceTxnID(res.maxTxn)
-	// The recovered state is fully merged into row stores; make the
-	// analytical side current too.
 	e.Sync()
 	return e, nil
 }
 
-// replayTxn installs one committed transaction's records at a fresh
-// timestamp.
-func (e *EngineA) replayTxn(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	writes, err := walWrites(len(e.rows), recs)
-	if err != nil {
-		return err
-	}
-	commitTS := e.mgr.Oracle().Next()
-	for id, ws := range groupWrites(writes) {
-		e.rows[id].Apply(commitTS, ws)
-		e.deltas[id].Append(commitTS, ws)
-	}
-	e.mgr.Oracle().Advance(commitTS)
-	e.tracker.Committed(commitTS)
-	return nil
+// RecoverEngineA rebuilds an architecture-A engine from the redo log on dev.
+func RecoverEngineA(cfg ConfigA, dev *disk.Device) (*EngineA, error) {
+	return recovered(NewEngineA(cfg), dev)
 }
 
 // RecoverEngineC is RecoverEngineA for architecture C: committed
@@ -129,88 +118,12 @@ func (e *EngineA) replayTxn(recs []wal.Record) error {
 // column store starts cold (no projections are loaded) — as after a real
 // Heatwave restart — and is repopulated by the next LoadColumns/Reselect.
 func RecoverEngineC(cfg ConfigC, dev *disk.Device) (*EngineC, error) {
-	e := NewEngineC(cfg)
-	e.walDev = dev
-	e.wal = wal.New(dev, "wal-c")
-	res, err := replayLog(e.wal, e.replayTxn)
-	if err != nil {
-		return nil, err
-	}
-	e.wal.SetNextLSN(res.MaxLSN + 1)
-	e.mgr.AdvanceTxnID(res.maxTxn)
-	e.Sync()
-	return e, nil
-}
-
-// replayTxn installs one committed transaction's records at a fresh
-// timestamp.
-func (e *EngineC) replayTxn(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	writes, err := walWrites(len(e.rows), recs)
-	if err != nil {
-		return err
-	}
-	commitTS := e.mgr.Oracle().Next()
-	for id, ws := range groupWrites(writes) {
-		e.rows[id].Apply(commitTS, ws)
-		if e.imcs[id].isLoaded() {
-			e.imcs[id].delta.Append(commitTS, ws)
-		}
-	}
-	e.mgr.Oracle().Advance(commitTS)
-	e.tracker.Committed(commitTS)
-	return nil
+	return recovered(NewEngineC(cfg), dev)
 }
 
 // RecoverEngineD is RecoverEngineA for architecture D: committed
-// transactions are reinstalled through the layered store's L1-delta (the
-// same path live commits take), then Sync folds them down into Main.
+// transactions are reinstalled through the layered store's L1-delta, then
+// the synchronization round folds them down into Main.
 func RecoverEngineD(cfg ConfigD, dev *disk.Device) (*EngineD, error) {
-	e := NewEngineD(cfg)
-	e.walDev = dev
-	e.wal = wal.New(dev, "wal-d")
-	res, err := replayLog(e.wal, e.replayTxn)
-	if err != nil {
-		return nil, err
-	}
-	e.wal.SetNextLSN(res.MaxLSN + 1)
-	e.mgr.AdvanceTxnID(res.maxTxn)
-	e.Sync()
-	return e, nil
+	return recovered(NewEngineD(cfg), dev)
 }
-
-// replayTxn installs one committed transaction's records at a fresh
-// timestamp.
-func (e *EngineD) replayTxn(recs []wal.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	writes, err := walWrites(len(e.layers), recs)
-	if err != nil {
-		return err
-	}
-	commitTS := e.mgr.Oracle().Next()
-	e.verMu.Lock()
-	for _, w := range writes {
-		e.versions[w.Table][w.Key] = commitTS
-	}
-	e.verMu.Unlock()
-	for id, ws := range groupWrites(writes) {
-		e.layers[id].Append(commitTS, ws)
-	}
-	e.mgr.Oracle().Advance(commitTS)
-	e.tracker.Committed(commitTS)
-	return nil
-}
-
-// WALDevice exposes the engine's redo-log device so callers can simulate a
-// crash-restart cycle (tests, chaos harness, examples).
-func (e *EngineA) WALDevice() *disk.Device { return e.walDev }
-
-// WALDevice exposes the engine's redo-log device.
-func (e *EngineC) WALDevice() *disk.Device { return e.walDev }
-
-// WALDevice exposes the engine's redo-log device.
-func (e *EngineD) WALDevice() *disk.Device { return e.walDev }

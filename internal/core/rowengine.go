@@ -1,0 +1,135 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+
+	"htap/internal/rowstore"
+	"htap/internal/txn"
+	"htap/internal/types"
+)
+
+// rowEngine is a walEngine whose primary copy is an MVCC row store per table
+// — architectures A (memory-optimized) and C (disk-backed). Transactions,
+// bulk load, secondary indexes and version GC are the same on both; only the
+// column side, which the embedding engine adds, differs.
+type rowEngine struct {
+	walEngine
+	rows []*rowstore.Store
+
+	idxMu     sync.RWMutex
+	secondary map[string]*rowstore.SecondaryIndex
+}
+
+// rowTx is the row-store-primary transaction of architectures A and C.
+type rowTx struct {
+	e   *rowEngine
+	ctx context.Context
+	tx  *txn.Txn
+}
+
+// Begin implements Engine.
+func (e *rowEngine) Begin(ctx context.Context) Tx {
+	e.om.begins.Inc()
+	return &rowTx{e: e, ctx: ctxOrBackground(ctx), tx: e.mgr.Begin()}
+}
+
+func (t *rowTx) Get(table string, key int64) (types.Row, error) {
+	id, err := t.e.ts.id(table)
+	if err != nil {
+		return nil, err
+	}
+	r, err := t.e.rows[id].Get(t.tx, key)
+	if errors.Is(err, rowstore.ErrNotFound) {
+		return nil, ErrNotFound
+	}
+	return r, err
+}
+
+func (t *rowTx) Insert(table string, row types.Row) error {
+	id, err := t.e.ts.id(table)
+	if err != nil {
+		return err
+	}
+	return t.e.rows[id].Insert(t.tx, row)
+}
+
+func (t *rowTx) Update(table string, row types.Row) error {
+	id, err := t.e.ts.id(table)
+	if err != nil {
+		return err
+	}
+	return t.e.rows[id].Update(t.tx, row)
+}
+
+func (t *rowTx) Delete(table string, key int64) error {
+	id, err := t.e.ts.id(table)
+	if err != nil {
+		return err
+	}
+	err = t.e.rows[id].Delete(t.tx, key)
+	if errors.Is(err, rowstore.ErrNotFound) {
+		return ErrNotFound
+	}
+	return err
+}
+
+func (t *rowTx) Commit() error {
+	_, err := t.e.commit(t.ctx, t.tx)
+	return err
+}
+
+func (t *rowTx) Abort() { t.e.abort(t.tx) }
+
+// Load implements Engine for the row side: the row becomes visible to every
+// snapshot, bypassing transactions and the WAL.
+func (e *rowEngine) Load(table string, row types.Row) error {
+	id, err := e.ts.id(table)
+	if err != nil {
+		return err
+	}
+	return e.rows[id].Load(row)
+}
+
+// GC reclaims row versions older than the current watermark that are
+// shadowed by newer ones; §2.2(1)'s MVCC leaves them behind. It returns
+// the number of reclaimed versions.
+func (e *rowEngine) GC() int64 {
+	ts := e.mgr.Oracle().Watermark()
+	var reclaimed int64
+	for _, s := range e.rows {
+		reclaimed += s.GC(ts)
+	}
+	return reclaimed
+}
+
+// AddIndex implements Indexer.
+func (e *rowEngine) AddIndex(table, name string, key func(types.Row) int64) error {
+	id, err := e.ts.id(table)
+	if err != nil {
+		return err
+	}
+	e.idxMu.Lock()
+	defer e.idxMu.Unlock()
+	if e.secondary == nil {
+		e.secondary = make(map[string]*rowstore.SecondaryIndex)
+	}
+	if _, dup := e.secondary[table+"/"+name]; dup {
+		return fmt.Errorf("core: index %s/%s already exists", table, name)
+	}
+	e.secondary[table+"/"+name] = e.rows[id].AddIndex(name, key)
+	return nil
+}
+
+// IndexLookup implements Indexer.
+func (e *rowEngine) IndexLookup(table, name string, k int64) []int64 {
+	e.idxMu.RLock()
+	ix := e.secondary[table+"/"+name]
+	e.idxMu.RUnlock()
+	if ix == nil {
+		return nil
+	}
+	return ix.Lookup(k)
+}

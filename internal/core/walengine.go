@@ -1,0 +1,169 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"strings"
+	"time"
+
+	"htap/internal/disk"
+	"htap/internal/freshness"
+	"htap/internal/txn"
+	"htap/internal/types"
+	"htap/internal/wal"
+)
+
+// walEngine is the commit path of the three single-node architectures
+// (A, C, D): one timestamp authority, one redo log, and MVCC + logging
+// (§2.2(1)(i)) spelled once. What distinguishes the architectures is where
+// a committed write set lands — their install step — and live commit and
+// crash recovery both run exactly that step, so the two cannot drift apart:
+//
+//	an architecture = install + Source + Sync
+type walEngine struct {
+	engineBase
+	mgr    *txn.Manager
+	walDev *disk.Device
+	wal    *wal.Log
+	// install lands one committed transaction in the architecture's stores
+	// at commitTS. writes is ordered by table id (see tableOrdered); commits
+	// and replays are serialized by the caller, and install cannot fail:
+	// every check ran while the writes were buffered.
+	install func(commitTS uint64, writes []txn.Write)
+}
+
+func (e *walEngine) init(a Arch, name string, schemas []*types.Schema, parallelism int, install func(uint64, []txn.Write)) {
+	e.engineBase.init(a, name, schemas, parallelism)
+	e.mgr = txn.NewManager()
+	e.walDev = disk.New(disk.DefaultConfig())
+	e.wal = wal.New(e.walDev, e.walName())
+	e.install = install
+}
+
+func (e *walEngine) walName() string { return "wal-" + strings.ToLower(e.arch.Label()) }
+
+// WALDevice exposes the engine's redo-log device so callers can simulate a
+// crash-restart cycle (tests, chaos harness, examples).
+func (e *walEngine) WALDevice() *disk.Device { return e.walDev }
+
+// commit is the one commit sequence: redo records in table-id order, the
+// COMMIT record (whose flush makes the transaction durable), the
+// architecture's install, then the metrics epilogue. Write-ahead for real:
+// a WAL failure — an injected fault, a crashed device — aborts the
+// transaction before anything is installed. The record order must be
+// deterministic so a seeded fault plan tears the log at the same record
+// boundary on every run. It returns the commit timestamp.
+func (e *walEngine) commit(ctx context.Context, tx *txn.Txn) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		e.abort(tx)
+		return 0, err
+	}
+	start := time.Now()
+	ts, err := tx.Commit(func(commitTS uint64, writes []txn.Write) error {
+		writes = tableOrdered(writes)
+		for _, w := range writes {
+			if _, err := e.wal.Append(wal.Record{Txn: tx.ID, Type: recTypeOf[w.Op], Table: w.Table, Key: w.Key, Row: w.Row}); err != nil {
+				return fmt.Errorf("core: wal append: %w", err)
+			}
+		}
+		if _, err := e.wal.Append(wal.Record{Txn: tx.ID, Type: wal.RecCommit}); err != nil {
+			return fmt.Errorf("core: wal commit: %w", err)
+		}
+		e.install(commitTS, writes)
+		return nil
+	})
+	if err != nil {
+		if !errors.Is(err, txn.ErrFinished) {
+			e.om.aborts.Inc()
+		}
+		return 0, err
+	}
+	e.committed(start, ts, tx.Pending() > 0)
+	return ts, nil
+}
+
+// abort discards tx. Only a transaction that was still open counts as an
+// abort: `defer tx.Abort()` after a successful Commit is the repo's idiom.
+func (e *walEngine) abort(tx *txn.Txn) {
+	if tx.Abort() {
+		e.om.aborts.Inc()
+	}
+}
+
+// recTypeOf maps a buffered write's op to its redo record type; walWrites
+// is the inverse.
+var recTypeOf = [...]wal.RecType{
+	txn.OpInsert: wal.RecInsert,
+	txn.OpUpdate: wal.RecUpdate,
+	txn.OpDelete: wal.RecDelete,
+}
+
+// walWrites converts one committed transaction's redo records into a write
+// set, validating table ids against the recovered schema set.
+func walWrites(nTables int, recs []wal.Record) ([]txn.Write, error) {
+	writes := make([]txn.Write, 0, len(recs))
+	for _, r := range recs {
+		if int(r.Table) >= nTables {
+			return nil, fmt.Errorf("unknown table id %d", r.Table)
+		}
+		var op txn.Op
+		switch r.Type {
+		case wal.RecInsert:
+			op = txn.OpInsert
+		case wal.RecUpdate:
+			op = txn.OpUpdate
+		case wal.RecDelete:
+			op = txn.OpDelete
+		}
+		writes = append(writes, txn.Write{Table: r.Table, Key: r.Key, Op: op, Row: r.Row})
+	}
+	return writes, nil
+}
+
+// tableOrdered returns writes ordered by table id, keeping each table's
+// writes in the order the transaction made them. The input is not modified;
+// a write set already in order (every single-table transaction) is returned
+// as is.
+func tableOrdered(writes []txn.Write) []txn.Write {
+	inOrder := true
+	for i := 1; i < len(writes) && inOrder; i++ {
+		inOrder = writes[i-1].Table <= writes[i].Table
+	}
+	if inOrder {
+		return writes
+	}
+	out := append([]txn.Write(nil), writes...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Table < out[j].Table })
+	return out
+}
+
+// eachTable calls fn with each table's run of a table-ordered write set.
+func eachTable(writes []txn.Write, fn func(table uint32, ws []txn.Write)) {
+	for i := 0; i < len(writes); {
+		j := i + 1
+		for j < len(writes) && writes[j].Table == writes[i].Table {
+			j++
+		}
+		fn(writes[i].Table, writes[i:j])
+		i = j
+	}
+}
+
+// Freshness implements Engine. In Shared mode analytical scans overlay the
+// live delta and therefore see every commit (§2.2(2)(i): "the data
+// freshness is high"); in Isolated mode staleness is bounded by the last
+// synchronization round.
+func (e *walEngine) Freshness() freshness.Snapshot {
+	if e.shared() {
+		return e.tracker.ReadWithApplied(e.mgr.Oracle().Watermark())
+	}
+	return e.tracker.Read()
+}
+
+// txnStats is the transaction-manager part of Engine.Stats.
+func (e *walEngine) txnStats() Stats {
+	ts := e.mgr.Stats()
+	return Stats{Commits: ts.Commits, Aborts: ts.Aborts, Conflicts: ts.Conflicts}
+}

@@ -41,9 +41,9 @@ import (
 //     re-read the table, and route to the new owner.
 //
 // Scatter queries running concurrently with the cutover commit window
-// can transiently observe the moving rows on both shards (destination
-// commits before source in the ordered 2PC commit phase). The window is
-// two in-process commits wide; the equivalence gate queries outside it
+// can transiently observe the moving rows on both shards or on neither
+// (the 2PC commit phase delivers the two branch commits concurrently).
+// The window is one in-process commit wide; the equivalence gate queries outside it
 // and asserts bit-exact results, and the concurrent-load test asserts
 // convergence after the move.
 
@@ -278,8 +278,8 @@ func (d *Engine) cutover(ctx context.Context, src, dest int, rows []movedRow) (i
 	if errors.As(err, &ind) {
 		// One branch may or may not have applied. Repair to the moved
 		// state row by row: it is idempotent and resolves every
-		// combination of half-applied outcomes the ordered commit phase
-		// can leave behind.
+		// combination of half-applied outcomes the commit phase can
+		// leave behind.
 		if rerr := d.resolveMove(src, dest, rows); rerr != nil {
 			return 0, fmt.Errorf("dist: cutover indeterminate (%v); repair failed: %w", err, rerr)
 		}

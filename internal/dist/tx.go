@@ -194,12 +194,13 @@ func (t *distTx) Delete(table string, key int64) error {
 	return t.sub(i).Delete(table, key)
 }
 
-// Commit implements core.Tx. One open branch commits directly — its own
-// engine provides the one-shot semantics, and its error (retryable
-// conflict, indeterminate remote commit) passes through unchanged.
-// Several branches commit through twopc.CommitAll: parallel prepare,
-// abort-all on any prepare failure (safe to retry), then ordered commit
-// with indeterminate-commit semantics on a lost acknowledgement.
+// Commit implements core.Tx through twopc.CommitAll. One open branch
+// commits directly — its own engine provides the one-shot semantics, and
+// its error (retryable conflict, indeterminate remote commit) passes
+// through unchanged. Several branches pay two phases: parallel prepare,
+// abort-all on any prepare failure (safe to retry), then the commit
+// decision delivered to every branch, with indeterminate-commit semantics
+// on a lost acknowledgement.
 func (t *distTx) Commit() error {
 	if t.done {
 		return errTxDone
@@ -212,16 +213,12 @@ func (t *distTx) Commit() error {
 			branches = append(branches, txBranch{name: t.d.shards[i].name, tx: s})
 		}
 	}
-	switch len(branches) {
-	case 0:
-		return nil
-	case 1:
+	if len(branches) == 1 {
 		routedTxns.Inc()
-		return branches[0].Commit(t.ctx)
-	default:
+	} else if len(branches) > 1 {
 		crossShardTxns.Inc()
-		return twopc.CommitAll(t.ctx, branches...)
 	}
+	return twopc.CommitAll(t.ctx, branches...)
 }
 
 // Abort implements core.Tx.

@@ -10,7 +10,8 @@ import (
 	"htap/internal/types"
 )
 
-// BenchmarkScanFilter is the selectivity sweep recorded in BENCH_scan.json:
+// BenchmarkScanFilter is the selectivity sweep behind the pushdown numbers
+// in DESIGN.md (bench/README.md prices the same paths on every run):
 // a scan-filter pipeline over a multi-segment column store, projecting a
 // dictionary-encoded string column, filtered by an integer range predicate
 // whose selectivity sweeps 0.1% / 1% / 10% / 90%. The same plan shape runs

@@ -19,7 +19,6 @@ import (
 	"htap/internal/disk"
 	"htap/internal/txn"
 	"htap/internal/types"
-	"htap/internal/wal"
 )
 
 // Errors returned by transactional operations.
@@ -157,6 +156,9 @@ func (s *Store) Insert(tx *txn.Txn, row types.Row) error {
 		// The transaction deleted this key itself; re-inserting replaces it.
 		return tx.Write(s.ID, key, txn.OpInsert, row, 0)
 	}
+	if err := tx.Lock(s.ID, key); err != nil {
+		return err
+	}
 	s.mu.RLock()
 	c, latestTS := s.latest(key)
 	live := c != nil && func() bool { v := c.visible(tx.ReadTS); return v != nil && !v.deleted }()
@@ -179,6 +181,9 @@ func (s *Store) Update(tx *txn.Txn, row types.Row) error {
 		}
 		return tx.Write(s.ID, key, txn.OpUpdate, row, 0)
 	}
+	if err := tx.Lock(s.ID, key); err != nil {
+		return err
+	}
 	s.mu.RLock()
 	c, latestTS := s.latest(key)
 	live := c != nil && func() bool { v := c.visible(tx.ReadTS); return v != nil && !v.deleted }()
@@ -196,6 +201,9 @@ func (s *Store) Delete(tx *txn.Txn, key int64) error {
 			return ErrNotFound
 		}
 		return tx.Write(s.ID, key, txn.OpDelete, nil, 0)
+	}
+	if err := tx.Lock(s.ID, key); err != nil {
+		return err
 	}
 	s.mu.RLock()
 	c, latestTS := s.latest(key)
@@ -239,28 +247,6 @@ func (s *Store) Apply(commitTS uint64, writes []txn.Write) {
 		s.chargeWrite(w.Row)
 	}
 	s.mu.Unlock()
-}
-
-// LogWrites appends redo records for this table's writes to l.
-func (s *Store) LogWrites(l *wal.Log, txnID uint64, writes []txn.Write) error {
-	for _, w := range writes {
-		if w.Table != s.ID {
-			continue
-		}
-		var rt wal.RecType
-		switch w.Op {
-		case txn.OpInsert:
-			rt = wal.RecInsert
-		case txn.OpUpdate:
-			rt = wal.RecUpdate
-		case txn.OpDelete:
-			rt = wal.RecDelete
-		}
-		if _, err := l.Append(wal.Record{Txn: txnID, Type: rt, Table: s.ID, Key: w.Key, Row: w.Row}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Load installs a row visible to every snapshot, bypassing transactions.

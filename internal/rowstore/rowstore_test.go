@@ -10,7 +10,6 @@ import (
 	"htap/internal/disk"
 	"htap/internal/txn"
 	"htap/internal/types"
-	"htap/internal/wal"
 )
 
 var testSchema = types.NewSchema("acct", 0,
@@ -255,46 +254,6 @@ func TestDiskBackedCharges(t *testing.T) {
 	s.GetAt(m.Oracle().Watermark(), 1)
 	if dev.Stats().ReadOps == 0 {
 		t.Fatal("disk-backed read did not charge")
-	}
-}
-
-func TestWALRoundTrip(t *testing.T) {
-	dev := disk.New(disk.MemConfig())
-	l := wal.New(dev, "wal")
-	m := txn.NewManager()
-	s := New(1, testSchema)
-
-	tx := m.Begin()
-	s.Insert(tx, acct(1, 10))
-	s.Insert(tx, acct(2, 20))
-	_, err := tx.Commit(func(ts uint64, w []txn.Write) error {
-		if err := s.LogWrites(l, tx.ID, w); err != nil {
-			return err
-		}
-		if _, err := l.Append(wal.Record{Txn: tx.ID, Type: wal.RecCommit}); err != nil {
-			return err
-		}
-		s.Apply(ts, w)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay into a fresh store simulating restart recovery.
-	s2 := New(1, testSchema)
-	_, err = l.Replay(func(r wal.Record) error {
-		switch r.Type {
-		case wal.RecInsert:
-			return s2.Load(r.Row)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Count(0) != 2 {
-		t.Fatalf("recovered %d rows, want 2", s2.Count(0))
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"htap/internal/core"
 	"htap/internal/exec"
@@ -48,120 +47,100 @@ func (c *session) handlePrepare(payload []byte) error {
 	return c.send(wire.MsgOK, nil)
 }
 
-// handleFragment runs a pushed-down scan fragment: project the requested
-// columns, re-apply the coordinator's pushed predicates through the local
-// Filter rewrite — so they fuse into encoded column scans and prune zone
-// maps exactly as a local query's would — and stream the survivors.
+// handleFragment runs a scan fragment — a plain remote table scan, or one
+// carrying the coordinator's pushed-down work: project the requested
+// columns, re-apply the pushed predicates through the local Filter rewrite
+// — so they fuse into encoded column scans and prune zone maps exactly as a
+// local query's would — run the aggregate or top-k spec if there is one,
+// and stream the survivors.
 func (c *session) handleFragment(payload []byte) error {
 	m, err := wire.DecodeFragment(payload)
 	if err != nil {
-		return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
+		return c.sendErr(badRequest("%v", err))
 	}
-	start := time.Now()
-	ctx, cancel := c.reqCtx(m.Deadline)
-	defer cancel()
-	sp := obs.Trace.StartRemote("server.fragment", m.TraceID, m.SpanID).Attr("table", m.Table)
-	defer sp.End()
-	admitStart := time.Now()
-	ok, cerr := c.admit(ctx, wire.ClassOLAP)
-	admitNS := time.Since(admitStart).Nanoseconds()
-	sp.AttrInt("admit_wait_ns", admitNS)
-	if !ok {
-		return cerr
-	}
-	sch := c.srv.cfg.Engine.Schema(m.Table)
-	if sch == nil {
-		return c.sendErr(fmt.Errorf("%w: %s", core.ErrNoTable, m.Table))
-	}
-	// Validate names before they reach exec, whose binder treats unknown
-	// columns as programmer error (panic); wire input is not trusted.
-	for _, col := range m.Cols {
-		if sch.ColIndex(col) < 0 {
-			return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("no column %q in %s", col, m.Table)})
-		}
-	}
-	var filters []exec.Expr
-	for _, fp := range m.Preds {
-		pp, perr := pushedPredOf(fp)
-		if perr != nil {
-			return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: perr.Error()})
-		}
-		found := false
-		for _, col := range m.Cols {
-			if col == pp.Col {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("predicate column %q not in projection", pp.Col)})
-		}
-		filters = append(filters, pp.Expr())
-	}
-	var pred *exec.ScanPred
-	if m.HasPred {
-		pred = &exec.ScanPred{Col: m.PredCol, Lo: m.PredLo, Hi: m.PredHi}
-	}
-	qctx, stop := c.watch(ctx)
-	qctx = obs.ContextWithSpan(qctx, sp)
-	var prof *exec.QueryProfile
-	if m.Profile {
-		prof = exec.NewQueryProfile()
-		prof.SetAdmitNS(admitNS)
-		qctx = exec.WithProfile(qctx, prof)
-	}
-	plan := c.srv.cfg.Engine.Query(qctx, m.Table, m.Cols, pred)
-	for _, f := range filters {
-		plan = plan.Filter(f)
-	}
-	if m.Agg != nil {
-		aggs, aerr := fragAggsOf(m.Agg, m.Cols)
-		if aerr != nil {
-			stop()
-			c.srv.m.reqNS[wire.ClassOLAP].Since(start)
-			return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: aerr.Error()})
-		}
-		// Partial groups are computed eagerly so any execution error
-		// becomes a clean MsgError before the first stream frame.
-		groups, err := plan.PartialAgg(m.Agg.GroupBy, aggs)
-		broken := stop()
-		c.srv.m.reqNS[wire.ClassOLAP].Since(start)
-		if broken {
-			return fmt.Errorf("client broke protocol or disconnected")
-		}
-		if err != nil {
-			return c.sendErr(err)
-		}
-		return c.streamPartials(groups, aggs, profileEOS(prof, admitNS))
-	}
-	if m.TopK != nil {
-		if m.TopK.K < 1 || m.TopK.K > maxFragTopK {
-			stop()
-			c.srv.m.reqNS[wire.ClassOLAP].Since(start)
-			return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("top-k bound %d outside [1, %d]", m.TopK.K, maxFragTopK)})
-		}
-		keys := make([]exec.SortKey, len(m.TopK.Keys))
-		for i, k := range m.TopK.Keys {
-			if !inProjection(k.Col, m.Cols) {
-				stop()
-				c.srv.m.reqNS[wire.ClassOLAP].Since(start)
-				return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("top-k column %q not in projection", k.Col)})
-			}
-			keys[i] = exec.SortKey{Col: k.Col, Desc: k.Desc}
-		}
-		plan = plan.TopK(int(m.TopK.K), keys...)
-	}
-	outSch := plan.Schema()
-	rows, err := plan.RunCtx(qctx)
-	broken := stop()
-	c.srv.m.reqNS[wire.ClassOLAP].Since(start)
-	if broken {
-		return fmt.Errorf("client broke protocol or disconnected")
-	}
+	f, err := c.checkFragment(m)
 	if err != nil {
 		return c.sendErr(err)
 	}
-	return c.stream(outSch, rows, profileEOS(prof, admitNS))
+	sp := obs.Trace.StartRemote("server.fragment", m.TraceID, m.SpanID).Attr("table", m.Table)
+	return c.runOLAP(m.Deadline, m.Profile, sp, func(ctx context.Context) (olapReply, error) {
+		plan := c.srv.cfg.Engine.Query(ctx, m.Table, m.Cols, f.pred)
+		for _, e := range f.filters {
+			plan = plan.Filter(e)
+		}
+		if m.Agg != nil {
+			groups, err := plan.PartialAgg(m.Agg.GroupBy, f.aggs)
+			if err != nil {
+				return nil, err
+			}
+			return func(eos wire.EOS) error { return c.streamPartials(groups, f.aggs, eos) }, nil
+		}
+		if m.TopK != nil {
+			plan = plan.TopK(int(m.TopK.K), f.topK...)
+		}
+		sch := plan.Schema()
+		rows, err := plan.RunCtx(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return func(eos wire.EOS) error { return c.stream(sch, rows, eos) }, nil
+	})
+}
+
+// fragment is a wire.Fragment's pushed-down work in exec form.
+type fragment struct {
+	pred    *exec.ScanPred
+	filters []exec.Expr
+	aggs    []exec.Agg     // m.Agg's aggregates
+	topK    []exec.SortKey // m.TopK's keys
+}
+
+// checkFragment validates every name and bound in m before any of it
+// reaches exec, whose binder treats unknown columns as programmer error
+// (panic); wire input is not trusted.
+func (c *session) checkFragment(m wire.Fragment) (fragment, error) {
+	var f fragment
+	sch := c.srv.cfg.Engine.Schema(m.Table)
+	if sch == nil {
+		return f, fmt.Errorf("%w: %s", core.ErrNoTable, m.Table)
+	}
+	for _, col := range m.Cols {
+		if sch.ColIndex(col) < 0 {
+			return f, badRequest("no column %q in %s", col, m.Table)
+		}
+	}
+	for _, fp := range m.Preds {
+		pp, err := pushedPredOf(fp)
+		if err != nil {
+			return f, badRequest("%v", err)
+		}
+		if !inProjection(pp.Col, m.Cols) {
+			return f, badRequest("predicate column %q not in projection", pp.Col)
+		}
+		f.filters = append(f.filters, pp.Expr())
+	}
+	if m.HasPred {
+		f.pred = &exec.ScanPred{Col: m.PredCol, Lo: m.PredLo, Hi: m.PredHi}
+	}
+	if m.Agg != nil {
+		aggs, err := fragAggsOf(m.Agg, m.Cols)
+		if err != nil {
+			return f, badRequest("%v", err)
+		}
+		f.aggs = aggs
+	}
+	if m.TopK != nil {
+		if m.TopK.K < 1 || m.TopK.K > maxFragTopK {
+			return f, badRequest("top-k bound %d outside [1, %d]", m.TopK.K, maxFragTopK)
+		}
+		for _, k := range m.TopK.Keys {
+			if !inProjection(k.Col, m.Cols) {
+				return f, badRequest("top-k column %q not in projection", k.Col)
+			}
+			f.topK = append(f.topK, exec.SortKey{Col: k.Col, Desc: k.Desc})
+		}
+	}
+	return f, nil
 }
 
 // maxFragTopK bounds the per-fragment top-k heap a frame may request;

@@ -384,8 +384,6 @@ func (c *session) dispatch(typ byte, payload []byte) error {
 		return c.send(wire.MsgOK, nil)
 	case wire.MsgQuery:
 		return c.handleQuery(payload)
-	case wire.MsgScan:
-		return c.handleScan(payload)
 	case wire.MsgSync:
 		c.srv.cfg.Engine.Sync()
 		return c.send(wire.MsgOK, nil)
@@ -528,19 +526,46 @@ func (c *session) handleCommit() error {
 func (c *session) handleQuery(payload []byte) error {
 	m, err := wire.DecodeQuery(payload)
 	if err != nil {
-		return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
+		return c.sendErr(badRequest("%v", err))
 	}
-	start := time.Now()
-	ctx, cancel := c.reqCtx(m.Deadline)
-	defer cancel()
-	// Join the client's trace (StartRemote degrades to a fresh root for
-	// old clients that sent no context), so /spans on this process links
-	// back to the span that issued the request over the wire.
 	sp := obs.Trace.StartRemote("server.query", m.TraceID, m.SpanID).AttrInt("q", int64(m.N))
+	return c.runOLAP(m.Deadline, m.Profile, sp, func(ctx context.Context) (olapReply, error) {
+		rows, err := ch.RunQuery(ctx, c.srv.cfg.Engine, int(m.N))
+		if err != nil {
+			return nil, err
+		}
+		// CH query results carry no schema; synthesize column names.
+		sch := make([]types.Column, 0)
+		if len(rows) > 0 {
+			for i, d := range rows[0] {
+				sch = append(sch, types.Column{Name: fmt.Sprintf("c%d", i), Type: d.Kind})
+			}
+		}
+		return func(eos wire.EOS) error { return c.stream(sch, rows, eos) }, nil
+	})
+}
+
+// olapReply sends a finished analytical request's result; eos carries the
+// profile trailer when the client asked for one.
+type olapReply func(eos wire.EOS) error
+
+// runOLAP runs one analytical request under everything the session owes
+// it: the request's deadline, OLAP admission, the disconnect watch and,
+// when the client asked, a query profile. sp is the request's span — the
+// handler starts it with StartRemote, which joins the client's trace and
+// degrades to a fresh root for old clients that sent no context, so /spans
+// on this process links back to the span that issued the request. run must
+// finish executing before it returns, so any execution error becomes a
+// clean MsgError ahead of the first stream frame; a handler validates its
+// frame before calling runOLAP, so nothing is admitted or watched for a
+// request that cannot run.
+func (c *session) runOLAP(deadline int64, profile bool, sp *obs.Span, run func(ctx context.Context) (olapReply, error)) error {
 	defer sp.End()
-	admitStart := time.Now()
+	start := time.Now()
+	ctx, cancel := c.reqCtx(deadline)
+	defer cancel()
 	ok, cerr := c.admit(ctx, wire.ClassOLAP)
-	admitNS := time.Since(admitStart).Nanoseconds()
+	admitNS := time.Since(start).Nanoseconds()
 	sp.AttrInt("admit_wait_ns", admitNS)
 	if !ok {
 		return cerr
@@ -548,12 +573,12 @@ func (c *session) handleQuery(payload []byte) error {
 	qctx, stop := c.watch(ctx)
 	qctx = obs.ContextWithSpan(qctx, sp)
 	var prof *exec.QueryProfile
-	if m.Profile {
+	if profile {
 		prof = exec.NewQueryProfile()
 		prof.SetAdmitNS(admitNS)
 		qctx = exec.WithProfile(qctx, prof)
 	}
-	rows, err := ch.RunQuery(qctx, c.srv.cfg.Engine, int(m.N))
+	reply, err := run(qctx)
 	broken := stop()
 	c.srv.m.reqNS[wire.ClassOLAP].Since(start)
 	if broken {
@@ -562,14 +587,11 @@ func (c *session) handleQuery(payload []byte) error {
 	if err != nil {
 		return c.sendErr(err)
 	}
-	// CH query results carry no schema; synthesize column names.
-	sch := make([]types.Column, 0)
-	if len(rows) > 0 {
-		for i, d := range rows[0] {
-			sch = append(sch, types.Column{Name: fmt.Sprintf("c%d", i), Type: d.Kind})
-		}
-	}
-	return c.stream(sch, rows, profileEOS(prof, admitNS))
+	return reply(profileEOS(prof, admitNS))
+}
+
+func badRequest(format string, args ...any) *wire.Error {
+	return &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(format, args...)}
 }
 
 // profileEOS builds the EOS profile trailer for a profiled request; a nil
@@ -586,52 +608,6 @@ func profileEOS(prof *exec.QueryProfile, admitNS int64) wire.EOS {
 		SpillNS:    prof.SpillNS(),
 		Profile:    prof.Render(),
 	}
-}
-
-func (c *session) handleScan(payload []byte) error {
-	m, err := wire.DecodeScan(payload)
-	if err != nil {
-		return c.sendErr(&wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
-	}
-	start := time.Now()
-	ctx, cancel := c.reqCtx(m.Deadline)
-	defer cancel()
-	sp := obs.Trace.StartRemote("server.scan", m.TraceID, m.SpanID).Attr("table", m.Table)
-	defer sp.End()
-	admitStart := time.Now()
-	ok, cerr := c.admit(ctx, wire.ClassOLAP)
-	admitNS := time.Since(admitStart).Nanoseconds()
-	sp.AttrInt("admit_wait_ns", admitNS)
-	if !ok {
-		return cerr
-	}
-	var pred *exec.ScanPred
-	if m.HasPred {
-		pred = &exec.ScanPred{Col: m.PredCol, Lo: m.PredLo, Hi: m.PredHi}
-	}
-	if c.srv.cfg.Engine.Schema(m.Table) == nil {
-		return c.sendErr(fmt.Errorf("%w: %s", core.ErrNoTable, m.Table))
-	}
-	qctx, stop := c.watch(ctx)
-	qctx = obs.ContextWithSpan(qctx, sp)
-	var prof *exec.QueryProfile
-	if m.Profile {
-		prof = exec.NewQueryProfile()
-		prof.SetAdmitNS(admitNS)
-		qctx = exec.WithProfile(qctx, prof)
-	}
-	plan := c.srv.cfg.Engine.Query(qctx, m.Table, m.Cols, pred)
-	sch := plan.Schema()
-	rows, err := plan.RunCtx(qctx)
-	broken := stop()
-	c.srv.m.reqNS[wire.ClassOLAP].Since(start)
-	if broken {
-		return errors.New("client broke protocol or disconnected")
-	}
-	if err != nil {
-		return c.sendErr(err)
-	}
-	return c.stream(sch, rows, profileEOS(prof, admitNS))
 }
 
 // streamBatch is the row count per MsgBatch frame.

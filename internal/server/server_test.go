@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +135,42 @@ func TestRemoteScanMatchesLocal(t *testing.T) {
 	}
 	if len(remote) != len(local) {
 		t.Fatalf("remote rows %d != local %d", len(remote), len(local))
+	}
+}
+
+// TestRetiredScanFrameRejected pins what a peer still sending the retired
+// MsgScan (frame type 10) gets: a bad-request error, on a session that
+// stays usable — never a hang, a crash, or some other request's handler.
+func TestRetiredScanFrameRejected(t *testing.T) {
+	e, _ := newEngine(t, smallScale())
+	srv, _ := startServer(t, Config{Engine: e})
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	call := func(typ byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		if err := wire.WriteFrame(nc, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		rtyp, rpayload, err := wire.ReadFrame(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rtyp, rpayload
+	}
+	if typ, _ := call(wire.MsgHello, wire.Hello{Version: wire.Version}.Encode(nil)); typ != wire.MsgServerHello {
+		t.Fatalf("handshake answered with frame %d", typ)
+	}
+	// The payload an old client's scan of item carried.
+	old := wire.Fragment{Table: ch.TItem}.Encode(nil)
+	typ, payload := call(10, old[:len(old)-2])
+	if werr := wire.DecodeError(payload); typ != wire.MsgError || werr.Code != wire.CodeBadRequest {
+		t.Fatalf("retired scan frame answered with frame %d: %v", typ, werr)
+	}
+	if typ, _ := call(wire.MsgSync, nil); typ != wire.MsgOK {
+		t.Fatalf("session unusable after the rejected frame: frame %d", typ)
 	}
 }
 

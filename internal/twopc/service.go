@@ -8,13 +8,13 @@ import (
 	"sync"
 )
 
-// This file is the service-layer face of two-phase commit: the Coordinator
-// above drives Raft proposals inside one engine, while CommitAll drives
-// whole transaction branches across engines (the distributed coordinator's
-// shards, in-process or behind a network connection). The branch itself is
-// opaque — a TxParticipant may be a pinned client connection whose Prepare
-// is a wire round-trip, or a local transaction whose Prepare is a no-op
-// because its writes were validated on the way in.
+// This file is the protocol itself: CommitAll sequences prepare → decide →
+// commit over opaque transaction branches, and is the only place that does.
+// A branch may be one Raft-replicated partition of an engine (raftBranch,
+// behind Coordinator), a pinned client connection whose Prepare is a wire
+// round-trip, or a local engine transaction whose Prepare is a no-op
+// because its writes were validated on the way in (the distributed
+// coordinator's shards).
 
 // TxParticipant is one branch of a distributed transaction. Prepare must
 // leave the branch able to either Commit or Abort regardless of what other
@@ -69,11 +69,11 @@ func (e *IndeterminateError) Unwrap() error        { return e.Cause }
 // With multiple branches, phase one prepares all of them in parallel; any
 // prepare failure aborts every branch and returns that failure, which is
 // safe to retry because nothing committed. Phase two is the point of no
-// return: commit records are delivered to every branch in order, and a
-// branch that fails to acknowledge yields an IndeterminateError — the
-// remaining branches are still driven to commit (their prepared state
-// must resolve), and the caller must surface the unknown outcome rather
-// than retry.
+// return: the commit decision is delivered to every branch concurrently,
+// and a branch that fails to acknowledge yields an IndeterminateError
+// listing branches in the order given — every branch is still driven to
+// commit (its prepared state must resolve), and the caller must surface
+// the unknown outcome rather than retry.
 func CommitAll(ctx context.Context, branches ...TxParticipant) error {
 	switch len(branches) {
 	case 0:
@@ -82,59 +82,60 @@ func CommitAll(ctx context.Context, branches ...TxParticipant) error {
 		return branches[0].Commit(ctx)
 	}
 
-	// Phase 1: prepare everywhere, in parallel.
-	var wg sync.WaitGroup
-	prepErrs := make([]error, len(branches))
-	for i, b := range branches {
-		wg.Add(1)
-		go func(i int, b TxParticipant) {
-			defer wg.Done()
-			prepErrs[i] = b.Prepare(ctx)
-		}(i, b)
-	}
-	wg.Wait()
-	prepErr := errors.Join(prepErrs...)
+	// Phase 1: prepare everywhere.
+	errs := make([]error, len(branches))
+	each(branches, func(i int, b TxParticipant) { errs[i] = b.Prepare(ctx) })
+	prepErr := errors.Join(errs...)
 	if prepErr == nil {
 		// Last chance to walk away: a cancelled caller aborts cleanly
 		// here, never mid-commit.
 		prepErr = ctx.Err()
 	}
+	// Past this point the decision is made and must reach every branch even
+	// if the caller's context dies — a prepared branch left undecided holds
+	// its locks until recovery.
+	dctx := context.WithoutCancel(ctx)
 	if prepErr != nil {
-		abortAll(ctx, branches)
+		each(branches, func(_ int, b TxParticipant) { b.Abort(dctx) })
 		return prepErr
 	}
 
-	// Phase 2: the decision is commit. Deliver it to every branch even if
-	// the caller's context dies — a prepared branch left undecided holds
-	// its locks until recovery.
-	cctx := context.WithoutCancel(ctx)
-	var committed, failed []string
-	var cause error
-	for _, b := range branches {
-		if err := b.Commit(cctx); err != nil {
-			failed = append(failed, b.Name())
-			if cause == nil {
-				cause = err
-			}
-		} else {
-			committed = append(committed, b.Name())
+	// Phase 2: commit everywhere.
+	each(branches, func(i int, b TxParticipant) { errs[i] = b.Commit(dctx) })
+	for _, err := range errs {
+		if err != nil {
+			return indeterminate(branches, errs)
 		}
-	}
-	if cause != nil {
-		return &IndeterminateError{Committed: committed, Failed: failed, Cause: cause}
 	}
 	return nil
 }
 
-func abortAll(ctx context.Context, branches []TxParticipant) {
-	actx := context.WithoutCancel(ctx)
+// indeterminate reports which branches acknowledged the commit decision and
+// which did not, in branch order.
+func indeterminate(branches []TxParticipant, errs []error) error {
+	ind := &IndeterminateError{}
+	for i, b := range branches {
+		if errs[i] == nil {
+			ind.Committed = append(ind.Committed, b.Name())
+			continue
+		}
+		ind.Failed = append(ind.Failed, b.Name())
+		if ind.Cause == nil {
+			ind.Cause = errs[i]
+		}
+	}
+	return ind
+}
+
+// each runs fn on every branch concurrently and returns when all are done.
+func each(branches []TxParticipant, fn func(i int, b TxParticipant)) {
 	var wg sync.WaitGroup
-	for _, b := range branches {
+	for i, b := range branches {
 		wg.Add(1)
-		go func(b TxParticipant) {
+		go func(i int, b TxParticipant) {
 			defer wg.Done()
-			b.Abort(actx)
-		}(b)
+			fn(i, b)
+		}(i, b)
 	}
 	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"htap/internal/cluster"
 	"htap/internal/raft"
@@ -11,237 +12,337 @@ import (
 	"htap/internal/types"
 )
 
-// branchFault is a deterministic fault plan for one branch, in the style
-// of disk.FaultPlan: the test states exactly which protocol step fails,
-// so every run exercises the same crash.
-type branchFault struct {
-	failPrepare bool // prepare never reaches the branch
+// One suite for the one protocol: every test commits through
+// Coordinator.Commit, i.e. production raftBranches driven by CommitAll. The
+// protocol cases run over both backends below; the crash-injection cases
+// need the fault plan only the log backend has.
+
+// harness is a coordinator over some number of partitions, keys routed by
+// key % partitions, every replica a Participant over memStorage.
+type harness struct {
+	coord  *Coordinator
+	oracle *txn.Oracle
+	// replicas returns the storage of every replica of a partition.
+	replicas func(part int) []*memStorage
+	// logs is the log backend's partitions, nil over real Raft groups.
+	logs []*logPart
+}
+
+// logFault is a deterministic fault plan for one partition, in the style of
+// disk.FaultPlan: the test states exactly which protocol step fails, so
+// every run exercises the same crash.
+type logFault struct {
+	failPrepare bool // prepare never reaches the partition
 	dropCommit  bool // crash BEFORE the commit record is logged: it is lost
 	dropAck     bool // crash AFTER the record is logged: only the ack is lost
 }
 
 var errInjected = errors.New("injected crash")
 
-// svcBranch is a TxParticipant whose durable state is a replayable command
-// log feeding a Participant — the service-layer analogue of one shard.
-// "Crash" discards the volatile participant and store; recovery rebuilds
-// both by replaying the log from the start, exactly what a restarted
-// replica does with its Raft log.
-type svcBranch struct {
-	name     string
-	p        *Participant
-	st       *memStorage
-	log      []raft.Command
-	fault    branchFault
-	prepares int
-	prepared bool
-
-	txnID, startTS, commitTS uint64
-	muts                     []cluster.Mutation
+// logPart stands in for one partition's Raft group: its durable state is a
+// replayable command log feeding a Participant. "Crash" discards the
+// volatile participant and store; recovery rebuilds both by replaying the
+// log from the start, exactly what a restarted replica does.
+type logPart struct {
+	p     *Participant
+	st    *memStorage
+	log   []raft.Command
+	fault logFault
 }
 
-func newSvcBranch(name string, txnID, startTS, commitTS uint64, key int64) *svcBranch {
-	st := newMemStorage()
-	return &svcBranch{
-		name: name, p: NewParticipant(st), st: st,
-		txnID: txnID, startTS: startTS, commitTS: commitTS,
-		muts: []cluster.Mutation{{Table: 1, Key: key, Op: txn.OpUpdate, Row: types.Row{types.NewInt(key * 10)}}},
-	}
-}
-
-func (b *svcBranch) Name() string { return b.name }
-
-func (b *svcBranch) apply(cmd raft.Command) {
-	b.log = append(b.log, cmd)
-	b.p.Apply(cmd)
-}
-
-func (b *svcBranch) Prepare(ctx context.Context) error {
-	b.prepares++
-	if b.fault.failPrepare {
+func (l *logPart) propose(cmd raft.Command) error {
+	switch {
+	case cmd[0] == cmdPrepare && l.fault.failPrepare:
+		return errInjected
+	case cmd[0] == cmdCommit && l.fault.dropCommit:
 		return errInjected
 	}
-	b.prepared = true
-	b.apply(EncodePrepare(Prepare{TxnID: b.txnID, StartTS: b.startTS, Muts: b.muts}))
-	if v, ok := b.p.Verdict(b.txnID); ok && v != nil {
-		return v
-	}
-	return nil
-}
-
-func (b *svcBranch) Commit(ctx context.Context) error {
-	if b.fault.dropCommit {
-		return errInjected
-	}
-	if b.prepared {
-		b.apply(EncodeCommit(b.txnID, b.commitTS))
-	} else {
-		// Never prepared: the driver chose the single-branch fast path, so
-		// this commit carries one-shot semantics like a lone shard would.
-		b.apply(EncodeOneShot(b.txnID, b.startTS, b.commitTS, b.muts))
-	}
-	if b.fault.dropAck {
+	l.log = append(l.log, cmd)
+	l.p.Apply(cmd)
+	if l.fault.dropAck && (cmd[0] == cmdCommit || cmd[0] == cmdOneShot) {
 		return errInjected
 	}
 	return nil
 }
-
-func (b *svcBranch) Abort(ctx context.Context) { b.apply(EncodeAbort(b.txnID)) }
 
 // recover models a restart: volatile state is gone, the log replays.
-func (b *svcBranch) recover() {
-	b.st = newMemStorage()
-	b.p = NewParticipant(b.st)
-	for _, cmd := range b.log {
-		b.p.Apply(cmd)
+func (l *logPart) recover() {
+	l.st = newMemStorage()
+	l.p = NewParticipant(l.st)
+	for _, cmd := range l.log {
+		l.p.Apply(cmd)
 	}
 }
 
-func (b *svcBranch) committedValue(t *testing.T) int64 {
+// kinds is the log as a string of command kinds, e.g. "PC".
+func (l *logPart) kinds() string {
+	var s []byte
+	for _, cmd := range l.log {
+		s = append(s, cmd[0])
+	}
+	return string(s)
+}
+
+func newLogHarness(partitions int) *harness {
+	h := &harness{oracle: &txn.Oracle{}}
+	for i := 0; i < partitions; i++ {
+		l := &logPart{}
+		l.recover()
+		h.logs = append(h.logs, l)
+	}
+	h.replicas = func(part int) []*memStorage { return []*memStorage{h.logs[part].st} }
+	h.coord = &Coordinator{
+		oracle:        h.oracle,
+		parts:         partitions,
+		route:         func(_ uint32, key int64) int { return int(uint64(key) % uint64(partitions)) },
+		propose:       func(part int, cmd raft.Command) error { return h.logs[part].propose(cmd) },
+		participantAt: func(part int) *Participant { return h.logs[part].p },
+	}
+	return h
+}
+
+// newRaftHarness builds a real cluster whose Raft groups feed participants.
+func newRaftHarness(t *testing.T, partitions int) *harness {
 	t.Helper()
-	r, ok := b.st.get(b.muts[0].Key)
-	if !ok {
-		t.Fatalf("branch %s: key %d not committed", b.name, b.muts[0].Key)
+	const voters = 3
+	h := &harness{oracle: &txn.Oracle{}}
+	participants := make([][]*Participant, partitions)
+	stores := make([][]*memStorage, partitions)
+	for p := range participants {
+		for n := 0; n < voters; n++ {
+			st := newMemStorage()
+			stores[p] = append(stores[p], st)
+			participants[p] = append(participants[p], NewParticipant(st))
+		}
 	}
-	return r[0].Int()
+	c := cluster.New(cluster.Config{
+		Partitions: partitions, VotersPer: voters,
+		Route: func(_ uint32, key int64) int { return int(uint64(key) % uint64(partitions)) },
+		ApplyRaw: func(part, nodeID int, _ bool, cmd []byte) {
+			participants[part][nodeID].Apply(cmd)
+		},
+	})
+	t.Cleanup(c.Stop)
+	if err := c.WaitReady(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	h.replicas = func(part int) []*memStorage { return stores[part] }
+	h.coord = NewCoordinator(c, h.oracle, func(part int) *Participant {
+		return participants[part][c.Partitions[part].Leader().Status().ID]
+	})
+	return h
 }
 
-func TestCommitAllSingleBranchSkipsPrepare(t *testing.T) {
-	b := newSvcBranch("only", 1, 0, 5, 1)
-	if err := CommitAll(context.Background(), b); err != nil {
-		t.Fatalf("single-branch commit: %v", err)
-	}
-	if b.prepares != 0 {
-		t.Fatalf("single branch prepared %d times, want the one-shot fast path", b.prepares)
-	}
-	if got := b.committedValue(t); got != 10 {
-		t.Fatalf("value = %d", got)
+// forBackends runs fn over the log backend and over real Raft groups.
+func forBackends(t *testing.T, partitions int, fn func(t *testing.T, h *harness)) {
+	t.Run("log", func(t *testing.T) { fn(t, newLogHarness(partitions)) })
+	t.Run("raft", func(t *testing.T) { fn(t, newRaftHarness(t, partitions)) })
+}
+
+func put(key, val int64) cluster.Mutation {
+	return cluster.Mutation{Table: 1, Key: key, Op: txn.OpUpdate, Row: types.Row{types.NewInt(val)}}
+}
+
+// waitValue waits until key holds val on every replica of its partition
+// (followers apply asynchronously).
+func (h *harness) waitValue(t *testing.T, key, val int64) {
+	t.Helper()
+	part := h.coord.route(1, key)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ok := true
+		for _, st := range h.replicas(part) {
+			if r, found := st.get(key); !found || r[0].Int() != val {
+				ok = false
+			}
+		}
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("key %d != %d on some replica of partition %d", key, val, part)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
-func TestCommitAllPrepareFailureAbortsAll(t *testing.T) {
-	a := newSvcBranch("s0", 1, 0, 5, 1)
-	b := newSvcBranch("s1", 1, 0, 5, 2)
-	c := newSvcBranch("s2", 1, 0, 5, 3)
-	b.fault.failPrepare = true
+func TestCommitSinglePartitionFastPath(t *testing.T) {
+	forBackends(t, 2, func(t *testing.T, h *harness) {
+		ts, err := h.coord.Commit(context.Background(), 0, []cluster.Mutation{put(4, 40)})
+		if err != nil || ts == 0 {
+			t.Fatalf("commit = (%d, %v)", ts, err)
+		}
+		h.waitValue(t, 4, 40)
+		if h.logs != nil {
+			if got := h.logs[0].kinds() + "/" + h.logs[1].kinds(); got != "O/" {
+				t.Fatalf("logs = %q, want one fused one-shot proposal and no prepare round", got)
+			}
+		}
+	})
+}
 
-	err := CommitAll(context.Background(), a, b, c)
+func TestCommitCrossPartition(t *testing.T) {
+	forBackends(t, 2, func(t *testing.T, h *harness) {
+		ts, err := h.coord.Commit(context.Background(), 0, []cluster.Mutation{put(0, 100), put(1, 101)})
+		if err != nil || ts == 0 {
+			t.Fatalf("commit = (%d, %v)", ts, err)
+		}
+		h.waitValue(t, 0, 100)
+		h.waitValue(t, 1, 101)
+		if h.oracle.Watermark() != ts {
+			t.Fatalf("watermark = %d, want commit ts %d", h.oracle.Watermark(), ts)
+		}
+		for _, l := range h.logs {
+			if l.kinds() != "PC" || l.p.AppliedTS() != ts {
+				t.Fatalf("log = %q applied = %d, want prepare+commit at the one commit ts %d", l.kinds(), l.p.AppliedTS(), ts)
+			}
+		}
+	})
+}
+
+func TestCommitConflictAbortsAll(t *testing.T) {
+	forBackends(t, 2, func(t *testing.T, h *harness) {
+		ctx := context.Background()
+		if _, err := h.coord.Commit(ctx, 0, []cluster.Mutation{put(0, 1), put(1, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		// Key 0 is now newer than snapshot 0; key 3 is untouched. The stale
+		// branch must take the clean one down with it.
+		_, err := h.coord.Commit(ctx, 0, []cluster.Mutation{put(0, 2), put(3, 2)})
+		if !errors.Is(err, ErrConflict) {
+			t.Fatalf("stale cross-partition commit = %v, want conflict", err)
+		}
+		if errors.Is(err, ErrIndeterminate) {
+			t.Fatal("a prepare conflict must not be indeterminate: nothing committed, retry is safe")
+		}
+		for _, l := range h.logs {
+			if l.p.LockCount() != 0 {
+				t.Fatalf("%d locks held after abort", l.p.LockCount())
+			}
+		}
+		// Locks must be fully released so a fresh transaction succeeds, on the
+		// one-shot path too.
+		if _, err := h.coord.Commit(ctx, h.oracle.Watermark(), []cluster.Mutation{put(0, 3), put(3, 3)}); err != nil {
+			t.Fatalf("post-abort commit: %v", err)
+		}
+		if _, err := h.coord.Commit(ctx, 0, []cluster.Mutation{put(3, 4)}); !errors.Is(err, ErrConflict) {
+			t.Fatalf("stale one-shot commit = %v, want conflict", err)
+		}
+		h.waitValue(t, 0, 3)
+		h.waitValue(t, 3, 3)
+	})
+}
+
+// --- crash injection ---
+
+func TestCommitPrepareFailureAbortsAll(t *testing.T) {
+	h := newLogHarness(3)
+	muts := []cluster.Mutation{put(0, 10), put(1, 11), put(2, 12)}
+	h.logs[1].fault.failPrepare = true
+
+	_, err := h.coord.Commit(context.Background(), 0, muts)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected prepare failure", err)
 	}
 	if errors.Is(err, ErrIndeterminate) {
 		t.Fatal("prepare failure must not be indeterminate: nothing committed, retry is safe")
 	}
-	for _, br := range []*svcBranch{a, b, c} {
-		if br.p.LockCount() != 0 {
-			t.Fatalf("branch %s holds %d locks after abort", br.name, br.p.LockCount())
+	for i, l := range h.logs {
+		if l.p.LockCount() != 0 {
+			t.Fatalf("partition %d holds %d locks after abort", i, l.p.LockCount())
 		}
-		if _, ok := br.st.get(br.muts[0].Key); ok {
-			t.Fatalf("branch %s installed data from an aborted transaction", br.name)
+		if _, ok := l.st.get(int64(i)); ok {
+			t.Fatalf("partition %d installed data from an aborted transaction", i)
 		}
 	}
 
-	// Retry with a fresh transaction id and a healed branch: must succeed.
-	for _, br := range []*svcBranch{a, b, c} {
-		br.fault = branchFault{}
-		br.txnID, br.commitTS = 2, 6
-	}
-	if err := CommitAll(context.Background(), a, b, c); err != nil {
+	// Retry against a healed partition: must succeed.
+	h.logs[1].fault = logFault{}
+	if _, err := h.coord.Commit(context.Background(), 0, muts); err != nil {
 		t.Fatalf("retry after clean abort: %v", err)
 	}
-	for _, br := range []*svcBranch{a, b, c} {
-		if got := br.committedValue(t); got != br.muts[0].Key*10 {
-			t.Fatalf("branch %s value = %d", br.name, got)
-		}
+	for k := int64(0); k < 3; k++ {
+		h.waitValue(t, k, 10+k)
 	}
 }
 
-func TestCommitAllLostAckIsIndeterminateAndConverges(t *testing.T) {
-	a := newSvcBranch("s0", 1, 0, 5, 1)
-	b := newSvcBranch("s1", 1, 0, 5, 2)
-	c := newSvcBranch("s2", 1, 0, 5, 3)
-	b.fault.dropAck = true // commit record logged, participant dies before replying
+func TestCommitLostAckIsIndeterminateAndConverges(t *testing.T) {
+	h := newLogHarness(3)
+	h.logs[1].fault.dropAck = true // commit record logged, partition dies before replying
 
-	err := CommitAll(context.Background(), a, b, c)
+	_, err := h.coord.Commit(context.Background(), 0, []cluster.Mutation{put(0, 10), put(1, 11), put(2, 12)})
 	var ind *IndeterminateError
 	if !errors.As(err, &ind) || !errors.Is(err, ErrIndeterminate) {
 		t.Fatalf("err = %v, want IndeterminateError", err)
 	}
-	if len(ind.Committed) != 2 || len(ind.Failed) != 1 || ind.Failed[0] != "s1" {
+	if len(ind.Committed) != 2 || len(ind.Failed) != 1 || ind.Failed[0] != "partition-1" {
 		t.Fatalf("outcome = committed %v / failed %v", ind.Committed, ind.Failed)
 	}
 
-	// The crashed branch restarts and replays its log: the commit record
-	// is durable there, so all branches converge with no divergence.
-	b.recover()
-	for _, br := range []*svcBranch{a, b, c} {
-		if got := br.committedValue(t); got != br.muts[0].Key*10 {
-			t.Fatalf("branch %s value = %d after recovery", br.name, got)
-		}
-		if br.p.AppliedTS() != 5 {
-			t.Fatalf("branch %s applied TS = %d, want 5", br.name, br.p.AppliedTS())
-		}
-		if br.p.LockCount() != 0 {
-			t.Fatalf("branch %s holds locks after recovery", br.name)
+	// The crashed partition restarts and replays its log: the commit record
+	// is durable there, so all partitions converge with no divergence.
+	h.logs[1].recover()
+	commitTS := h.oracle.Current()
+	for k := int64(0); k < 3; k++ {
+		h.waitValue(t, k, 10+k)
+		if l := h.logs[k]; l.p.AppliedTS() != commitTS || l.p.LockCount() != 0 {
+			t.Fatalf("partition %d after recovery: applied TS %d (want %d), %d locks", k, l.p.AppliedTS(), commitTS, l.p.LockCount())
 		}
 	}
 }
 
-func TestCommitAllLostCommitRecordResolvesOnRecovery(t *testing.T) {
-	a := newSvcBranch("s0", 1, 0, 5, 1)
-	b := newSvcBranch("s1", 1, 0, 5, 2)
+func TestCommitLostCommitRecordResolvesOnRecovery(t *testing.T) {
+	h := newLogHarness(2)
+	b := h.logs[1]
 	b.fault.dropCommit = true // crash between prepare and commit: record never logged
 
-	err := CommitAll(context.Background(), a, b)
+	_, err := h.coord.Commit(context.Background(), 0, []cluster.Mutation{put(0, 10), put(1, 11)})
 	if !errors.Is(err, ErrIndeterminate) {
 		t.Fatalf("err = %v, want indeterminate", err)
 	}
 
-	// After restart the branch replays only its prepare: the transaction
-	// is still pending there, locks held, data uninstalled — prepared
-	// state survives the crash instead of diverging.
+	// After restart the partition replays only its prepare: the transaction
+	// is still pending there, locks held, data uninstalled — prepared state
+	// survives the crash instead of diverging.
 	b.recover()
 	if b.p.LockCount() != 1 {
-		t.Fatalf("recovered branch lost its prepared locks: %d", b.p.LockCount())
+		t.Fatalf("recovered partition lost its prepared locks: %d", b.p.LockCount())
 	}
-	if _, ok := b.st.get(2); ok {
-		t.Fatal("recovered branch installed unresolved data")
+	if _, ok := b.st.get(1); ok {
+		t.Fatal("recovered partition installed unresolved data")
 	}
 
 	// Resolution: the coordinator (or a recovery sweep reading the other
-	// branches' outcome) re-delivers the commit decision; idempotent
-	// apply converges both branches.
+	// partition's outcome) re-delivers the commit decision; idempotent apply
+	// converges both partitions.
 	b.fault.dropCommit = false
-	if err := b.Commit(context.Background()); err != nil {
+	commitTS := h.logs[0].p.AppliedTS()
+	if err := b.propose(EncodeCommit(1, commitTS)); err != nil {
 		t.Fatalf("re-delivered commit: %v", err)
 	}
-	b.p.Apply(EncodeCommit(1, 5)) // duplicate delivery must stay a no-op
-	for _, br := range []*svcBranch{a, b} {
-		if got := br.committedValue(t); got != br.muts[0].Key*10 {
-			t.Fatalf("branch %s value = %d after resolution", br.name, got)
-		}
-		if br.p.AppliedTS() != 5 {
-			t.Fatalf("branch %s applied TS = %d", br.name, br.p.AppliedTS())
-		}
+	b.p.Apply(EncodeCommit(1, commitTS)) // duplicate delivery must stay a no-op
+	h.waitValue(t, 0, 10)
+	h.waitValue(t, 1, 11)
+	if b.p.AppliedTS() != commitTS || b.p.LockCount() != 0 {
+		t.Fatalf("after resolution: applied TS %d (want %d), %d locks", b.p.AppliedTS(), commitTS, b.p.LockCount())
 	}
 }
 
-func TestCommitAllCancelledBeforeDecisionAborts(t *testing.T) {
-	a := newSvcBranch("s0", 1, 0, 5, 1)
-	b := newSvcBranch("s1", 1, 0, 5, 2)
+func TestCommitCancelledBeforeDecisionAborts(t *testing.T) {
+	h := newLogHarness(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	err := CommitAll(ctx, a, b)
+	_, err := h.coord.Commit(ctx, 0, []cluster.Mutation{put(0, 10), put(1, 11)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if errors.Is(err, ErrIndeterminate) {
 		t.Fatal("cancellation before the decision must stay retryable")
 	}
-	for _, br := range []*svcBranch{a, b} {
-		if br.p.LockCount() != 0 {
-			t.Fatalf("branch %s holds locks after cancelled commit", br.name)
+	for i, l := range h.logs {
+		if l.kinds() != "PA" || l.p.LockCount() != 0 {
+			t.Fatalf("partition %d: log %q, %d locks after cancelled commit", i, l.kinds(), l.p.LockCount())
 		}
 	}
 }

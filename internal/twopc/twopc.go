@@ -13,10 +13,12 @@
 package twopc
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"htap/internal/cluster"
 	"htap/internal/raft"
@@ -332,108 +334,127 @@ type Oracle interface {
 	Advance(ts uint64)
 }
 
-// Coordinator drives distributed commits. It is stateless across
-// transactions and safe for concurrent use.
+// Coordinator commits write sets across Raft-replicated partitions. It only
+// routes: each partition a transaction touches becomes a raftBranch, and
+// CommitAll — the one place prepare→decide→commit is sequenced — drives
+// them. It is stateless across transactions and safe for concurrent use.
 type Coordinator struct {
-	cluster *cluster.Cluster
-	oracle  Oracle
+	oracle Oracle
+	parts  int
+	route  func(table uint32, key int64) int
+	// propose replicates cmd through a partition's Raft group and returns
+	// once it is committed and applied on the leader.
+	propose func(part int, cmd raft.Command) error
 	// participantAt returns the leader-local participant of a partition,
 	// used to read prepare verdicts after a proposal applies.
 	participantAt func(part int) *Participant
 
-	mu      sync.Mutex
-	nextTxn uint64
+	nextTxn atomic.Uint64
 }
 
 // NewCoordinator builds a coordinator over the cluster.
 func NewCoordinator(c *cluster.Cluster, o Oracle, participantAt func(part int) *Participant) *Coordinator {
-	return &Coordinator{cluster: c, oracle: o, participantAt: participantAt}
+	return &Coordinator{
+		oracle:        o,
+		parts:         len(c.Partitions),
+		route:         func(table uint32, key int64) int { return c.Route(table, key).ID },
+		propose:       func(part int, cmd raft.Command) error { return c.Partitions[part].Propose(cmd) },
+		participantAt: participantAt,
+	}
 }
 
-// Commit runs the protocol for a write set captured at startTS. It returns
-// the commit timestamp.
-func (c *Coordinator) Commit(startTS uint64, muts []cluster.Mutation) (uint64, error) {
+// Commit commits a write set captured at startTS and returns the commit
+// timestamp. A write set on one partition takes CommitAll's single-branch
+// fast path (one Raft round); failures are CommitAll's: a prepare failure
+// or conflict aborted everything and is safe to retry, an
+// IndeterminateError is not.
+func (c *Coordinator) Commit(ctx context.Context, startTS uint64, muts []cluster.Mutation) (uint64, error) {
 	if len(muts) == 0 {
 		return startTS, nil
 	}
-	c.mu.Lock()
-	c.nextTxn++
-	txnID := c.nextTxn
-	c.mu.Unlock()
-
-	byPart := make(map[int][]cluster.Mutation)
+	t := &raftTxn{c: c, id: c.nextTxn.Add(1), startTS: startTS}
+	byPart := make([][]cluster.Mutation, c.parts)
 	for _, m := range muts {
-		pid := c.cluster.Route(m.Table, m.Key).ID
+		pid := c.route(m.Table, m.Key)
 		byPart[pid] = append(byPart[pid], m)
 	}
-
-	// Fast path: a single participant commits in one Raft round.
-	if len(byPart) == 1 {
-		for pid, ms := range byPart {
-			commitTS := c.oracle.Next()
-			if err := c.cluster.Partitions[pid].Propose(EncodeOneShot(txnID, startTS, commitTS, ms)); err != nil {
-				return 0, err
-			}
-			verdict, ok := c.participantAt(pid).Verdict(txnID)
-			if !ok {
-				// The verdict was consumed on another replica (leader moved
-				// between apply and read); treat as success because commit
-				// application is idempotent and validation is deterministic.
-				verdict = nil
-			}
-			if verdict != nil {
-				return 0, verdict
-			}
-			c.oracle.Advance(commitTS)
-			return commitTS, nil
-		}
-	}
-
-	// Phase 1: PREPARE everywhere, in parallel.
-	type prepRes struct {
-		pid int
-		err error
-	}
-	results := make(chan prepRes, len(byPart))
+	var branches []TxParticipant
 	for pid, ms := range byPart {
-		go func(pid int, ms []cluster.Mutation) {
-			err := c.cluster.Partitions[pid].Propose(EncodePrepare(Prepare{TxnID: txnID, StartTS: startTS, Muts: ms}))
-			if err == nil {
-				if v, ok := c.participantAt(pid).Verdict(txnID); ok {
-					err = v
-				}
-			}
-			results <- prepRes{pid, err}
-		}(pid, ms)
-	}
-	var prepErr error
-	for range byPart {
-		if r := <-results; r.err != nil && prepErr == nil {
-			prepErr = r.err
+		if len(ms) > 0 {
+			branches = append(branches, &raftBranch{txn: t, part: pid, muts: ms})
 		}
 	}
-
-	// Phase 2: COMMIT or ABORT everywhere, in parallel.
-	var cmd raft.Command
-	var commitTS uint64
-	if prepErr == nil {
-		commitTS = c.oracle.Next()
-		cmd = EncodeCommit(txnID, commitTS)
-	} else {
-		cmd = EncodeAbort(txnID)
+	if err := CommitAll(ctx, branches...); err != nil {
+		return 0, err
 	}
-	done := make(chan error, len(byPart))
-	for pid := range byPart {
-		go func(pid int) { done <- c.cluster.Partitions[pid].Propose(cmd) }(pid)
-	}
-	for range byPart {
-		if err := <-done; err != nil && prepErr == nil {
-			prepErr = err
-		}
-	}
-	if prepErr != nil {
-		return 0, prepErr
-	}
-	c.oracle.Advance(commitTS)
-	return commitTS, nil
+	c.oracle.Advance(t.commitTS)
+	return t.commitTS, nil
 }
+
+// raftTxn is the state the branches of one transaction share.
+type raftTxn struct {
+	c           *Coordinator
+	id, startTS uint64
+
+	decided  sync.Once
+	commitTS uint64
+}
+
+// decide draws the commit timestamp, once, when the first branch is told to
+// commit — which CommitAll does only after every prepare succeeded.
+func (t *raftTxn) decide() uint64 {
+	t.decided.Do(func() { t.commitTS = t.c.oracle.Next() })
+	return t.commitTS
+}
+
+// raftBranch is one partition's share of a transaction as a TxParticipant:
+// every protocol step is a proposal to the partition's Raft log, so
+// prepared state survives leader changes and replays on recovery.
+type raftBranch struct {
+	txn      *raftTxn
+	part     int
+	muts     []cluster.Mutation
+	prepared bool
+}
+
+// Name implements TxParticipant.
+func (b *raftBranch) Name() string { return fmt.Sprintf("partition-%d", b.part) }
+
+func (b *raftBranch) propose(cmd raft.Command) error { return b.txn.c.propose(b.part, cmd) }
+
+// verdict reads the leader's outcome of the prepare just applied. A missing
+// verdict means it was consumed on another replica (the leader moved
+// between apply and read); that counts as success because commit
+// application is idempotent and validation is deterministic.
+func (b *raftBranch) verdict() error {
+	err, _ := b.txn.c.participantAt(b.part).Verdict(b.txn.id)
+	return err
+}
+
+// Prepare implements TxParticipant.
+func (b *raftBranch) Prepare(context.Context) error {
+	b.prepared = true
+	if err := b.propose(EncodePrepare(Prepare{TxnID: b.txn.id, StartTS: b.txn.startTS, Muts: b.muts})); err != nil {
+		return err
+	}
+	return b.verdict()
+}
+
+// Commit implements TxParticipant. A branch that was never prepared is the
+// driver's single-branch fast path: prepare and commit fuse into one
+// proposal, whose verdict is the commit's outcome.
+func (b *raftBranch) Commit(context.Context) error {
+	t := b.txn
+	if b.prepared {
+		return b.propose(EncodeCommit(t.id, t.decide()))
+	}
+	if err := b.propose(EncodeOneShot(t.id, t.startTS, t.decide(), b.muts)); err != nil {
+		return err
+	}
+	return b.verdict()
+}
+
+// Abort implements TxParticipant. Best-effort, as that contract allows: a
+// partition that cannot take the proposal now cannot be helped by the
+// caller either.
+func (b *raftBranch) Abort(context.Context) { _ = b.propose(EncodeAbort(b.txn.id)) }

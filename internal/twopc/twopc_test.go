@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"htap/internal/cluster"
 	"htap/internal/txn"
@@ -46,16 +45,6 @@ func (s *memStorage) get(key int64) (types.Row, bool) {
 	defer s.mu.Unlock()
 	r, ok := s.rows[key]
 	return r, ok
-}
-
-// harness wires a cluster whose every replica owns a participant.
-type harness struct {
-	c            *cluster.Cluster
-	coord        *Coordinator
-	oracle       *txn.Oracle
-	participants map[int]map[int]*Participant // part -> node -> participant
-	stores       map[int]map[int]*memStorage
-	mu           sync.Mutex
 }
 
 func TestParticipantPrepareCommit(t *testing.T) {
@@ -172,114 +161,4 @@ func TestParticipantDeterminism(t *testing.T) {
 	if _, ok := a.get(1); ok {
 		t.Fatal("delete not applied")
 	}
-}
-
-func TestCoordinatorSinglePartitionFastPath(t *testing.T) {
-	h := newHarnessWithApply(t, 1)
-	ts, err := h.coord.Commit(0, []cluster.Mutation{
-		{Table: 1, Key: 4, Op: txn.OpUpdate, Row: types.Row{types.NewInt(4)}},
-	})
-	if err != nil || ts == 0 {
-		t.Fatalf("commit = (%d, %v)", ts, err)
-	}
-	h.waitApplied(t, 0, 4)
-}
-
-func TestCoordinatorCrossPartition(t *testing.T) {
-	h := newHarnessWithApply(t, 2)
-	ts, err := h.coord.Commit(0, []cluster.Mutation{
-		{Table: 1, Key: 0, Op: txn.OpUpdate, Row: types.Row{types.NewInt(100)}},
-		{Table: 1, Key: 1, Op: txn.OpUpdate, Row: types.Row{types.NewInt(101)}},
-	})
-	if err != nil || ts == 0 {
-		t.Fatalf("commit = (%d, %v)", ts, err)
-	}
-	h.waitApplied(t, 0, 0)
-	h.waitApplied(t, 1, 1)
-}
-
-func TestCoordinatorConflictAborts(t *testing.T) {
-	h := newHarnessWithApply(t, 2)
-	if _, err := h.coord.Commit(0, []cluster.Mutation{
-		{Table: 1, Key: 0, Op: txn.OpUpdate, Row: types.Row{types.NewInt(1)}},
-		{Table: 1, Key: 1, Op: txn.OpUpdate, Row: types.Row{types.NewInt(1)}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Stale snapshot (0) against the now-committed versions must abort.
-	_, err := h.coord.Commit(0, []cluster.Mutation{
-		{Table: 1, Key: 0, Op: txn.OpUpdate, Row: types.Row{types.NewInt(2)}},
-		{Table: 1, Key: 1, Op: txn.OpUpdate, Row: types.Row{types.NewInt(2)}},
-	})
-	if !errors.Is(err, ErrConflict) {
-		t.Fatalf("stale cross-partition commit = %v, want conflict", err)
-	}
-	// Locks must be fully released so a fresh transaction succeeds.
-	fresh := h.oracle.Watermark()
-	if _, err := h.coord.Commit(fresh, []cluster.Mutation{
-		{Table: 1, Key: 0, Op: txn.OpUpdate, Row: types.Row{types.NewInt(3)}},
-	}); err != nil {
-		t.Fatalf("post-abort commit: %v", err)
-	}
-}
-
-// newHarnessWithApply builds a cluster whose Raft groups feed participants.
-func newHarnessWithApply(t *testing.T, partitions int) *harness {
-	t.Helper()
-	h := &harness{
-		oracle:       &txn.Oracle{},
-		participants: make(map[int]map[int]*Participant),
-		stores:       make(map[int]map[int]*memStorage),
-	}
-	const voters = 3
-	for p := 0; p < partitions; p++ {
-		h.participants[p] = make(map[int]*Participant)
-		h.stores[p] = make(map[int]*memStorage)
-		for n := 0; n < voters; n++ {
-			st := newMemStorage()
-			h.stores[p][n] = st
-			h.participants[p][n] = NewParticipant(st)
-		}
-	}
-	h.c = cluster.New(cluster.Config{
-		Partitions: partitions, VotersPer: voters,
-		Route: func(table uint32, key int64) int {
-			return int(uint64(key) % uint64(partitions))
-		},
-		ApplyRaw: func(part, nodeID int, learner bool, cmd []byte) {
-			h.mu.Lock()
-			p := h.participants[part][nodeID]
-			h.mu.Unlock()
-			if p != nil {
-				p.Apply(cmd)
-			}
-		},
-	})
-	t.Cleanup(h.c.Stop)
-	if err := h.c.WaitReady(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	h.coord = NewCoordinator(h.c, h.oracle, func(part int) *Participant {
-		l := h.c.Partitions[part].Leader()
-		return h.participants[part][l.Status().ID]
-	})
-	return h
-}
-
-func (h *harness) waitApplied(t *testing.T, part int, key int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, st := range h.stores[part] {
-			if _, found := st.get(key); !found {
-				ok = false
-			}
-		}
-		if ok {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("key %d not applied on all replicas of partition %d", key, part)
 }

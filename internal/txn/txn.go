@@ -189,6 +189,18 @@ func (m *Manager) unlockAll(tx *Txn) {
 	tx.locked = nil
 }
 
+// Lock acquires the write lock on (table, key) ahead of Write. A store calls
+// it before it reads the key's latest version: while tx holds the lock no
+// other transaction can commit a newer one, so the version handed to Write
+// is still the latest when Write compares it to the snapshot. Without it a
+// commit landing between the read and Write's own lock is a lost update.
+func (tx *Txn) Lock(table uint32, key int64) error {
+	if tx.done {
+		return ErrFinished
+	}
+	return tx.mgr.lock(tx, lockKey{table, key})
+}
+
 // Write buffers a mutation, acquiring its write lock. latestVersion is the
 // commit timestamp of the newest committed version the caller observed for
 // the key (0 if none); a version newer than the snapshot aborts the
@@ -270,12 +282,15 @@ func (tx *Txn) Commit(apply func(commitTS uint64, writes []Write) error) (uint64
 	return commitTS, nil
 }
 
-// Abort releases the transaction's locks and discards its writes.
-func (tx *Txn) Abort() {
+// Abort releases the transaction's locks and discards its writes. It reports
+// whether there was anything to abort: on a transaction that already
+// committed or aborted it does nothing and returns false.
+func (tx *Txn) Abort() bool {
 	if tx.done {
-		return
+		return false
 	}
 	tx.done = true
 	tx.mgr.unlockAll(tx)
 	tx.mgr.aborts.Add(1)
+	return true
 }

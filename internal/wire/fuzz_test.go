@@ -47,7 +47,9 @@ func FuzzFrameDecode(f *testing.F) {
 	seed(MsgGet, KeyReq{Table: "orders", Key: -7}.Encode(nil))
 	seed(MsgInsert, RowReq{Table: "order_line", Row: row}.Encode(nil))
 	seed(MsgQuery, Query{Deadline: 1, N: 21}.Encode(nil))
-	seed(MsgScan, Scan{Table: "item", Cols: []string{"i_id", "i_price"}, HasPred: true, PredCol: "i_id", PredLo: -3, PredHi: 900}.Encode(nil))
+	// Type 10 is the retired MsgScan (corpus file seed-04 is a frame an old
+	// client sent): no decoder claims it, whatever the payload looks like.
+	seed(10, Fragment{Table: "item", Cols: []string{"i_id", "i_price"}, HasPred: true, PredCol: "i_id", PredLo: -3, PredHi: 900}.Encode(nil))
 	seed(MsgSchema, Schema{Cols: []types.Column{{Name: "k", Type: types.Int}, {Name: "v", Type: types.String}}}.Encode(nil))
 	seed(MsgBatch, Batch{Rows: []types.Row{row, {types.NewString("")}}}.Encode(nil))
 	seed(MsgEOS, EOS{Rows: 1 << 40}.Encode(nil))
@@ -133,9 +135,6 @@ func FuzzFrameDecode(f *testing.F) {
 		case MsgQuery:
 			m, err := DecodeQuery(payload)
 			rt(t, m, err, func(m Query) []byte { return m.Encode(nil) }, DecodeQuery)
-		case MsgScan:
-			m, err := DecodeScan(payload)
-			rt(t, m, err, func(m Scan) []byte { return m.Encode(nil) }, DecodeScan)
 		case MsgPrepare:
 			m, err := DecodePrepare(payload)
 			rt(t, m, err, func(m Prepare) []byte { return m.Encode(nil) }, DecodePrepare)

@@ -15,10 +15,6 @@ func TestTraceTrailerBackwardCompat(t *testing.T) {
 	// Old-style encodings, built by hand the way the pre-trailer code did.
 	oldBegin := binary.AppendVarint(nil, 77)
 	oldQuery := binary.AppendUvarint(binary.AppendVarint(nil, 77), 9)
-	oldScan := binary.AppendVarint(nil, 77)
-	oldScan = appendString(oldScan, "orders")
-	oldScan = binary.AppendUvarint(oldScan, 0) // no cols
-	oldScan = append(oldScan, 0)               // no pred
 	oldEOS := binary.AppendVarint(nil, 42)
 
 	// Direction 1: untraced new encoders emit exactly the old bytes.
@@ -27,9 +23,6 @@ func TestTraceTrailerBackwardCompat(t *testing.T) {
 	}
 	if got := (Query{Deadline: 77, N: 9}).Encode(nil); !bytes.Equal(got, oldQuery) {
 		t.Fatalf("untraced Query not byte-identical: %x vs %x", got, oldQuery)
-	}
-	if got := (Scan{Deadline: 77, Table: "orders"}).Encode(nil); !bytes.Equal(got, oldScan) {
-		t.Fatalf("untraced Scan not byte-identical: %x vs %x", got, oldScan)
 	}
 	if got := (EOS{Rows: 42}).Encode(nil); !bytes.Equal(got, oldEOS) {
 		t.Fatalf("profile-less EOS not byte-identical: %x vs %x", got, oldEOS)
@@ -41,9 +34,6 @@ func TestTraceTrailerBackwardCompat(t *testing.T) {
 	}
 	if m, err := DecodeQuery(oldQuery); err != nil || m.TraceID != 0 || m.Profile {
 		t.Fatalf("old Query decoded %+v, %v", m, err)
-	}
-	if m, err := DecodeScan(oldScan); err != nil || m.TraceID != 0 || m.Profile {
-		t.Fatalf("old Scan decoded %+v, %v", m, err)
 	}
 	if m, err := DecodeEOS(oldEOS); err != nil || m.HasProfile {
 		t.Fatalf("old EOS decoded %+v, %v", m, err)
@@ -65,15 +55,15 @@ func TestTraceTrailerRoundTrip(t *testing.T) {
 	if got, err := DecodeQuery(q.Encode(nil)); err != nil || !got.Profile || got.TraceID != 0 {
 		t.Fatalf("profile-only Query round trip: %+v, %v", got, err)
 	}
-	s := Scan{
+	f := Fragment{
 		Deadline: 9, Table: "stock", Cols: []string{"s_i_id", "s_quantity"},
 		HasPred: true, PredCol: "s_quantity", PredLo: 1, PredHi: 10,
 		TraceID: 11, SpanID: 12, Profile: true,
 	}
-	got, err := DecodeScan(s.Encode(nil))
+	got, err := DecodeFragment(f.Encode(nil))
 	if err != nil || got.TraceID != 11 || got.SpanID != 12 || !got.Profile ||
 		got.Table != "stock" || len(got.Cols) != 2 || !got.HasPred {
-		t.Fatalf("Scan round trip: %+v, %v", got, err)
+		t.Fatalf("Fragment round trip: %+v, %v", got, err)
 	}
 	e := EOS{Rows: 10, HasProfile: true, ExecNS: 123, AdmitNS: 45, SpillNS: 6,
 		Profile: "profile: arch=A\nplan 1:\nscan(stock) [rows=10]"}

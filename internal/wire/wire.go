@@ -62,8 +62,10 @@ const (
 	// MsgQuery runs CH query N server-side: Query{Deadline, N}. The
 	// response is a batch stream.
 	MsgQuery
-	// MsgScan streams a table scan: Scan{Deadline, Table, Cols, Pred}.
-	MsgScan
+	// 10 was MsgScan, a table scan; a MsgFragment with no pushed-down work
+	// is that scan, so the type is retired. Its number stays burnt: a peer
+	// that still sends it gets a bad-request error, not another request.
+	_
 	// MsgSync forces a data-synchronization round (empty payload).
 	MsgSync
 	// MsgFreshness asks for the OLTP-vs-OLAP watermark gap.
@@ -97,7 +99,7 @@ const (
 	MsgPrepare
 	// MsgFragment streams a scatter–gather plan fragment: a table scan
 	// with pushed-down predicate conjuncts the shard evaluates on its
-	// encoded segments. The response is a batch stream, like MsgScan.
+	// encoded segments. The response is a batch stream.
 	// A fragment may additionally carry an aggregate spec (the response
 	// becomes a MsgPartial stream) or a top-k spec (the response stays a
 	// batch stream bounded to k rows).
@@ -450,7 +452,7 @@ func DecodeRowReq(b []byte) (RowReq, error) {
 const queryFlagProfile = 1 << 0
 
 // appendTraceCtx appends the optional [TraceID, SpanID, flags] trailer
-// shared by Query and Scan, but only when there is something to say —
+// shared by Query and Fragment, but only when there is something to say —
 // frames to old servers stay byte-identical.
 func appendTraceCtx(dst []byte, traceID, spanID uint64, profile bool) []byte {
 	if traceID == 0 && !profile {
@@ -505,58 +507,6 @@ func decodeTraceCtx(d *dec, traceID, spanID *uint64, profile *bool) {
 	if *traceID == 0 && !*profile {
 		*spanID = 0
 	}
-}
-
-// Scan streams a table scan. Cols nil means every column. HasPred guards
-// the advisory zone-map range, mirroring exec.ScanPred.
-type Scan struct {
-	Deadline int64
-	Table    string
-	Cols     []string
-	HasPred  bool
-	PredCol  string
-	PredLo   int64
-	PredHi   int64
-	TraceID  uint64
-	SpanID   uint64
-	Profile  bool
-}
-
-// Encode appends the payload encoding.
-func (m Scan) Encode(dst []byte) []byte {
-	dst = binary.AppendVarint(dst, m.Deadline)
-	dst = appendString(dst, m.Table)
-	dst = binary.AppendUvarint(dst, uint64(len(m.Cols)))
-	for _, c := range m.Cols {
-		dst = appendString(dst, c)
-	}
-	if !m.HasPred {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst = appendString(dst, m.PredCol)
-		dst = binary.AppendVarint(dst, m.PredLo)
-		dst = binary.AppendVarint(dst, m.PredHi)
-	}
-	return appendTraceCtx(dst, m.TraceID, m.SpanID, m.Profile)
-}
-
-// DecodeScan parses a MsgScan payload.
-func DecodeScan(b []byte) (Scan, error) {
-	d := &dec{b: b}
-	m := Scan{Deadline: d.varint(), Table: d.str()}
-	n := d.uvarint()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Cols = append(m.Cols, d.str())
-	}
-	if d.byte() == 1 {
-		m.HasPred = true
-		m.PredCol = d.str()
-		m.PredLo = d.varint()
-		m.PredHi = d.varint()
-	}
-	decodeTraceCtx(d, &m.TraceID, &m.SpanID, &m.Profile)
-	return m, d.err
 }
 
 // Prepare asks the session to vote on its open transaction (MsgPrepare):
@@ -653,11 +603,13 @@ type FragTopK struct {
 	Keys []FragSortKey
 }
 
-// Fragment is a scatter–gather subplan pushed to one shard (MsgFragment):
-// a Scan plus the filter conjuncts the coordinator's pushdown rewrite
-// fused into it, plus at most one of an aggregate or top-k spec. The
-// response is a Schema/Batch/EOS stream, or a MsgPartial stream when an
-// aggregate spec is present.
+// Fragment is a table scan run on the peer (MsgFragment), optionally
+// carrying a scatter–gather subplan: the filter conjuncts the
+// coordinator's pushdown rewrite fused into the scan, plus at most one of
+// an aggregate or top-k spec. Cols nil means every column. HasPred guards
+// the advisory zone-map range, mirroring exec.ScanPred. The response is a
+// Schema/Batch/EOS stream, or a MsgPartial stream when an aggregate spec
+// is present.
 type Fragment struct {
 	Deadline int64
 	Table    string

@@ -120,19 +120,19 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Fatalf("got %+v err %v", got, err)
 		}
 	})
-	t.Run("scan", func(t *testing.T) {
-		in := Scan{
+	t.Run("fragment-plain-scan", func(t *testing.T) {
+		in := Fragment{
 			Deadline: 5, Table: "order_line", Cols: []string{"ol_i_id", "ol_quantity"},
 			HasPred: true, PredCol: "ol_i_id", PredLo: -10, PredHi: 500,
 		}
-		got, err := DecodeScan(in.Encode(nil))
+		got, err := DecodeFragment(in.Encode(nil))
 		if err != nil || !reflect.DeepEqual(got, in) {
 			t.Fatalf("got %+v err %v", got, err)
 		}
 	})
-	t.Run("scan-no-pred", func(t *testing.T) {
-		in := Scan{Table: "stock"}
-		got, err := DecodeScan(in.Encode(nil))
+	t.Run("fragment-all-columns", func(t *testing.T) {
+		in := Fragment{Table: "stock"}
+		got, err := DecodeFragment(in.Encode(nil))
 		if err != nil || !reflect.DeepEqual(got, in) {
 			t.Fatalf("got %+v err %v", got, err)
 		}
@@ -167,9 +167,9 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 func TestDecodeTruncatedPayloads(t *testing.T) {
-	full := Scan{Table: "t", Cols: []string{"a"}, HasPred: true, PredCol: "a", PredLo: 1, PredHi: 2}.Encode(nil)
+	full := Fragment{Table: "t", Cols: []string{"a"}, HasPred: true, PredCol: "a", PredLo: 1, PredHi: 2}.Encode(nil)
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeScan(full[:cut]); err == nil && cut < len(full)-1 {
+		if _, err := DecodeFragment(full[:cut]); err == nil && cut < len(full)-1 {
 			// Some prefixes decode cleanly (e.g. before the pred flag the
 			// flag byte is required, so only the full payload may pass).
 			t.Logf("prefix %d decoded without error", cut)
