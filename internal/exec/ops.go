@@ -1,18 +1,10 @@
 package exec
 
 import (
-	"container/heap"
 	"context"
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
-	"htap/internal/bitmap"
-	"htap/internal/colstore"
-	"htap/internal/delta"
-	"htap/internal/rowstore"
 	"htap/internal/types"
 )
 
@@ -36,602 +28,6 @@ type Source interface {
 type ScanPred struct {
 	Col    string
 	Lo, Hi int64
-}
-
-// --- memory source ---
-
-type memSource struct {
-	schema []types.Column
-	rows   []types.Row
-	pos    int
-}
-
-// NewMemSource serves pre-materialized rows; tests and delta overlays use
-// it.
-func NewMemSource(schema []types.Column, rows []types.Row) Source {
-	return &memSource{schema: schema, rows: rows}
-}
-
-func (s *memSource) Schema() []types.Column { return s.schema }
-
-func (s *memSource) Next() *Batch {
-	if s.pos >= len(s.rows) {
-		return nil
-	}
-	b := NewBatch(s.schema)
-	for s.pos < len(s.rows) && b.N < BatchSize {
-		b.AppendRow(s.rows[s.pos])
-		s.pos++
-	}
-	return b
-}
-
-// Split partitions the remaining rows into contiguous ranges sharing the
-// backing slice; part-order concatenation reproduces the sequential scan.
-func (s *memSource) Split(n int) []Source {
-	rows := s.rows[s.pos:]
-	s.pos = len(s.rows)
-	if len(rows) == 0 {
-		return nil
-	}
-	chunk := (len(rows) + n - 1) / n
-	var parts []Source
-	for lo := 0; lo < len(rows); lo += chunk {
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		parts = append(parts, &memSource{schema: s.schema, rows: rows[lo:hi]})
-	}
-	return parts
-}
-
-// --- row-store scan ---
-
-// NewRowScan scans the row store at snapshot ts, projecting cols (all
-// columns when nil). This is the row-side access path of the hybrid
-// row/column technique. The scan materializes eagerly but polls ctx every
-// few hundred rows, so a cancelled query abandons the B+-tree walk instead
-// of finishing it; the truncated result is discarded by Plan.RunCtx, which
-// reports the context error.
-func NewRowScan(ctx context.Context, st *rowstore.Store, ts uint64, cols []string, pred *ScanPred) Source {
-	ctx = orBackground(ctx)
-	schema, idxs := projectSchema(st.Schema, cols)
-	var rows []types.Row
-	lo, hi := int64(-1<<63), int64(1<<63-1)
-	if pred != nil && pred.Col == st.Schema.Cols[st.Schema.KeyCol].Name {
-		// Key-range predicates become B+-tree range scans: the "row-based
-		// index scan" half of the paper's hybrid SPJ example.
-		lo, hi = pred.Lo, pred.Hi
-	}
-	n := 0
-	st.ScanRange(ts, lo, hi, func(_ int64, r types.Row) bool {
-		if n++; n&255 == 0 && ctx.Err() != nil {
-			return false
-		}
-		out := make(types.Row, len(idxs))
-		for i, c := range idxs {
-			out[i] = r[c]
-		}
-		rows = append(rows, out)
-		return true
-	})
-	return NewMemSource(schema, rows)
-}
-
-func projectSchema(s *types.Schema, cols []string) ([]types.Column, []int) {
-	if cols == nil {
-		idxs := make([]int, len(s.Cols))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		return s.Cols, idxs
-	}
-	schema := make([]types.Column, len(cols))
-	idxs := make([]int, len(cols))
-	for i, name := range cols {
-		j := s.MustCol(name)
-		schema[i] = s.Cols[j]
-		idxs[i] = j
-	}
-	return schema, idxs
-}
-
-// --- column-store scan ---
-
-type colScan struct {
-	ctx     context.Context
-	tbl     *colstore.Table
-	schema  []types.Column
-	idxs    []int
-	pred    *ScanPred
-	predIdx int
-	overlay *delta.Overlay
-
-	segs    []*colstore.Segment
-	seg     int
-	row     int
-	overRem []types.Row
-	done    bool
-
-	// Pushed-down predicates (see pushdown.go): evaluated on encoded
-	// vectors into a per-segment selection bitmap; rows are then
-	// late-materialized from the selected positions only.
-	pushed []colPred
-	selObs func(sel float64)
-	curSel *bitmap.Bitmap
-	posBuf []int
-
-	// Profiling (nil when disabled): scanned/materialized row counters the
-	// pushed path feeds, shared with split parts.
-	st *OpStats
-}
-
-func (s *colScan) attachStats(st *OpStats) { s.st = st }
-
-// NewColScan scans the column store, merging an optional delta overlay: the
-// paper's "in-memory delta and column scan" when the overlay comes from a
-// Mem delta, its "log-based delta and column scan" when it comes from a Log
-// delta, and its pure "column scan" when the overlay is nil. The scan polls
-// ctx between batches, so cancelling the context stops a multi-segment scan
-// mid-flight; Plan.RunCtx surfaces the context error.
-func NewColScan(ctx context.Context, tbl *colstore.Table, cols []string, pred *ScanPred, overlay *delta.Overlay) Source {
-	schema, idxs := projectSchema(tbl.Schema, cols)
-	s := &colScan{ctx: orBackground(ctx), tbl: tbl, schema: schema, idxs: idxs, pred: pred, predIdx: -1, overlay: overlay}
-	s.segs = tbl.Segments()
-	if pred != nil {
-		if i := tbl.Schema.ColIndex(pred.Col); i >= 0 && tbl.Schema.Cols[i].Type == types.Int {
-			s.predIdx = i
-		}
-	}
-	if overlay != nil {
-		// Materialize in key order: overlay.Rows is a map, and map
-		// iteration order must not leak into query results.
-		keys := make([]int64, 0, len(overlay.Rows))
-		for k := range overlay.Rows {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			r := overlay.Rows[k]
-			out := make(types.Row, len(idxs))
-			for i, c := range idxs {
-				out[i] = r[c]
-			}
-			s.overRem = append(s.overRem, out)
-		}
-	}
-	return s
-}
-
-func (s *colScan) Schema() []types.Column { return s.schema }
-
-func (s *colScan) Next() *Batch {
-	if s.done {
-		return nil
-	}
-	if s.ctx.Err() != nil {
-		// Cancelled or past deadline: abandon the remaining segments. The
-		// batch-granular check bounds post-cancel work to one batch.
-		s.done = true
-		return nil
-	}
-	b := NewBatch(s.schema)
-	if len(s.pushed) > 0 {
-		s.fillPushed(b)
-	} else {
-		s.fillScan(b)
-	}
-	for b.N < BatchSize && len(s.overRem) > 0 {
-		r := s.overRem[len(s.overRem)-1]
-		s.overRem = s.overRem[:len(s.overRem)-1]
-		if len(s.pushed) > 0 && !s.matchOverlayRow(r) {
-			continue
-		}
-		b.AppendRow(r)
-	}
-	if b.N == 0 {
-		s.done = true
-		return nil
-	}
-	return b
-}
-
-// fillScan is the unfiltered path: decode every live row of every segment.
-func (s *colScan) fillScan(b *Batch) {
-	for b.N < BatchSize && s.seg < len(s.segs) {
-		seg := s.segs[s.seg]
-		if s.row == 0 && s.predIdx >= 0 && seg.Zones[s.predIdx].PruneInt(s.pred.Lo, s.pred.Hi) {
-			s.seg++
-			continue
-		}
-		mask := seg.DeleteMask()
-		for s.row < seg.N && b.N < BatchSize {
-			i := s.row
-			s.row++
-			if mask.Get(i) {
-				continue
-			}
-			if s.overlay != nil {
-				if _, masked := s.overlay.Masked[seg.Keys[i]]; masked {
-					continue
-				}
-			}
-			for c, idx := range s.idxs {
-				b.Cols[c].Append(seg.Cols[idx].Datum(i))
-			}
-			b.N++
-		}
-		if s.row >= seg.N {
-			s.seg++
-			s.row = 0
-		}
-	}
-}
-
-// fillPushed is the selection-vector path: at each segment entry, evaluate
-// the pushed predicates on the encoded vectors (computeSel), then decode
-// only the selected positions of only the projected columns. Row order is
-// identical to fillScan followed by a downstream filter.
-func (s *colScan) fillPushed(b *Batch) {
-	for b.N < BatchSize && s.seg < len(s.segs) {
-		seg := s.segs[s.seg]
-		if s.row == 0 {
-			if s.predIdx >= 0 && seg.Zones[s.predIdx].PruneInt(s.pred.Lo, s.pred.Hi) {
-				s.seg++
-				continue
-			}
-			sel, skip := s.computeSel(seg)
-			if skip {
-				s.seg++
-				continue
-			}
-			s.curSel = sel
-			pushRowsScanned.Add(int64(seg.N))
-			if s.st != nil {
-				s.st.scanned.Add(int64(seg.N))
-			}
-		}
-		pos := s.posBuf[:0]
-		i := s.curSel.NextSet(s.row)
-		for i >= 0 && i < seg.N && b.N+len(pos) < BatchSize {
-			if s.overlay != nil {
-				if _, masked := s.overlay.Masked[seg.Keys[i]]; masked {
-					i = s.curSel.NextSet(i + 1)
-					continue
-				}
-			}
-			pos = append(pos, i)
-			i = s.curSel.NextSet(i + 1)
-		}
-		s.posBuf = pos[:0]
-		if len(pos) > 0 {
-			for c, idx := range s.idxs {
-				gather(b.Cols[c], seg.Cols[idx], pos)
-			}
-			b.N += len(pos)
-			pushRowsMat.Add(int64(len(pos)))
-			if s.st != nil {
-				s.st.matzd.Add(int64(len(pos)))
-			}
-		}
-		if i < 0 || i >= seg.N {
-			s.seg++
-			s.row = 0
-			s.curSel = nil
-		} else {
-			s.row = i
-		}
-	}
-}
-
-// Split cuts the scan into contiguous runs of fixed-size morsels, one part
-// per worker. Assignment is range-based and static — boundaries depend
-// only on segment sizes and n — so repeated runs at the same parallelism
-// degree touch rows in the same order, and part-order concatenation equals
-// the sequential scan: segment rows first, then the delta overlay rows on
-// a trailing part.
-func (s *colScan) Split(n int) []Source {
-	if s.done || s.seg > 0 || s.row > 0 {
-		return nil
-	}
-	s.done = true
-	morsels := colstore.Morsels(s.segs, MorselRows)
-	chunk := (len(morsels) + n - 1) / n
-	if chunk == 0 {
-		chunk = 1
-	}
-	var parts []Source
-	for lo := 0; lo < len(morsels); lo += chunk {
-		hi := lo + chunk
-		if hi > len(morsels) {
-			hi = len(morsels)
-		}
-		parts = append(parts, &colScanPart{scan: s, morsels: morsels[lo:hi]})
-	}
-	if len(s.overRem) > 0 {
-		parts = append(parts, &colScanPart{scan: s, overRem: s.overRem})
-	}
-	return parts
-}
-
-// colScanPart drains one worker's share of a split colScan. Parts share
-// the parent's immutable segment snapshot, predicate, and overlay; only
-// the delete bitmap is snapshotted (per segment, cached across that
-// segment's morsels). Cancellation is polled per morsel, the same
-// granularity as the sequential scan's per-batch check.
-type colScanPart struct {
-	scan    *colScan
-	morsels []colstore.Morsel
-	overRem []types.Row
-
-	cur     int
-	lastSeg *colstore.Segment
-	mask    *bitmap.Bitmap
-	done    bool
-
-	// Pushed-predicate state, cached per segment across its morsels: the
-	// selection bitmap and whether zone maps pruned the whole segment.
-	sel     *bitmap.Bitmap
-	segSkip bool
-	posBuf  []int
-}
-
-func (p *colScanPart) Schema() []types.Column { return p.scan.schema }
-
-func (p *colScanPart) Next() *Batch {
-	s := p.scan
-	if p.done {
-		return nil
-	}
-	for p.cur < len(p.morsels) {
-		if s.ctx.Err() != nil {
-			p.done = true
-			return nil
-		}
-		m := p.morsels[p.cur]
-		p.cur++
-		morselsTotal.Inc()
-		if s.predIdx >= 0 && m.Seg.Zones[s.predIdx].PruneInt(s.pred.Lo, s.pred.Hi) {
-			continue
-		}
-		if len(s.pushed) > 0 {
-			if b := p.nextPushed(m); b != nil {
-				return b
-			}
-			continue
-		}
-		if m.Seg != p.lastSeg {
-			p.lastSeg = m.Seg
-			p.mask = m.Seg.DeleteMask()
-		}
-		b := NewBatch(s.schema)
-		for i := m.Lo; i < m.Hi; i++ {
-			if p.mask.Get(i) {
-				continue
-			}
-			if s.overlay != nil {
-				if _, masked := s.overlay.Masked[m.Seg.Keys[i]]; masked {
-					continue
-				}
-			}
-			for c, idx := range s.idxs {
-				b.Cols[c].Append(m.Seg.Cols[idx].Datum(i))
-			}
-			b.N++
-		}
-		if b.N > 0 {
-			return b
-		}
-	}
-	for len(p.overRem) > 0 {
-		if s.ctx.Err() != nil {
-			p.done = true
-			return nil
-		}
-		b := NewBatch(s.schema)
-		for b.N < BatchSize && len(p.overRem) > 0 {
-			r := p.overRem[len(p.overRem)-1]
-			p.overRem = p.overRem[:len(p.overRem)-1]
-			if len(s.pushed) > 0 && !s.matchOverlayRow(r) {
-				continue
-			}
-			b.AppendRow(r)
-		}
-		if b.N > 0 {
-			return b
-		}
-	}
-	p.done = true
-	return nil
-}
-
-// nextPushed drains one morsel through the selection-vector path: the
-// segment's selection bitmap (computed once, cached across the segment's
-// morsels) restricted to [m.Lo, m.Hi), late-materialized into one batch.
-// Returns nil when the morsel selects no rows. Because the selection is a
-// pure function of the segment and the predicates, the rows produced per
-// morsel — and so the part-order concatenation — match the sequential scan
-// at any parallelism degree.
-func (p *colScanPart) nextPushed(m colstore.Morsel) *Batch {
-	s := p.scan
-	if m.Seg != p.lastSeg {
-		p.lastSeg = m.Seg
-		p.sel, p.segSkip = s.computeSel(m.Seg)
-	}
-	if p.segSkip {
-		return nil
-	}
-	pushRowsScanned.Add(int64(m.Hi - m.Lo))
-	if s.st != nil {
-		s.st.scanned.Add(int64(m.Hi - m.Lo))
-	}
-	pos := p.posBuf[:0]
-	for i := p.sel.NextSet(m.Lo); i >= 0 && i < m.Hi; i = p.sel.NextSet(i + 1) {
-		if s.overlay != nil {
-			if _, masked := s.overlay.Masked[m.Seg.Keys[i]]; masked {
-				continue
-			}
-		}
-		pos = append(pos, i)
-	}
-	p.posBuf = pos[:0]
-	if len(pos) == 0 {
-		return nil
-	}
-	b := NewBatch(s.schema)
-	for c, idx := range s.idxs {
-		gather(b.Cols[c], m.Seg.Cols[idx], pos)
-	}
-	b.N = len(pos)
-	pushRowsMat.Add(int64(len(pos)))
-	if s.st != nil {
-		s.st.matzd.Add(int64(len(pos)))
-	}
-	return b
-}
-
-// --- union ---
-
-type unionSource struct {
-	srcs []Source
-	cur  int
-}
-
-// attachStats forwards the profiling node to scan children, so a wrapped
-// union aggregates its layers' pushdown selectivity into one node.
-func (s *unionSource) attachStats(st *OpStats) {
-	for _, c := range s.srcs {
-		if a, ok := c.(statAttacher); ok {
-			a.attachStats(st)
-		}
-	}
-}
-
-// errSource is a source that exists only to carry a construction-time
-// error. It yields no rows; From recognizes it and returns an
-// error-carrying plan (FromError), so misconstructed sources surface as
-// query errors instead of panics or silently empty tables.
-type errSource struct{ err error }
-
-func (s *errSource) Schema() []types.Column { return nil }
-func (s *errSource) Next() *Batch           { return nil }
-
-// NewUnion concatenates sources with identical schemas; layered stores
-// (main + delta layers) scan as a union. A union of zero sources is a
-// construction error: the result carries it (see errSource) rather than
-// panicking, and a plan built from it reports the error when run.
-func NewUnion(srcs ...Source) Source {
-	if len(srcs) == 0 {
-		return &errSource{err: errors.New("exec: union of zero sources")}
-	}
-	for _, s := range srcs {
-		if es, ok := s.(*errSource); ok {
-			return es
-		}
-	}
-	for _, s := range srcs[1:] {
-		if len(s.Schema()) != len(srcs[0].Schema()) {
-			panic("exec: union schema mismatch")
-		}
-	}
-	return &unionSource{srcs: srcs}
-}
-
-func (s *unionSource) Schema() []types.Column { return s.srcs[0].Schema() }
-
-func (s *unionSource) Next() *Batch {
-	for s.cur < len(s.srcs) {
-		if b := s.srcs[s.cur].Next(); b != nil {
-			return b
-		}
-		s.cur++
-	}
-	return nil
-}
-
-// Split partitions every child and concatenates the parts in child order,
-// so part-order concatenation preserves the union's sequential row order.
-// Children that cannot split become single parts, which still parallelizes
-// a union of shards across the shards themselves.
-func (s *unionSource) Split(n int) []Source {
-	if s.cur > 0 {
-		return nil
-	}
-	s.cur = len(s.srcs)
-	per := (n + len(s.srcs) - 1) / len(s.srcs)
-	var parts []Source
-	for _, c := range s.srcs {
-		if ps := trySplit(c, per); ps != nil {
-			parts = append(parts, ps...)
-		} else {
-			parts = append(parts, c)
-		}
-	}
-	return parts
-}
-
-// --- parallel union ---
-
-type parallelSource struct {
-	ctx    context.Context
-	schema []types.Column
-	ch     chan *Batch
-	once   sync.Once
-	srcs   []Source
-}
-
-// NewParallel drains the sources concurrently (one goroutine each) and
-// multiplexes their batches. Architectures with a *distributed* column
-// store (B's learner replicas, C's IMCS cluster) scan their shards this
-// way; row order is not preserved, which no aggregate in the repository
-// depends on. Cancelling ctx releases the drain goroutines even when the
-// consumer stops pulling batches, so an abandoned query leaks nothing.
-func NewParallel(ctx context.Context, srcs ...Source) Source {
-	if len(srcs) == 1 {
-		return srcs[0]
-	}
-	if len(srcs) == 0 {
-		return &errSource{err: errors.New("exec: parallel union of zero sources")}
-	}
-	return &parallelSource{ctx: orBackground(ctx), schema: srcs[0].Schema(), srcs: srcs, ch: make(chan *Batch, 4)}
-}
-
-func (s *parallelSource) Schema() []types.Column { return s.schema }
-
-func (s *parallelSource) start() {
-	var wg sync.WaitGroup
-	for _, src := range s.srcs {
-		wg.Add(1)
-		go func(src Source) {
-			defer wg.Done()
-			for {
-				b := src.Next()
-				if b == nil {
-					return
-				}
-				select {
-				case s.ch <- b:
-				case <-s.ctx.Done():
-					return
-				}
-			}
-		}(src)
-	}
-	go func() {
-		wg.Wait()
-		close(s.ch)
-	}()
-}
-
-func (s *parallelSource) Next() *Batch {
-	s.once.Do(s.start)
-	select {
-	case b := <-s.ch:
-		return b
-	case <-s.ctx.Done():
-		return nil
-	}
 }
 
 // --- filter ---
@@ -732,1574 +128,6 @@ func (o *projectOp) Split(n int) []Source {
 		out[i] = &projectOp{in: p, schema: o.schema, exprs: o.exprs}
 	}
 	return out
-}
-
-// --- hash join ---
-
-// JoinType selects join semantics.
-type JoinType uint8
-
-// Join types: inner produces matched pairs; semi/anti produce left rows
-// with (no) matches, used for EXISTS / NOT EXISTS subqueries.
-const (
-	InnerJoin JoinType = iota + 1
-	LeftSemiJoin
-	LeftAntiJoin
-)
-
-type hashJoinOp struct {
-	typ        JoinType
-	left       Source
-	schema     []types.Column
-	leftKeys   []int
-	rightKeys  []int
-	buildRows  *Batch
-	buckets    map[uint64][]int
-	rightWidth int
-	buildOnce  sync.Once
-	buildSrc   Source
-	par        int
-	ctx        context.Context
-	mem        *QueryMem
-
-	// Grace-mode state (memory-governed builds that went over budget): the
-	// build side lives hash-partitioned in spill files instead of one
-	// in-memory table, and probing proceeds partition by partition.
-	grace      bool
-	buildW     []*spillWriter // one per partition, nil until toGrace
-	buildBytes int64          // charged bytes of the in-memory build table
-	gout       *graceProbe    // sequential probe stream, lazily built
-
-	st *OpStats // profiling; nil when disabled
-}
-
-func (o *hashJoinOp) attachStats(st *OpStats) { o.st = st }
-
-func newHashJoin(typ JoinType, left, right Source, leftCols, rightCols []string, par int, ctx context.Context, mem *QueryMem) *hashJoinOp {
-	if len(leftCols) != len(rightCols) || len(leftCols) == 0 {
-		panic("exec: join key arity mismatch")
-	}
-	lk := make([]int, len(leftCols))
-	for i, c := range leftCols {
-		lk[i] = colIndex(left.Schema(), c)
-	}
-	rk := make([]int, len(rightCols))
-	for i, c := range rightCols {
-		rk[i] = colIndex(right.Schema(), c)
-	}
-	var schema []types.Column
-	schema = append(schema, left.Schema()...)
-	if typ == InnerJoin {
-		for _, c := range right.Schema() {
-			for _, l := range left.Schema() {
-				if l.Name == c.Name {
-					panic(fmt.Sprintf("exec: join output column %q is ambiguous", c.Name))
-				}
-			}
-		}
-		schema = append(schema, right.Schema()...)
-	}
-	return &hashJoinOp{
-		typ: typ, left: left, schema: schema,
-		leftKeys: lk, rightKeys: rk,
-		rightWidth: len(right.Schema()), buildSrc: right, par: par,
-		ctx: orBackground(ctx), mem: mem,
-	}
-}
-
-func (o *hashJoinOp) Schema() []types.Column { return o.schema }
-
-func hashKeys(b *Batch, i int, keys []int) uint64 {
-	h := uint64(1469598103934665603)
-	for _, k := range keys {
-		h = b.Cols[k].Datum(i).Hash(h)
-	}
-	return h
-}
-
-func keysEqual(lb *Batch, li int, lk []int, rb *Batch, ri int, rk []int) bool {
-	for i := range lk {
-		if !lb.Cols[lk[i]].Datum(li).Equal(rb.Cols[rk[i]].Datum(ri)) {
-			return false
-		}
-	}
-	return true
-}
-
-// build materializes the right side into buildRows + buckets. With par >
-// 1 and a splittable build source, workers materialize and hash disjoint
-// partitions in parallel; the partitions are then merged into one table
-// sequentially in part order, so bucket entry order — and with it the
-// order of multi-match probe output — is identical to a sequential build.
-// Every build loop polls ctx per batch, so a cancelled query abandons the
-// build promptly instead of materializing the whole right side first.
-// Memory-governed builds (mem != nil) run sequentially and convert to a
-// grace (partitioned, spilled) build when they go over budget.
-func (o *hashJoinOp) build() {
-	if o.mem != nil {
-		o.buildGoverned()
-		return
-	}
-	parts := trySplit(o.buildSrc, o.par)
-	if parts == nil {
-		o.buildRows = NewBatch(o.buildSrc.Schema())
-		o.buckets = make(map[uint64][]int)
-		for o.ctx.Err() == nil {
-			b := o.buildSrc.Next()
-			if b == nil {
-				return
-			}
-			o.buildInto(b)
-		}
-		return
-	}
-	type buildPart struct {
-		rows   *Batch
-		hashes []uint64
-	}
-	res := make([]buildPart, len(parts))
-	tasks := make([]func(), len(parts))
-	for w := range parts {
-		w := w
-		tasks[w] = func() {
-			src := parts[w]
-			rows := NewBatch(src.Schema())
-			var hashes []uint64
-			for o.ctx.Err() == nil {
-				b := src.Next()
-				if b == nil {
-					break
-				}
-				for i := 0; i < b.N; i++ {
-					for c := range b.Cols {
-						rows.Cols[c].AppendFrom(b.Cols[c], i)
-					}
-					rows.N++
-					hashes = append(hashes, hashKeys(b, i, o.rightKeys))
-				}
-			}
-			res[w] = buildPart{rows: rows, hashes: hashes}
-		}
-	}
-	SharedPool().Run(tasks)
-	start := time.Now()
-	o.buildRows = NewBatch(res[0].rows.Schema)
-	o.buckets = make(map[uint64][]int)
-	for _, bp := range res {
-		for i := 0; i < bp.rows.N; i++ {
-			idx := o.buildRows.N
-			for c := range bp.rows.Cols {
-				o.buildRows.Cols[c].AppendFrom(bp.rows.Cols[c], i)
-			}
-			o.buildRows.N++
-			o.buckets[bp.hashes[i]] = append(o.buckets[bp.hashes[i]], idx)
-		}
-	}
-	mergeNS.Add(time.Since(start).Nanoseconds())
-}
-
-// buildGoverned drains the build side sequentially under the memory
-// accountant. The sequential choice is deliberate: a parallel build's
-// transient per-part tables would dodge the moment-of-overflow accounting,
-// and the part-order merge makes its final table identical to a sequential
-// build anyway, so correctness is unaffected — a governed build trades the
-// build-side speedup for an accurately enforced budget. On overflow the
-// buffered rows scatter to hash partitions on disk (toGrace) and the
-// remainder of the stream follows them.
-func (o *hashJoinOp) buildGoverned() {
-	o.buildRows = NewBatch(o.buildSrc.Schema())
-	o.buckets = make(map[uint64][]int)
-	for {
-		if o.ctx.Err() != nil || o.mem.Err() != nil {
-			return
-		}
-		b := o.buildSrc.Next()
-		if b == nil {
-			break
-		}
-		if o.grace {
-			o.scatterBuild(b)
-			coopYield()
-			continue
-		}
-		o.buildInto(b)
-		sz := batchAppendBytes(b)
-		o.mem.Grow(sz)
-		o.buildBytes += sz
-		if o.mem.Over() && o.buildRows.N > 0 {
-			o.toGrace()
-		}
-		coopYield()
-	}
-	if o.grace {
-		_ = closeAll(o.buildW)
-	}
-}
-
-// toGrace converts the in-memory build table into spillFanout disk
-// partitions. Rows scatter in table order, so each partition file holds
-// its rows in global build order — reloading a partition reproduces the
-// bucket insertion order of an in-memory build restricted to it, which
-// keeps multi-match probe output order bit-identical.
-func (o *hashJoinOp) toGrace() {
-	o.grace = true
-	o.mem.noteSpill(spillsJoin, spillFanout)
-	o.st.addSpillParts(spillFanout)
-	o.buildW = make([]*spillWriter, spillFanout)
-	for i := range o.buildW {
-		o.buildW[i] = newSpillWriter(o.mem, fmt.Sprintf("join-build-p%d", i))
-	}
-	for i := 0; i < o.buildRows.N; i++ {
-		r := o.buildRows.Row(i)
-		if o.buildW[partOf(hashRowKeys(r, o.rightKeys), 0)].add(r) != nil {
-			break
-		}
-	}
-	o.mem.Shrink(o.buildBytes)
-	o.buildBytes = 0
-	o.buildRows = NewBatch(o.buildSrc.Schema())
-	o.buckets = make(map[uint64][]int)
-}
-
-// scatterBuild routes one build batch into the grace partitions.
-func (o *hashJoinOp) scatterBuild(b *Batch) {
-	for i := 0; i < b.N; i++ {
-		h := hashKeys(b, i, o.rightKeys)
-		if o.buildW[partOf(h, 0)].add(b.Row(i)) != nil {
-			return
-		}
-	}
-}
-
-// rowKeysEqual compares a materialized probe row's key columns against one
-// row of the build table.
-func rowKeysEqual(lr types.Row, lk []int, tbl *Batch, ri int, rk []int) bool {
-	for i := range lk {
-		if !lr[lk[i]].Equal(tbl.Cols[rk[i]].Datum(ri)) {
-			return false
-		}
-	}
-	return true
-}
-
-// graceProbe is one probe stream's output over a grace (spilled) build.
-// Construction does the heavy lifting: probe rows are tagged with their
-// stream ordinal and scattered to per-partition spill files, each probe
-// partition joins against its build partition (partitionOut), and the
-// per-partition tagged outputs merge back into probe order — so a grace
-// join emits rows in exactly the order an in-memory probe would have.
-// Each probe stream (the operator at DOP 1, or each split part) owns a
-// private graceProbe; only the depth-0 build partition files are shared.
-type graceProbe struct {
-	op     *hashJoinOp
-	mt     *mergeTagged
-	failed bool
-}
-
-func newGraceProbe(o *hashJoinOp, left Source) *graceProbe {
-	gp := &graceProbe{op: o}
-	qm := o.mem
-	pw := make([]*spillWriter, spillFanout)
-	for i := range pw {
-		pw[i] = newSpillWriter(qm, "join-probe")
-	}
-	var tag int64
-scatter:
-	for o.ctx.Err() == nil && qm.Err() == nil {
-		b := left.Next()
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.N; i++ {
-			h := hashKeys(b, i, o.leftKeys)
-			r := append(types.Row{types.NewInt(tag)}, b.Row(i)...)
-			tag++
-			if pw[partOf(h, 0)].add(r) != nil {
-				break scatter
-			}
-		}
-		coopYield()
-	}
-	if closeAll(pw) != nil || qm.Err() != nil || o.ctx.Err() != nil {
-		gp.failed = true
-		return gp
-	}
-	outs := make([]string, 0, spillFanout)
-	for p := 0; p < spillFanout; p++ {
-		out, err := o.partitionOut(o.buildW[p].name, pw[p].name, 0, false)
-		if err != nil {
-			gp.failed = true
-			return gp
-		}
-		outs = append(outs, out)
-	}
-	mt, err := newMergeTagged(qm, outs)
-	if err != nil {
-		gp.failed = true
-		return gp
-	}
-	gp.mt = mt
-	return gp
-}
-
-func (gp *graceProbe) Next() *Batch {
-	if gp.failed || gp.mt == nil {
-		return nil
-	}
-	b := NewBatch(gp.op.schema)
-	for b.N < BatchSize {
-		r, ok, err := gp.mt.next()
-		if err != nil {
-			gp.failed = true
-			return nil
-		}
-		if !ok {
-			break
-		}
-		b.AppendRow(r[1:])
-	}
-	if b.N == 0 {
-		return nil
-	}
-	coopYield()
-	return b
-}
-
-// partitionOut joins one build partition file against one tagged probe
-// partition file and returns a spill file of tagged output rows in
-// ascending probe order. The build partition loads into memory; if it
-// alone exceeds the budget and depth permits, both files re-scatter under
-// the next depth's hash salt and the join recurses per sub-partition
-// (repartition), merging sub-outputs by tag. On success the probe file is
-// removed eagerly, and the build file too when ownBuild (sub-partition
-// files are private; depth-0 build files are shared across probe streams
-// and live until QueryMem.Finish). Error paths lean on Finish for file
-// cleanup — every spill file is tracked by the accountant.
-func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (string, error) {
-	qm := o.mem
-	tbl := NewBatch(o.buildSrc.Schema())
-	buckets := make(map[uint64][]int)
-	var charged int64
-	bc := newSpillCursor(qm, bf)
-	for {
-		r, ok, err := bc.next()
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		h := hashRowKeys(r, o.rightKeys)
-		buckets[h] = append(buckets[h], tbl.N)
-		tbl.AppendRow(r)
-		sz := rowBytes(r)
-		qm.Grow(sz)
-		charged += sz
-		if qm.Over() && depth < spillMaxDepth && tbl.N > 1 {
-			return o.repartition(bf, pf, bc, tbl, charged, depth, ownBuild)
-		}
-		if tbl.N%BatchSize == 0 {
-			coopYield()
-		}
-	}
-	if qm.Over() {
-		// Depth cap (or a partition of indivisible duplicates): degrade to
-		// an in-memory join of this partition and record the overshoot.
-		qm.noteOver()
-	}
-	w := newSpillWriter(qm, "join-out")
-	pc := newSpillCursor(qm, pf)
-	for probed := 0; ; probed++ {
-		if probed%BatchSize == 0 {
-			if err := o.ctx.Err(); err != nil {
-				qm.Shrink(charged)
-				return "", err
-			}
-			coopYield()
-		}
-		tr, ok, err := pc.next()
-		if err != nil {
-			qm.Shrink(charged)
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		lr := tr[1:]
-		matched := false
-		for _, ri := range buckets[hashRowKeys(lr, o.leftKeys)] {
-			if !rowKeysEqual(lr, o.leftKeys, tbl, ri, o.rightKeys) {
-				continue
-			}
-			matched = true
-			if o.typ != InnerJoin {
-				break
-			}
-			outRow := make(types.Row, 0, 1+len(o.schema))
-			outRow = append(outRow, tr[0])
-			outRow = append(outRow, lr...)
-			outRow = append(outRow, tbl.Row(ri)...)
-			if err := w.add(outRow); err != nil {
-				qm.Shrink(charged)
-				return "", err
-			}
-		}
-		if (o.typ == LeftSemiJoin && matched) || (o.typ == LeftAntiJoin && !matched) {
-			if err := w.add(tr); err != nil {
-				qm.Shrink(charged)
-				return "", err
-			}
-		}
-	}
-	qm.Shrink(charged)
-	if err := w.close(); err != nil {
-		return "", err
-	}
-	qm.removeFile(pf)
-	if ownBuild {
-		qm.removeFile(bf)
-	}
-	return w.name, nil
-}
-
-// repartition re-scatters one oversized partition pair under the next
-// depth's hash salt, recurses per sub-partition, and merges the tagged
-// sub-outputs into a single output run. tbl holds the build rows loaded so
-// far (written out first, in order, so build order is preserved); bc is
-// the partly-consumed build cursor.
-func (o *hashJoinOp) repartition(bf, pf string, bc *spillCursor, tbl *Batch, charged int64, depth int, ownBuild bool) (string, error) {
-	qm := o.mem
-	qm.noteSpill(spillsJoin, spillFanout)
-	o.st.addSpillParts(spillFanout)
-	sbw := make([]*spillWriter, spillFanout)
-	spw := make([]*spillWriter, spillFanout)
-	for i := range sbw {
-		sbw[i] = newSpillWriter(qm, fmt.Sprintf("join-build-d%d-p%d", depth+1, i))
-		spw[i] = newSpillWriter(qm, fmt.Sprintf("join-probe-d%d-p%d", depth+1, i))
-	}
-	for i := 0; i < tbl.N; i++ {
-		r := tbl.Row(i)
-		if err := sbw[partOf(hashRowKeys(r, o.rightKeys), depth+1)].add(r); err != nil {
-			qm.Shrink(charged)
-			return "", err
-		}
-	}
-	qm.Shrink(charged)
-	for {
-		r, ok, err := bc.next()
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		if err := sbw[partOf(hashRowKeys(r, o.rightKeys), depth+1)].add(r); err != nil {
-			return "", err
-		}
-	}
-	pc := newSpillCursor(qm, pf)
-	for {
-		tr, ok, err := pc.next()
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		if err := spw[partOf(hashRowKeys(tr[1:], o.leftKeys), depth+1)].add(tr); err != nil {
-			return "", err
-		}
-	}
-	if err := closeAll(sbw); err != nil {
-		return "", err
-	}
-	if err := closeAll(spw); err != nil {
-		return "", err
-	}
-	qm.removeFile(pf)
-	if ownBuild {
-		qm.removeFile(bf)
-	}
-	outs := make([]string, 0, spillFanout)
-	for j := 0; j < spillFanout; j++ {
-		out, err := o.partitionOut(sbw[j].name, spw[j].name, depth+1, true)
-		if err != nil {
-			return "", err
-		}
-		outs = append(outs, out)
-	}
-	w := newSpillWriter(qm, "join-out")
-	mt, err := newMergeTagged(qm, outs)
-	if err != nil {
-		return "", err
-	}
-	for {
-		r, ok, err := mt.next()
-		if err != nil {
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		if err := w.add(r); err != nil {
-			return "", err
-		}
-	}
-	if err := w.close(); err != nil {
-		return "", err
-	}
-	return w.name, nil
-}
-
-func (o *hashJoinOp) buildInto(b *Batch) {
-	for i := 0; i < b.N; i++ {
-		idx := o.buildRows.N
-		for c := range b.Cols {
-			o.buildRows.Cols[c].AppendFrom(b.Cols[c], i)
-		}
-		o.buildRows.N++
-		h := hashKeys(b, i, o.rightKeys)
-		o.buckets[h] = append(o.buckets[h], idx)
-	}
-}
-
-// probe matches one left batch against the built table. Safe for
-// concurrent use once build has completed: it only reads the table.
-func (o *hashJoinOp) probe(b *Batch) *Batch {
-	out := NewBatch(o.schema)
-	for i := 0; i < b.N; i++ {
-		h := hashKeys(b, i, o.leftKeys)
-		matched := false
-		for _, ri := range o.buckets[h] {
-			if !keysEqual(b, i, o.leftKeys, o.buildRows, ri, o.rightKeys) {
-				continue
-			}
-			matched = true
-			if o.typ != InnerJoin {
-				break
-			}
-			nl := len(b.Cols)
-			for c := range b.Cols {
-				out.Cols[c].AppendFrom(b.Cols[c], i)
-			}
-			for c := 0; c < o.rightWidth; c++ {
-				out.Cols[nl+c].AppendFrom(o.buildRows.Cols[c], ri)
-			}
-			out.N++
-		}
-		if (o.typ == LeftSemiJoin && matched) || (o.typ == LeftAntiJoin && !matched) {
-			for c := range b.Cols {
-				out.Cols[c].AppendFrom(b.Cols[c], i)
-			}
-			out.N++
-		}
-	}
-	return out
-}
-
-func (o *hashJoinOp) Next() *Batch {
-	o.buildOnce.Do(o.build)
-	if o.mem != nil && o.mem.Err() != nil {
-		return nil
-	}
-	if o.grace {
-		if o.gout == nil {
-			o.gout = newGraceProbe(o, o.left)
-		}
-		return o.gout.Next()
-	}
-	for o.ctx.Err() == nil {
-		b := o.left.Next()
-		if b == nil {
-			return nil
-		}
-		if out := o.probe(b); out.N > 0 {
-			return out
-		}
-	}
-	return nil
-}
-
-// Split partitions the probe side; every part probes the one shared hash
-// table, whose construction is serialized by buildOnce (the first part to
-// run builds it, in parallel when the build source splits).
-func (o *hashJoinOp) Split(n int) []Source {
-	parts := trySplit(o.left, n)
-	if parts == nil {
-		return nil
-	}
-	out := make([]Source, len(parts))
-	for i, p := range parts {
-		out[i] = &hashJoinProbe{op: o, left: p}
-	}
-	return out
-}
-
-// hashJoinProbe is one worker's probe stream over a split hash join. Under
-// a grace build each worker runs a private graceProbe over its own left
-// part (sharing only the depth-0 build partition files), so part outputs
-// concatenate to the same rows as a sequential grace probe.
-type hashJoinProbe struct {
-	op   *hashJoinOp
-	left Source
-	gout *graceProbe
-}
-
-func (p *hashJoinProbe) Schema() []types.Column { return p.op.schema }
-
-func (p *hashJoinProbe) Next() *Batch {
-	p.op.buildOnce.Do(p.op.build)
-	o := p.op
-	if o.mem != nil && o.mem.Err() != nil {
-		return nil
-	}
-	if o.grace {
-		if p.gout == nil {
-			p.gout = newGraceProbe(o, p.left)
-		}
-		return p.gout.Next()
-	}
-	for o.ctx.Err() == nil {
-		b := p.left.Next()
-		if b == nil {
-			return nil
-		}
-		if out := o.probe(b); out.N > 0 {
-			return out
-		}
-	}
-	return nil
-}
-
-// --- hash aggregate ---
-
-// AggKind is an aggregate function.
-type AggKind uint8
-
-// Aggregate functions.
-const (
-	Sum AggKind = iota + 1
-	Count
-	Avg
-	Min
-	Max
-)
-
-// Agg is one aggregate output: Kind over Expr, named Name. Count ignores
-// Expr (COUNT(*)).
-type Agg struct {
-	Kind AggKind
-	Expr Expr
-	Name string
-}
-
-type aggState struct {
-	sum   exactSum
-	isum  int64
-	count int64
-	min   types.Datum
-	max   types.Datum
-}
-
-type hashAggOp struct {
-	in       Source
-	groupBy  []Expr
-	aggs     []Agg
-	aggExprs []Expr
-	schema   []types.Column
-	intSum   []bool
-	par      int
-	ctx      context.Context
-	mem      *QueryMem
-
-	done   bool
-	failed bool
-	out    []types.Row
-	pos    int
-
-	st *OpStats // profiling; nil when disabled
-}
-
-func (o *hashAggOp) attachStats(st *OpStats) { o.st = st }
-
-func newHashAgg(in Source, groupBy []string, aggs []Agg, par int, ctx context.Context, mem *QueryMem) *hashAggOp {
-	o := &hashAggOp{in: in, aggs: aggs, par: par, ctx: orBackground(ctx), mem: mem}
-	ins := in.Schema()
-	for _, g := range groupBy {
-		o.schema = append(o.schema, ins[colIndex(ins, g)])
-		o.groupBy = append(o.groupBy, ColName(g).Bind(ins))
-	}
-	o.intSum = make([]bool, len(aggs))
-	for i, a := range aggs {
-		var kind types.ColType
-		switch a.Kind {
-		case Count:
-			kind = types.Int
-		case Sum:
-			if a.Expr.Type(ins) == types.Int {
-				kind = types.Int
-				o.intSum[i] = true
-			} else {
-				kind = types.Float
-			}
-		case Avg:
-			kind = types.Float
-		default:
-			kind = a.Expr.Type(ins)
-		}
-		o.schema = append(o.schema, types.Column{Name: a.Name, Type: kind})
-		if a.Expr != nil {
-			o.aggExprs = append(o.aggExprs, a.Expr.Bind(ins))
-		} else {
-			o.aggExprs = append(o.aggExprs, nil)
-		}
-	}
-	return o
-}
-
-func (o *hashAggOp) Schema() []types.Column { return o.schema }
-
-// aggGroup is one group's key and accumulator states. ord is the group's
-// position in a single per-stream ordinal space shared with spilled raw
-// rows: groups created before a spill take creation ordinals, groups
-// created during replay take their creating row's tag. Sorting recovered
-// groups by ord therefore reproduces exact first-seen output order.
-type aggGroup struct {
-	key    types.Row
-	states []aggState
-	ord    int64
-}
-
-// aggStateBytes approximates one accumulator's in-memory footprint for the
-// accountant (sum+isum+count plus two Datums).
-const aggStateBytes = 96
-
-// aggTable is one hash-aggregation table. The sequential path uses a
-// single table; the parallel path gives each worker its own table over a
-// disjoint partition of the input and merges them afterwards. Under a
-// memory accountant the table spills: dump group states + remaining raw
-// rows to hash partitions, recurse per partition, and reassemble
-// (spillRest / aggPartition).
-type aggTable struct {
-	o        *hashAggOp
-	groups   map[uint64][]*aggGroup
-	order    []*aggGroup // first-seen order, the output order
-	ordSeq   int64       // next ordinal (groups and spilled rows share it)
-	bytes    int64       // bytes charged to the accountant
-	newBytes int64       // bytes added since the last charge
-}
-
-func newAggTable(o *hashAggOp) *aggTable {
-	return &aggTable{o: o, groups: make(map[uint64][]*aggGroup)}
-}
-
-// keyHash hashes a materialized group key with the same FNV chain find
-// uses on batches.
-func keyHash(key types.Row) uint64 {
-	h := uint64(1469598103934665603)
-	for _, k := range key {
-		h = k.Hash(h)
-	}
-	return h
-}
-
-// lookup finds or creates the group for key (pre-hashed to h). The caller
-// assigns ord on creation.
-func (t *aggTable) lookup(key types.Row, h uint64) (*aggGroup, bool) {
-	for _, g := range t.groups[h] {
-		same := true
-		for gi := range key {
-			if !g.key[gi].Equal(key[gi]) {
-				same = false
-				break
-			}
-		}
-		if same {
-			return g, false
-		}
-	}
-	g := &aggGroup{key: key, states: make([]aggState, len(t.o.aggs))}
-	t.groups[h] = append(t.groups[h], g)
-	t.order = append(t.order, g)
-	t.newBytes += rowBytes(key) + int64(len(t.o.aggs))*aggStateBytes
-	return g, true
-}
-
-func (t *aggTable) find(b *Batch, i int) (*aggGroup, bool) {
-	key := make(types.Row, len(t.o.groupBy))
-	h := uint64(1469598103934665603)
-	for gi, g := range t.o.groupBy {
-		key[gi] = g.Eval(b, i)
-		h = key[gi].Hash(h)
-	}
-	return t.lookup(key, h)
-}
-
-// accumulate folds row i of b into g. Shared by first-pass consumption and
-// spilled-row replay, so a replayed fold is the same code — and the same
-// float operation order — as an unspilled one.
-func (t *aggTable) accumulate(g *aggGroup, b *Batch, i int) {
-	o := t.o
-	for ai, a := range o.aggs {
-		st := &g.states[ai]
-		st.count++
-		if a.Kind == Count {
-			continue
-		}
-		d := o.aggExprs[ai].Eval(b, i)
-		switch a.Kind {
-		case Sum, Avg:
-			st.sum.add(d.Float())
-			if d.Kind == types.Int {
-				st.isum += d.I
-			}
-		case Min:
-			if st.count == 1 || d.Compare(st.min) < 0 {
-				st.min = d
-			}
-		case Max:
-			if st.count == 1 || d.Compare(st.max) > 0 {
-				st.max = d
-			}
-		}
-	}
-}
-
-func (t *aggTable) consume(b *Batch) {
-	for i := 0; i < b.N; i++ {
-		g, created := t.find(b, i)
-		if created {
-			g.ord = t.ordSeq
-			t.ordSeq++
-		}
-		t.accumulate(g, b, i)
-	}
-}
-
-func (t *aggTable) drain(src Source) {
-	for {
-		b := src.Next()
-		if b == nil {
-			return
-		}
-		t.consume(b)
-	}
-}
-
-// charge pushes newly accounted bytes to the accountant.
-func (t *aggTable) charge() {
-	if t.newBytes > 0 {
-		t.o.mem.Grow(t.newBytes)
-		t.bytes += t.newBytes
-		t.newBytes = 0
-	}
-}
-
-// drainBounded is drain under the memory accountant: when the table goes
-// over budget with more than one group, the rest of the input spills and
-// the aggregation finishes partition by partition. The reassembled table
-// is bit-identical to an unbounded drain of the same stream.
-func (t *aggTable) drainBounded(src Source) {
-	o := t.o
-	for {
-		if o.ctx.Err() != nil || o.mem.Err() != nil {
-			return
-		}
-		b := src.Next()
-		if b == nil {
-			return
-		}
-		t.consume(b)
-		t.charge()
-		if o.mem.Over() && len(t.order) > 1 {
-			t.spillRest(src)
-			return
-		}
-		coopYield()
-	}
-}
-
-// merge folds other into t, visiting other's groups in their first-seen
-// order. Merging part tables in part order makes both the group output
-// order and the float summation order a pure function of the input order
-// and the part boundaries — never of worker timing.
-func (t *aggTable) merge(other *aggTable) {
-	for _, og := range other.order {
-		g, created := t.lookup(og.key, keyHash(og.key))
-		if created {
-			g.ord = t.ordSeq
-			t.ordSeq++
-		}
-		for ai := range t.o.aggs {
-			mergeAggState(&g.states[ai], &og.states[ai], t.o.aggs[ai].Kind)
-		}
-	}
-}
-
-// encodeGroup serializes one group as a spill record: [ord, key...,
-// then per aggregate sum (the exact accumulator's bytes in a String
-// datum — Go strings are binary-safe), isum, count, min, max]. Unused
-// min/max slots carry an Int(0) placeholder so the record has a fixed
-// arity.
-func (o *hashAggOp) encodeGroup(g *aggGroup) types.Row {
-	r := make(types.Row, 0, 1+len(g.key)+5*len(o.aggs))
-	r = append(r, types.NewInt(g.ord))
-	r = append(r, g.key...)
-	zero := types.NewInt(0)
-	for ai := range o.aggs {
-		st := g.states[ai]
-		r = append(r, types.NewString(string(st.sum.encode())), types.NewInt(st.isum), types.NewInt(st.count))
-		if o.aggs[ai].Kind == Min && st.count > 0 {
-			r = append(r, st.min)
-		} else {
-			r = append(r, zero)
-		}
-		if o.aggs[ai].Kind == Max && st.count > 0 {
-			r = append(r, st.max)
-		} else {
-			r = append(r, zero)
-		}
-	}
-	return r
-}
-
-// decodeGroup parses an encodeGroup record.
-func (o *hashAggOp) decodeGroup(r types.Row) *aggGroup {
-	nk := len(o.groupBy)
-	g := &aggGroup{ord: r[0].I, key: r[1 : 1+nk], states: make([]aggState, len(o.aggs))}
-	for ai := range o.aggs {
-		off := 1 + nk + 5*ai
-		sum, err := decodeExactSum([]byte(r[off].Str()))
-		if err != nil {
-			// Spill records are written by this process; a bad record
-			// means a corrupted spill file, which the cursor's checksums
-			// should have caught first.
-			panic(fmt.Sprintf("exec: corrupt agg spill record: %v", err))
-		}
-		g.states[ai] = aggState{
-			sum:   sum,
-			isum:  r[off+1].I,
-			count: r[off+2].I,
-			min:   r[off+3],
-			max:   r[off+4],
-		}
-	}
-	return g
-}
-
-// spillRest spills the current groups' states plus the remainder of the
-// input stream to hash partitions, finishes each partition recursively
-// (aggPartition), and reassembles the table. Group states encode float
-// bits exactly and replay continues each group's fold with the same
-// accumulate code in the same row order, so the reassembled table matches
-// an unbounded aggregation bit for bit.
-func (t *aggTable) spillRest(src Source) {
-	o := t.o
-	qm := o.mem
-	qm.noteSpill(spillsAgg, spillFanout)
-	o.st.addSpillParts(spillFanout)
-	sw := make([]*spillWriter, spillFanout)
-	rw := make([]*spillWriter, spillFanout)
-	for i := range sw {
-		sw[i] = newSpillWriter(qm, fmt.Sprintf("agg-state-p%d", i))
-		rw[i] = newSpillWriter(qm, fmt.Sprintf("agg-rows-p%d", i))
-	}
-	for _, g := range t.order {
-		if sw[partOf(keyHash(g.key), 0)].add(o.encodeGroup(g)) != nil {
-			return
-		}
-	}
-	qm.Shrink(t.bytes)
-	t.bytes, t.newBytes = 0, 0
-	t.groups = make(map[uint64][]*aggGroup)
-	t.order = nil
-	for o.ctx.Err() == nil && qm.Err() == nil {
-		b := src.Next()
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.N; i++ {
-			key := make(types.Row, len(o.groupBy))
-			h := uint64(1469598103934665603)
-			for gi, g := range o.groupBy {
-				key[gi] = g.Eval(b, i)
-				h = key[gi].Hash(h)
-			}
-			r := append(types.Row{types.NewInt(t.ordSeq)}, b.Row(i)...)
-			t.ordSeq++
-			if rw[partOf(h, 0)].add(r) != nil {
-				return
-			}
-		}
-		coopYield()
-	}
-	if closeAll(sw) != nil || closeAll(rw) != nil || qm.Err() != nil || o.ctx.Err() != nil {
-		return
-	}
-	var all []*aggGroup
-	for p := 0; p < spillFanout; p++ {
-		groups, charged, err := o.aggPartition(sw[p].name, rw[p].name, 0)
-		if err != nil {
-			return
-		}
-		all = append(all, groups...)
-		t.bytes += charged
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ord < all[j].ord })
-	for _, g := range all {
-		h := keyHash(g.key)
-		t.groups[h] = append(t.groups[h], g)
-	}
-	t.order = all
-}
-
-// consumeTagged replays spilled rows: b holds the stripped rows, tags
-// their original ordinals. A group created during replay takes its
-// creating row's tag as its ord.
-func (t *aggTable) consumeTagged(b *Batch, tags []int64) {
-	for i := 0; i < b.N; i++ {
-		g, created := t.find(b, i)
-		if created {
-			g.ord = tags[i]
-		}
-		t.accumulate(g, b, i)
-	}
-}
-
-// aggPartition finishes one spilled partition: load its group states,
-// replay its raw rows, and return the completed groups (with their
-// accountant charge still outstanding — the caller owns it). If the
-// partition alone exceeds the budget and depth permits, states and
-// remaining rows re-scatter under the next depth's salt and the
-// aggregation recurses.
-func (o *hashAggOp) aggPartition(stateFile, rowFile string, depth int) ([]*aggGroup, int64, error) {
-	qm := o.mem
-	sub := newAggTable(o)
-	sc := newSpillCursor(qm, stateFile)
-	for {
-		r, ok, err := sc.next()
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			break
-		}
-		g := o.decodeGroup(r)
-		h := keyHash(g.key)
-		sub.groups[h] = append(sub.groups[h], g)
-		sub.order = append(sub.order, g)
-		sub.newBytes += rowBytes(g.key) + int64(len(o.aggs))*aggStateBytes
-	}
-	sub.charge()
-	qm.removeFile(stateFile)
-	rc := newSpillCursor(qm, rowFile)
-	rows := make([]types.Row, 0, BatchSize)
-	tags := make([]int64, 0, BatchSize)
-	overNoted := false
-	for {
-		if err := o.ctx.Err(); err != nil {
-			return nil, sub.bytes, err
-		}
-		r, ok, err := rc.next()
-		if err != nil {
-			return nil, sub.bytes, err
-		}
-		if ok {
-			tags = append(tags, r[0].I)
-			rows = append(rows, r[1:])
-			if len(rows) < BatchSize {
-				continue
-			}
-		}
-		if len(rows) > 0 {
-			sub.consumeTagged(batchFromRows(o.in.Schema(), rows), tags)
-			sub.charge()
-			rows = rows[:0]
-			tags = tags[:0]
-			coopYield()
-		}
-		if !ok {
-			break
-		}
-		if qm.Over() {
-			if depth < spillMaxDepth && len(sub.order) > 1 {
-				return o.respill(sub, rc, rowFile, depth)
-			}
-			// Depth cap (or a single dominant group): finish in memory.
-			if !overNoted {
-				overNoted = true
-				qm.noteOver()
-			}
-		}
-	}
-	qm.removeFile(rowFile)
-	return sub.order, sub.bytes, nil
-}
-
-// respill re-scatters an oversized partition's states and remaining raw
-// rows (original tags preserved) under the next depth's salt and recurses.
-func (o *hashAggOp) respill(sub *aggTable, rc *spillCursor, rowFile string, depth int) ([]*aggGroup, int64, error) {
-	qm := o.mem
-	qm.noteSpill(spillsAgg, spillFanout)
-	o.st.addSpillParts(spillFanout)
-	sw := make([]*spillWriter, spillFanout)
-	rw := make([]*spillWriter, spillFanout)
-	for i := range sw {
-		sw[i] = newSpillWriter(qm, fmt.Sprintf("agg-state-d%d-p%d", depth+1, i))
-		rw[i] = newSpillWriter(qm, fmt.Sprintf("agg-rows-d%d-p%d", depth+1, i))
-	}
-	for _, g := range sub.order {
-		if err := sw[partOf(keyHash(g.key), depth+1)].add(o.encodeGroup(g)); err != nil {
-			return nil, sub.bytes, err
-		}
-	}
-	qm.Shrink(sub.bytes)
-	// Scatter remaining raw rows. The partition key is the groupBy
-	// expressions evaluated over the row, so rebuild small batches to
-	// evaluate them — the tagged originals are what gets written.
-	var tagged []types.Row
-	flush := func() error {
-		if len(tagged) == 0 {
-			return nil
-		}
-		stripped := make([]types.Row, len(tagged))
-		for i, r := range tagged {
-			stripped[i] = r[1:]
-		}
-		b := batchFromRows(o.in.Schema(), stripped)
-		for i := 0; i < b.N; i++ {
-			h := uint64(1469598103934665603)
-			for _, g := range o.groupBy {
-				h = g.Eval(b, i).Hash(h)
-			}
-			if err := rw[partOf(h, depth+1)].add(tagged[i]); err != nil {
-				return err
-			}
-		}
-		tagged = tagged[:0]
-		return nil
-	}
-	for {
-		r, ok, err := rc.next()
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			break
-		}
-		tagged = append(tagged, r)
-		if len(tagged) >= BatchSize {
-			if err := flush(); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, 0, err
-	}
-	if err := closeAll(sw); err != nil {
-		return nil, 0, err
-	}
-	if err := closeAll(rw); err != nil {
-		return nil, 0, err
-	}
-	qm.removeFile(rowFile)
-	var all []*aggGroup
-	var charged int64
-	for j := 0; j < spillFanout; j++ {
-		groups, c, err := o.aggPartition(sw[j].name, rw[j].name, depth+1)
-		if err != nil {
-			return nil, charged, err
-		}
-		all = append(all, groups...)
-		charged += c
-	}
-	return all, charged, nil
-}
-
-// mergeAggState folds src into dst for one aggregate.
-func mergeAggState(dst, src *aggState, kind AggKind) {
-	if src.count == 0 {
-		return
-	}
-	if dst.count == 0 {
-		*dst = *src
-		// The exact-sum accumulator owns a growing big.Float; aliasing it
-		// between two states would corrupt both.
-		dst.sum = src.sum.clone()
-		return
-	}
-	dst.sum.merge(&src.sum)
-	dst.isum += src.isum
-	dst.count += src.count
-	switch kind {
-	case Min:
-		if src.min.Compare(dst.min) < 0 {
-			dst.min = src.min
-		}
-	case Max:
-		if src.max.Compare(dst.max) > 0 {
-			dst.max = src.max
-		}
-	}
-}
-
-// buildTable drains the input into a hash table: split into per-worker
-// part tables merged in part order when the source parallelizes, a
-// single sequential drain otherwise.
-func (o *hashAggOp) buildTable() *aggTable {
-	drainInto := func(t *aggTable, src Source) {
-		if o.mem != nil {
-			t.drainBounded(src)
-		} else {
-			t.drain(src)
-		}
-	}
-	t := newAggTable(o)
-	if parts := trySplit(o.in, o.par); parts != nil {
-		parallelPlans.Inc()
-		tables := make([]*aggTable, len(parts))
-		tasks := make([]func(), len(parts))
-		for w := range parts {
-			w := w
-			tasks[w] = func() {
-				pt := newAggTable(o)
-				drainInto(pt, parts[w])
-				tables[w] = pt
-			}
-		}
-		SharedPool().Run(tasks)
-		start := time.Now()
-		for _, pt := range tables {
-			t.merge(pt)
-		}
-		mergeNS.Add(time.Since(start).Nanoseconds())
-	} else {
-		drainInto(t, o.in)
-	}
-	return t
-}
-
-// render finalizes groups to output rows: the one place accumulators
-// collapse to their rendered values. Shared by the in-engine aggregate
-// and the coordinator-side combine of pushed-down partials.
-func (o *hashAggOp) render(order []*aggGroup) []types.Row {
-	// A global aggregate over zero rows still yields one row of zeros.
-	if len(order) == 0 && len(o.groupBy) == 0 {
-		order = append(order, &aggGroup{states: make([]aggState, len(o.aggs))})
-	}
-	out := make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, 0, len(o.schema))
-		row = append(row, g.key...)
-		for ai, a := range o.aggs {
-			st := g.states[ai]
-			switch a.Kind {
-			case Count:
-				row = append(row, types.NewInt(st.count))
-			case Sum:
-				if o.intSum[ai] {
-					row = append(row, types.NewInt(st.isum))
-				} else {
-					row = append(row, types.NewFloat(st.sum.round()))
-				}
-			case Avg:
-				if st.count == 0 {
-					row = append(row, types.NewFloat(0))
-				} else {
-					row = append(row, types.NewFloat(st.sum.round()/float64(st.count)))
-				}
-			case Min:
-				row = append(row, st.min)
-			case Max:
-				row = append(row, st.max)
-			}
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-func (o *hashAggOp) run() {
-	t := o.buildTable()
-	if o.mem != nil && o.mem.Err() != nil {
-		o.failed = true
-		o.done = true
-		return
-	}
-	o.out = o.render(t.order)
-	o.done = true
-}
-
-func (o *hashAggOp) Next() *Batch {
-	if !o.done {
-		o.run()
-	}
-	if o.failed || o.pos >= len(o.out) {
-		return nil
-	}
-	b := NewBatch(o.schema)
-	for o.pos < len(o.out) && b.N < BatchSize {
-		b.AppendRow(o.out[o.pos])
-		o.pos++
-	}
-	return b
-}
-
-// --- sort ---
-
-// SortKey orders output by the named column.
-type SortKey struct {
-	Col  string
-	Desc bool
-}
-
-// sortOp sorts its whole input. In-memory it is a stable slice sort; with
-// a memory accountant over budget it becomes an external merge sort:
-// consecutive input chunks are stable-sorted and spilled as runs, and a
-// k-way merge with run-index tie-breaking streams them back. Because runs
-// are consecutive input chunks and ties resolve to the earlier run, the
-// merged order equals the in-memory stable sort bit-for-bit, whatever the
-// (load-dependent, nondeterministic) spill points were.
-type sortOp struct {
-	in   Source
-	keys []SortKey
-	ctx  context.Context
-	mem  *QueryMem
-	st   *OpStats // profiling; nil when disabled
-
-	done     bool
-	rows     []types.Row
-	pos      int
-	curBytes int64
-	runs     []string // spilled sorted runs, in input-chunk order
-	merge    *sortMerge
-	failed   bool
-}
-
-func (o *sortOp) attachStats(st *OpStats) { o.st = st }
-
-func (o *sortOp) Schema() []types.Column { return o.in.Schema() }
-
-// lessFn builds the row comparator for the sort keys.
-func (o *sortOp) lessFn() func(a, b types.Row) bool {
-	idxs := make([]int, len(o.keys))
-	for i, k := range o.keys {
-		idxs[i] = colIndex(o.in.Schema(), k.Col)
-	}
-	return func(a, b types.Row) bool {
-		for ki, idx := range idxs {
-			c := a[idx].Compare(b[idx])
-			if c == 0 {
-				continue
-			}
-			if o.keys[ki].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	}
-}
-
-func (o *sortOp) run() {
-	less := o.lessFn()
-	for {
-		if o.ctx != nil && o.ctx.Err() != nil {
-			break
-		}
-		if o.mem.Err() != nil {
-			o.failed = true
-			o.done = true
-			return
-		}
-		b := o.in.Next()
-		if b == nil {
-			break
-		}
-		var sz int64
-		for i := 0; i < b.N; i++ {
-			r := b.Row(i)
-			o.rows = append(o.rows, r)
-			sz += rowBytes(r)
-		}
-		o.mem.Grow(sz)
-		o.curBytes += sz
-		if o.mem.Over() && len(o.rows) > 0 {
-			o.flushRun(less)
-		}
-		if o.mem != nil {
-			coopYield()
-		}
-	}
-	sort.SliceStable(o.rows, func(a, b int) bool { return less(o.rows[a], o.rows[b]) })
-	if len(o.runs) > 0 && !o.failed {
-		o.merge = newSortMerge(o.mem, o.runs, o.rows, less)
-	}
-	o.done = true
-}
-
-// flushRun stable-sorts the buffered chunk and spills it as one run.
-func (o *sortOp) flushRun(less func(a, b types.Row) bool) {
-	sort.SliceStable(o.rows, func(a, b int) bool { return less(o.rows[a], o.rows[b]) })
-	if len(o.runs) == 0 {
-		o.mem.noteSpill(spillsSort, 0)
-	}
-	spillPartsTotal.Add(1)
-	o.mem.addSpillParts(1)
-	o.st.addSpillParts(1)
-	w := newSpillWriter(o.mem, "sort-run")
-	for _, r := range o.rows {
-		if w.add(r) != nil {
-			o.failed = true
-			break
-		}
-	}
-	if !o.failed && w.close() != nil {
-		o.failed = true
-	}
-	o.runs = append(o.runs, w.name)
-	o.mem.Shrink(o.curBytes)
-	o.curBytes = 0
-	o.rows = nil
-}
-
-func (o *sortOp) Next() *Batch {
-	if !o.done {
-		o.run()
-	}
-	if o.failed || o.mem.Err() != nil {
-		return nil
-	}
-	if o.merge != nil {
-		b := NewBatch(o.Schema())
-		for b.N < BatchSize {
-			r, ok, err := o.merge.next()
-			if err != nil {
-				o.failed = true
-				return nil
-			}
-			if !ok {
-				break
-			}
-			b.AppendRow(r)
-		}
-		if b.N == 0 {
-			return nil
-		}
-		return b
-	}
-	if o.pos >= len(o.rows) {
-		return nil
-	}
-	b := NewBatch(o.Schema())
-	for o.pos < len(o.rows) && b.N < BatchSize {
-		b.AppendRow(o.rows[o.pos])
-		o.pos++
-	}
-	return b
-}
-
-// sortRun is one merge input: a spilled run or the final in-memory chunk.
-type sortRun struct {
-	cur  *spillCursor // nil for the in-memory tail
-	rows []types.Row
-	pos  int
-	head types.Row
-	idx  int // input-chunk order, the stability tie-break
-}
-
-func (r *sortRun) advance() (ok bool, err error) {
-	if r.cur != nil {
-		r.head, ok, err = r.cur.next()
-		return ok, err
-	}
-	if r.pos >= len(r.rows) {
-		return false, nil
-	}
-	r.head = r.rows[r.pos]
-	r.pos++
-	return true, nil
-}
-
-// sortMerge streams the runs in sorted order. Ties between runs resolve
-// to the lower run index — runs are consecutive input chunks, so this
-// reproduces the stability of a whole-input stable sort.
-type sortMerge struct {
-	qm *QueryMem
-	h  sortRunHeap
-}
-
-type sortRunHeap struct {
-	runs []*sortRun
-	less func(a, b types.Row) bool
-}
-
-func (h sortRunHeap) Len() int { return len(h.runs) }
-func (h sortRunHeap) Less(i, j int) bool {
-	a, b := h.runs[i], h.runs[j]
-	if h.less(a.head, b.head) {
-		return true
-	}
-	if h.less(b.head, a.head) {
-		return false
-	}
-	return a.idx < b.idx
-}
-func (h sortRunHeap) Swap(i, j int)       { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
-func (h *sortRunHeap) Push(x interface{}) { h.runs = append(h.runs, x.(*sortRun)) }
-func (h *sortRunHeap) Pop() interface{} {
-	old := h.runs
-	n := len(old)
-	x := old[n-1]
-	h.runs = old[:n-1]
-	return x
-}
-
-func newSortMerge(qm *QueryMem, runs []string, tail []types.Row, less func(a, b types.Row) bool) *sortMerge {
-	m := &sortMerge{qm: qm}
-	m.h.less = less
-	for i, name := range runs {
-		r := &sortRun{cur: newSpillCursor(qm, name), idx: i}
-		if ok, err := r.advance(); err != nil {
-			return m // error recorded on qm; next() reports it
-		} else if ok {
-			m.h.runs = append(m.h.runs, r)
-		} else {
-			qm.removeFile(name)
-		}
-	}
-	if len(tail) > 0 {
-		r := &sortRun{rows: tail, idx: len(runs)}
-		_, _ = r.advance()
-		m.h.runs = append(m.h.runs, r)
-	}
-	heap.Init(&m.h)
-	return m
-}
-
-func (m *sortMerge) next() (types.Row, bool, error) {
-	if err := m.qm.Err(); err != nil {
-		return nil, false, err
-	}
-	if len(m.h.runs) == 0 {
-		return nil, false, nil
-	}
-	top := m.h.runs[0]
-	out := top.head
-	ok, err := top.advance()
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		heap.Fix(&m.h, 0)
-	} else {
-		if top.cur != nil {
-			m.qm.removeFile(top.cur.name)
-		}
-		heap.Pop(&m.h)
-	}
-	return out, true, nil
 }
 
 // --- limit ---
