@@ -327,6 +327,21 @@ func ctxOrTransport(ctx context.Context, err error) error {
 	return &TransportError{Err: err}
 }
 
+// requestErr is the error a server's error reply reports to a caller
+// whose request ran under ctx. The server answers a cancelled request and
+// one past its deadline alike (CodeCanceled), so once ctx is done the
+// reply becomes ctx.Err(): errors.Is then sees context.Canceled or
+// context.DeadlineExceeded whichever side noticed first. While ctx is not
+// done the reply stays the wire error.
+func requestErr(ctx context.Context, we *wire.Error) error {
+	if we.Code == wire.CodeCanceled {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return we
+}
+
 // retryable reports whether a request-level failure is worth a fresh
 // attempt: transport failures and self-declared retryable wire errors
 // (conflict, overloaded, shutdown). Context errors never retry.
@@ -415,12 +430,12 @@ func deadlineOf(ctx context.Context) int64 {
 }
 
 // expectOK consumes a response that should be MsgOK.
-func expectOK(typ byte, payload []byte) error {
+func expectOK(ctx context.Context, typ byte, payload []byte) error {
 	switch typ {
 	case wire.MsgOK:
 		return nil
 	case wire.MsgError:
-		return wire.DecodeError(payload)
+		return requestErr(ctx, wire.DecodeError(payload))
 	default:
 		return fmt.Errorf("client: unexpected frame %d", typ)
 	}
@@ -438,7 +453,7 @@ func readStream(ctx context.Context, c *conn, typ byte, payload []byte) ([]types
 		return nil, nil, wire.EOS{}, err
 	}
 	if typ == wire.MsgError {
-		return nil, nil, wire.EOS{}, wire.DecodeError(payload)
+		return nil, nil, wire.EOS{}, requestErr(ctx, wire.DecodeError(payload))
 	}
 	if typ != wire.MsgSchema {
 		return fail(fmt.Errorf("client: expected schema frame, got %d", typ))
@@ -470,7 +485,7 @@ func readStream(ctx context.Context, c *conn, typ byte, payload []byte) ([]types
 			}
 			return sch.Cols, rows, eos, nil
 		case wire.MsgError:
-			return nil, nil, wire.EOS{}, wire.DecodeError(payload)
+			return nil, nil, wire.EOS{}, requestErr(ctx, wire.DecodeError(payload))
 		default:
 			return fail(fmt.Errorf("client: unexpected stream frame %d", typ))
 		}
@@ -506,7 +521,7 @@ func readPartialStream(ctx context.Context, c *conn, typ byte, payload []byte) (
 			}
 			return groups, eos, nil
 		case wire.MsgError:
-			return nil, wire.EOS{}, wire.DecodeError(payload)
+			return nil, wire.EOS{}, requestErr(ctx, wire.DecodeError(payload))
 		default:
 			return fail(fmt.Errorf("client: unexpected partial-stream frame %d", typ))
 		}
@@ -544,7 +559,7 @@ func (r *Remote) Rebalance(ctx context.Context, lo, hi, dest int) (int64, int64,
 		}
 		return info.Moved, info.Version, nil
 	case wire.MsgError:
-		return 0, 0, wire.DecodeError(payload)
+		return 0, 0, requestErr(ctx, wire.DecodeError(payload))
 	default:
 		c.broken.Store(true)
 		return 0, 0, fmt.Errorf("client: unexpected frame %d", typ)
@@ -640,7 +655,7 @@ func (r *Remote) Sync() {
 		if err != nil {
 			return err
 		}
-		return expectOK(typ, payload)
+		return expectOK(context.Background(), typ, payload)
 	})
 }
 
@@ -686,7 +701,7 @@ func (r *Remote) Begin(ctx context.Context) core.Tx {
 	}
 	typ, payload, err := c.roundTrip(ctx, wire.MsgBegin, b.Encode(nil))
 	if err == nil {
-		err = expectOK(typ, payload)
+		err = expectOK(ctx, typ, payload)
 	}
 	if err != nil {
 		r.put(c)
@@ -756,7 +771,7 @@ func (t *remoteTx) Get(table string, key int64) (types.Row, error) {
 		if we.Code == wire.CodeNotFound {
 			return nil, core.ErrNotFound
 		}
-		return nil, we
+		return nil, requestErr(t.ctx, we)
 	default:
 		return nil, fmt.Errorf("client: unexpected frame %d", typ)
 	}
@@ -767,7 +782,7 @@ func (t *remoteTx) write(typ byte, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return expectOK(rt, resp)
+	return expectOK(t.ctx, rt, resp)
 }
 
 func (t *remoteTx) Insert(table string, row types.Row) error {
@@ -796,7 +811,7 @@ func (t *remoteTx) Prepare() error {
 	if err != nil {
 		return err
 	}
-	return expectOK(typ, payload)
+	return expectOK(t.ctx, typ, payload)
 }
 
 func (t *remoteTx) Commit() error {
@@ -813,7 +828,7 @@ func (t *remoteTx) Commit() error {
 		// double-apply it.
 		return &CommitIndeterminateError{Err: err}
 	}
-	return expectOK(typ, payload)
+	return expectOK(t.ctx, typ, payload)
 }
 
 func (t *remoteTx) Abort() {
@@ -823,6 +838,6 @@ func (t *remoteTx) Abort() {
 	typ, payload, err := t.c.roundTrip(t.ctx, wire.MsgAbort, nil)
 	t.finish()
 	if err == nil {
-		_ = expectOK(typ, payload)
+		_ = expectOK(t.ctx, typ, payload)
 	}
 }

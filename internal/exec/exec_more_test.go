@@ -41,35 +41,6 @@ func TestUnionSchemaMismatchPanics(t *testing.T) {
 	)
 }
 
-func TestParallelDrainsAllSources(t *testing.T) {
-	srcs := []Source{
-		NewMemSource(salesSchema.Cols, manyRows(1200)),
-		NewMemSource(salesSchema.Cols, manyRows(900)),
-		NewMemSource(salesSchema.Cols, manyRows(1)),
-		NewMemSource(salesSchema.Cols, nil),
-	}
-	rows := From(NewParallel(context.Background(), srcs...)).Run()
-	if len(rows) != 2101 {
-		t.Fatalf("parallel union = %d rows", len(rows))
-	}
-	// No duplication, no loss: ids 0..1199 appear exactly twice up to 899,
-	// once from 900..1199, plus id 0 a third time from the 1-row source.
-	count := map[int64]int{}
-	for _, r := range rows {
-		count[r[0].Int()]++
-	}
-	if count[0] != 3 || count[500] != 2 || count[1000] != 1 {
-		t.Fatalf("multiset broken: %d %d %d", count[0], count[500], count[1000])
-	}
-}
-
-func TestParallelSingleSourcePassthrough(t *testing.T) {
-	src := NewMemSource(salesSchema.Cols, manyRows(10))
-	if NewParallel(context.Background(), src) != src {
-		t.Fatal("single-source parallel should be the source itself")
-	}
-}
-
 func TestIfExpr(t *testing.T) {
 	rows := From(NewMemSource(salesSchema.Cols, testRows())).
 		Project(NamedExpr{"tier", If(

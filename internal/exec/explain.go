@@ -66,21 +66,12 @@ func (s *errSource) explain() (string, []Source) {
 	return fmt.Sprintf("Error(%v)", s.err), nil
 }
 
-func (p *colScanPart) explain() (string, []Source) {
-	return fmt.Sprintf("ColumnScanPart(%s, morsels=%d, delta=%d rows)",
-		p.scan.tbl.Schema.Name, len(p.morsels), len(p.overRem)), nil
-}
-
 func (p *hashJoinProbe) explain() (string, []Source) {
 	return "HashJoinProbe", []Source{p.left}
 }
 
 func (s *unionSource) explain() (string, []Source) {
 	return fmt.Sprintf("Union(%d inputs)", len(s.srcs)), s.srcs
-}
-
-func (s *parallelSource) explain() (string, []Source) {
-	return fmt.Sprintf("ParallelUnion(%d inputs)", len(s.srcs)), s.srcs
 }
 
 func (o *filterOp) explain() (string, []Source) {

@@ -6,7 +6,7 @@
 // budgeted resource with three nested levels — node, workload class, query
 // — charged and released by the materializing operators (hash-join build,
 // hash aggregation, sort) as their state grows. Going over budget is not an
-// error: operators that can spill (ops.go, spill.go) degrade to
+// error: operators that can spill (join.go, agg.go, sort.go) degrade to
 // partitioned disk-backed algorithms through the simulated disk substrate,
 // so spill I/O is latency-charged and fault-injectable like every other
 // I/O in the repository. Only an actual spill-I/O failure fails the query,
@@ -409,6 +409,17 @@ func rowBytes(r types.Row) int64 {
 	n := int64(24) // slice header
 	for _, d := range r {
 		n += datumBytes(d)
+	}
+	return n
+}
+
+// rowsBytes is rowBytes summed over b's rows, without materializing them.
+func rowsBytes(b *Batch) int64 {
+	n := int64(b.N) * (24 + 32*int64(len(b.Cols)))
+	for _, c := range b.Cols {
+		for _, str := range c.Strs {
+			n += int64(len(str))
+		}
 	}
 	return n
 }

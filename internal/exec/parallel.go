@@ -27,7 +27,8 @@ import (
 //     part whose pipeline contains a parallel join build) cannot deadlock.
 
 // MorselRows is the number of rows per morsel, matching the batch size so
-// each morsel produces roughly one batch.
+// a morsel holds at most one batch of rows (scans pack rows from several
+// morsels into a batch when deletes or predicates thin them).
 const MorselRows = BatchSize
 
 // DefaultParallelism is the degree of parallelism engines use when none is

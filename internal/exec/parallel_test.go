@@ -58,9 +58,6 @@ func TestEmptyUnionIsError(t *testing.T) {
 	if err == nil || rows != nil {
 		t.Fatalf("run = (%v, %v), want (nil, error)", rows, err)
 	}
-	if _, err := From(NewParallel(context.Background())).CountCtx(context.Background()); err == nil {
-		t.Fatal("empty parallel union should carry an error")
-	}
 	// A union that contains an error source propagates it.
 	if From(NewUnion(NewUnion(), NewMemSource(salesSchema.Cols, nil))).Err() == nil {
 		t.Fatal("union over an error source should carry the error")

@@ -137,14 +137,7 @@ func (c *combineAggOp) run() {
 			if len(pg.States) != len(c.o.aggs) {
 				continue // DecodePartial enforces arity; skip rather than corrupt
 			}
-			g, created := t.lookup(pg.Key, keyHash(pg.Key))
-			if created {
-				g.ord = t.ordSeq
-				t.ordSeq++
-			}
-			for ai := range c.o.aggs {
-				mergeAggState(&g.states[ai], &pg.States[ai], c.o.aggs[ai].Kind)
-			}
+			t.fold(pg.Key, pg.States)
 		}
 	}
 	c.out = c.o.render(t.order)
@@ -176,9 +169,10 @@ func (c *combineAggOp) Next() *Batch {
 }
 
 // EncodePartial serializes one partial group for the wire: [key...,
-// then per aggregate sum (exact accumulator bytes in a String datum),
-// isum, count, min, max], mirroring the spill-record layout. Unused
-// min/max slots carry an Int(0) placeholder for fixed arity.
+// then per aggregate sum (exact accumulator bytes in a String datum —
+// Go strings are binary-safe), isum, count, min, max]. Unused min/max
+// slots carry an Int(0) placeholder for fixed arity. An aggregate's spill
+// record is the same encoding behind its ord.
 func EncodePartial(g *PartialGroup, aggs []Agg) types.Row {
 	r := make(types.Row, 0, len(g.Key)+5*len(aggs))
 	r = append(r, g.Key...)
@@ -200,9 +194,9 @@ func EncodePartial(g *PartialGroup, aggs []Agg) types.Row {
 	return r
 }
 
-// DecodePartial parses an EncodePartial record arriving off the wire,
-// rejecting wrong arity, wrong accumulator kinds, and negative counts
-// before any state reaches a combine table.
+// DecodePartial parses an EncodePartial record arriving off the wire or
+// out of a spill file, rejecting wrong arity, wrong accumulator kinds,
+// and negative counts before any state reaches an aggregation table.
 func DecodePartial(r types.Row, nKey int, aggs []Agg) (*PartialGroup, error) {
 	if len(r) != nKey+5*len(aggs) {
 		return nil, fmt.Errorf("exec: partial group has %d datums, want %d", len(r), nKey+5*len(aggs))

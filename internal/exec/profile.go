@@ -45,13 +45,6 @@ type OpStats struct {
 	spillParts atomic.Int64 // spill partitions this operator created
 }
 
-// RowsOut returns the rows the operator emitted.
-func (st *OpStats) RowsOut() int64 { return st.rowsOut.Load() }
-
-// WallNS returns the operator's inclusive wall time in nanoseconds
-// (summed across parallel parts).
-func (st *OpStats) WallNS() int64 { return st.wallNS.Load() }
-
 // addSpillParts records spill partitions created by the operator; safe on
 // a nil receiver so un-profiled spill paths cost one comparison.
 func (st *OpStats) addSpillParts(n int) {
@@ -243,16 +236,6 @@ func (qp *QueryProfile) SpillNS() int64 {
 	qp.mu.Lock()
 	defer qp.mu.Unlock()
 	return qp.spillNS
-}
-
-// PeakMem returns the query's peak charged memory in bytes.
-func (qp *QueryProfile) PeakMem() int64 {
-	if qp == nil {
-		return 0
-	}
-	qp.mu.Lock()
-	defer qp.mu.Unlock()
-	return qp.peakMem
 }
 
 // Plans returns the analyzed plan renderings captured so far.

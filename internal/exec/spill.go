@@ -16,7 +16,6 @@
 package exec
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -170,81 +169,71 @@ func (c *spillCursor) fail(err error) error {
 	return err
 }
 
-// --- ordered merge of tagged runs ---
-
-// A tagged row carries its original ordinal as an Int datum in column 0.
-// Operators that partition a stream (grace join probe output) tag rows
-// before scattering, then mergeTagged reassembles the original order: the
-// ordinals within each run are strictly increasing and disjoint across
-// runs, so a k-way heap merge on the leading tag reproduces the sequence.
-
-type taggedRun struct {
-	cur *spillCursor
-	row types.Row // head, tagged
-}
-
-type taggedHeap []*taggedRun
-
-func (h taggedHeap) Len() int            { return len(h) }
-func (h taggedHeap) Less(i, j int) bool  { return h[i].row[0].I < h[j].row[0].I }
-func (h taggedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *taggedHeap) Push(x interface{}) { *h = append(*h, x.(*taggedRun)) }
-func (h *taggedHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// mergeTagged streams the runs' rows in ascending tag order, tag still
-// attached — recursive consumers (grace sub-partition merges) re-emit the
-// tagged rows into a parent run, and top-level consumers strip row[0].
-// Consumed files are removed eagerly.
-type mergeTagged struct {
-	qm *QueryMem
-	h  taggedHeap
-}
-
-func newMergeTagged(qm *QueryMem, files []string) (*mergeTagged, error) {
-	m := &mergeTagged{qm: qm}
-	for _, f := range files {
-		cur := newSpillCursor(qm, f)
-		row, ok, err := cur.next()
+// nextBatch reads up to BatchSize rows into a batch of schema; nil at end
+// of file.
+func (c *spillCursor) nextBatch(schema []types.Column) (*Batch, error) {
+	b := NewBatch(schema)
+	for b.N < BatchSize {
+		r, ok, err := c.next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			qm.removeFile(f)
-			continue
+			break
 		}
-		m.h = append(m.h, &taggedRun{cur: cur, row: row})
+		b.AppendRow(r)
 	}
-	heap.Init(&m.h)
-	return m, nil
+	if b.N == 0 {
+		return nil, nil
+	}
+	return b, nil
 }
 
-// next returns the next tagged row in tag order; ok is false when all
-// runs are exhausted.
-func (m *mergeTagged) next() (types.Row, bool, error) {
-	if len(m.h) == 0 {
-		return nil, false, nil
+// scatterRest scatters the rest of the file's rows, read as batches of
+// schema, like scatter does.
+func (c *spillCursor) scatterRest(ws []*spillWriter, schema []types.Column, keys []int, depth int) error {
+	for {
+		b, err := c.nextBatch(schema)
+		if b == nil || err != nil {
+			return err
+		}
+		if err := scatter(ws, b, keys, depth); err != nil {
+			return err
+		}
 	}
-	top := m.h[0]
-	out := top.row
-	row, ok, err := top.cur.next()
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		top.row = row
-		heap.Fix(&m.h, 0)
-	} else {
-		m.qm.removeFile(top.cur.name)
-		heap.Pop(&m.h)
-	}
-	return out, true, nil
 }
+
+// --- tagged rows ---
+
+// A tagged row carries its original ordinal as an Int datum in column 0.
+// Operators that partition a stream (grace join probe rows, aggregate
+// input rows) tag rows before scattering; ordinals within each partition
+// file stay ascending and are disjoint across files, so a k-way merge on
+// the leading tag (sortMerge with tagLess) reassembles the original order.
+
+// tagSchema is schema behind a leading tag column.
+func tagSchema(schema []types.Column) []types.Column {
+	return append([]types.Column{{Name: "tag", Type: types.Int}}, schema...)
+}
+
+// tagged is b behind a tag column numbering its rows from first; it shares
+// b's columns, and schema is tagSchema(b.Schema).
+func tagged(schema []types.Column, b *Batch, first int64) *Batch {
+	tags := make([]int64, b.N)
+	for i := range tags {
+		tags[i] = first + int64(i)
+	}
+	return &Batch{Schema: schema, Cols: append([]*Col{{Kind: types.Int, Ints: tags}}, b.Cols...), N: b.N}
+}
+
+// untag splits a tagged batch into its rows, sharing their columns, and
+// their tags.
+func untag(b *Batch) (*Batch, []int64) {
+	return &Batch{Schema: b.Schema[1:], Cols: b.Cols[1:], N: b.N}, b.Cols[0].Ints
+}
+
+// tagLess orders tagged rows by tag.
+func tagLess(a, b types.Row) bool { return a[0].I < b[0].I }
 
 // --- partitioning ---
 
@@ -266,15 +255,24 @@ func partOf(h uint64, depth int) int {
 	return int(h % spillFanout)
 }
 
-// hashRowKeys hashes the keyed columns of a materialized row with the same
-// FNV chain hashKeys uses on batches, so batch-side and row-side
-// partitioning agree.
-func hashRowKeys(r types.Row, keys []int) uint64 {
-	h := uint64(1469598103934665603)
-	for _, k := range keys {
-		h = r[k].Hash(h)
+// newSpillWriters opens one writer per partition at depth.
+func newSpillWriters(qm *QueryMem, kind string, depth int) []*spillWriter {
+	ws := make([]*spillWriter, spillFanout)
+	for i := range ws {
+		ws[i] = newSpillWriter(qm, fmt.Sprintf("%s-d%d-p%d", kind, depth, i))
 	}
-	return h
+	return ws
+}
+
+// scatter writes each row of b to the writer its key hash selects at
+// depth.
+func scatter(ws []*spillWriter, b *Batch, keys []int, depth int) error {
+	for i := 0; i < b.N; i++ {
+		if err := ws[partOf(hashKeys(b, i, keys), depth)].add(b.Row(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // closeAll closes writers, returning the first error.
@@ -286,21 +284,4 @@ func closeAll(ws []*spillWriter) error {
 		}
 	}
 	return first
-}
-
-// removeAll removes the writers' files.
-func removeAll(qm *QueryMem, ws []*spillWriter) {
-	for _, w := range ws {
-		qm.removeFile(w.name)
-	}
-}
-
-// batchFromRows rebuilds a columnar batch from materialized rows; spilled
-// raw input replays through it so bound expressions evaluate unchanged.
-func batchFromRows(schema []types.Column, rows []types.Row) *Batch {
-	b := NewBatch(schema)
-	for _, r := range rows {
-		b.AppendRow(r)
-	}
-	return b
 }

@@ -211,7 +211,6 @@ type Pool struct {
 
 	mu      sync.Mutex
 	execLim Limiter
-	memSig  func() float64
 }
 
 // NewPool builds a pool; tasks run until Stop.
@@ -229,43 +228,15 @@ func (p *Pool) AttachExecLimiter(l Limiter) {
 	p.mu.Unlock()
 }
 
-// memHighPressure is the memory-pressure fraction above which Resize halves
-// the attached exec limiter's width: trading analytical fan-out for headroom
-// degrades OLAP latency instead of forcing more (or larger) spills.
-const memHighPressure = 0.8
-
-// AttachMemSignal couples the pool to a memory-pressure source (typically
-// exec.Governor.Pressure). Each Resize samples it, exports it as the
-// htap_sched_mem_pressure gauge, and — when pressure exceeds
-// memHighPressure — caps the exec limiter at half the AP worker count so
-// new morsels fan out narrower while memory is scarce.
-func (p *Pool) AttachMemSignal(sig func() float64) {
-	p.mu.Lock()
-	p.memSig = sig
-	p.mu.Unlock()
-}
-
 // Resize sets the worker counts.
 func (p *Pool) Resize(tp, ap int) {
 	p.tp.resize(tp)
 	p.ap.resize(ap)
 	p.mu.Lock()
 	l := p.execLim
-	sig := p.memSig
 	p.mu.Unlock()
-	width := ap
-	if sig != nil {
-		pr := sig()
-		obs.Default.Gauge("htap_sched_mem_pressure", nil).Set(pr)
-		if pr >= memHighPressure {
-			width = ap / 2
-		}
-	}
 	if l != nil {
-		if width < 1 {
-			width = 1
-		}
-		l.SetLimit(width)
+		l.SetLimit(max(ap, 1))
 	}
 }
 

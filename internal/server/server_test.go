@@ -11,6 +11,7 @@ import (
 	"htap/internal/ch"
 	"htap/internal/client"
 	"htap/internal/core"
+	"htap/internal/exec"
 	"htap/internal/obs"
 	"htap/internal/types"
 	"htap/internal/wire"
@@ -332,34 +333,57 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// cancelAtFirstBatch wraps an engine so that the first batch any of its
+// scans produces cancels the client's request and then holds the scan
+// until the server-side context the scan was handed is done: the query can
+// only get past its first batch by the server noticing the client left.
+type cancelAtFirstBatch struct {
+	core.Engine
+	t        *testing.T
+	cancel   context.CancelFunc
+	once     sync.Once
+	released chan struct{}
+}
+
+func (e *cancelAtFirstBatch) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+	return exec.From(e.Source(ctx, table, cols, pred))
+}
+
+func (e *cancelAtFirstBatch) Source(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
+	return &heldSource{Source: e.Engine.Source(ctx, table, cols, pred), ctx: ctx, e: e}
+}
+
+type heldSource struct {
+	exec.Source
+	ctx context.Context
+	e   *cancelAtFirstBatch
+}
+
+func (s *heldSource) Next() *exec.Batch {
+	b := s.Source.Next()
+	s.e.once.Do(func() {
+		defer close(s.e.released)
+		s.e.cancel()
+		select {
+		case <-s.ctx.Done():
+		case <-time.After(10 * time.Second):
+			s.e.t.Error("client cancelled, but the server-side query context never ended")
+		}
+	})
+	return b
+}
+
 func TestClientDisconnectCancelsServerQuery(t *testing.T) {
-	scale := ch.SmallScale(2)
-	scale.Customers = 300
-	scale.Orders = 300
-	e, _ := newEngine(t, scale)
-	_, r := startServer(t, Config{Engine: e})
-
-	// Baseline: how long the full query takes.
-	t0 := time.Now()
-	if _, err := r.RunCH(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	full := time.Since(t0)
-
+	e, _ := newEngine(t, smallScale())
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(full / 20)
-		cancel()
-	}()
-	t0 = time.Now()
+	defer cancel()
+	held := &cancelAtFirstBatch{Engine: e, t: t, cancel: cancel, released: make(chan struct{})}
+	_, r := startServer(t, Config{Engine: held})
 	_, err := r.RunCH(ctx, 1)
-	took := time.Since(t0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if full > 10*time.Millisecond && took > full/2 {
-		t.Fatalf("cancelled query took %v, full scan takes %v", took, full)
-	}
+	<-held.released
 }
 
 func TestGracefulDrain(t *testing.T) {

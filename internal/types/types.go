@@ -10,7 +10,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 )
@@ -257,11 +256,4 @@ func (s *Schema) Validate(r Row) error {
 		}
 	}
 	return nil
-}
-
-// HashBytes hashes an arbitrary byte string; used for sharding decisions.
-func HashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
 }

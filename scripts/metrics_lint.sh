@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # metrics_lint.sh — every htap_* series registered in code must be
-# documented in README.md's metric table.
+# documented in README.md's metric table, and every full htap_* name the
+# README puts in backticks must be registered by some non-test source.
 #
 # The README abbreviates families: rows may list a full name
 # (`htap_exec_spills_total`), a shared-prefix tail (`_shed_total` in the
@@ -50,8 +51,17 @@ for m in $metrics; do
 	fail=1
 done
 
+# The other direction: a documented full name (wildcard rows excluded)
+# must still be registered, so a deleted series cannot leave its row behind.
+for m in $(grep -oE '`htap_[a-z0-9_]+`' "$readme" | tr -d '`' | sort -u); do
+	if ! grep -qxF "$m" <<<"$metrics"; then
+		echo "STALE: $m (documented in $readme, registered by no non-test source)"
+		fail=1
+	fi
+done
+
 if [ "$fail" -ne 0 ]; then
-	echo "metrics lint failed: add the series above to the README metric table" >&2
+	echo "metrics lint failed: document the series above in, or remove stale rows from, the README metric table" >&2
 	exit 1
 fi
-echo "metrics lint: all registered htap_* series documented"
+echo "metrics lint: registered htap_* series and README metric table agree"
