@@ -82,7 +82,7 @@ func pushPreds() map[string]Expr {
 		"all-residual":    Or(Cmp(EQ, ColName("run"), ConstInt(0)), Cmp(EQ, ColName("run"), ConstInt(6))),
 		"col-vs-col":      Cmp(LT, ColName("run"), ColName("id")),
 		"arith":           Cmp(GT, Arith(Mul, ColName("amt"), ConstFloat(2)), ConstFloat(400)),
-		"empty-result":    Cmp(GT, ColName("id"), ConstInt(1 << 40)),
+		"empty-result":    Cmp(GT, ColName("id"), ConstInt(1<<40)),
 	}
 }
 
