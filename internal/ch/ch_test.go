@@ -9,6 +9,7 @@ import (
 	"htap/internal/core"
 	"htap/internal/disk"
 	"htap/internal/exec"
+	"htap/internal/txn"
 	"htap/internal/types"
 )
 
@@ -189,6 +190,58 @@ func TestDeliveryClearsNewOrders(t *testing.T) {
 	after := e.Query(context.Background(), TNewOrder, nil, nil).Count()
 	if after >= before {
 		t.Fatalf("neworder rows %d -> %d, want fewer", before, after)
+	}
+}
+
+// conflictOnce is an engine whose first Commit fails with a retryable
+// conflict, so core.Exec runs the transaction's closure a second time.
+type conflictOnce struct {
+	core.Engine
+	failed bool
+}
+
+func (e *conflictOnce) Begin(ctx context.Context) core.Tx {
+	return &conflictOnceTx{Tx: e.Engine.Begin(ctx), e: e}
+}
+
+type conflictOnceTx struct {
+	core.Tx
+	e *conflictOnce
+}
+
+func (t *conflictOnceTx) Commit() error {
+	if !t.e.failed {
+		t.e.failed = true
+		t.Tx.Abort()
+		return txn.ErrConflict
+	}
+	return t.Tx.Commit()
+}
+
+// A retried Delivery draws from the worker's rng exactly as an unretried
+// one: the seeded stream after it does not depend on conflicts.
+func TestDeliveryRetryKeepsRNGStream(t *testing.T) {
+	var next [2]int64
+	for i := range next {
+		e := newEngineA()
+		defer e.Close()
+		s := loadSmall(t, e, 1)
+		var eng Engine = e
+		retried := &conflictOnce{Engine: e}
+		if i == 1 {
+			eng = retried
+		}
+		rng := rand.New(rand.NewSource(5))
+		if err := NewDriver(eng, s).Delivery(context.Background(), rng); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && !retried.failed {
+			t.Fatal("delivery never reached Commit: the retry was not exercised")
+		}
+		next[i] = rng.Int63()
+	}
+	if next[0] != next[1] {
+		t.Fatalf("rng after delivery: %d without a retry, %d with one", next[0], next[1])
 	}
 }
 

@@ -390,6 +390,9 @@ func (d *Driver) Delivery(ctx context.Context, rng *rand.Rand) error {
 	oKey := queue[0]
 	d.undelivered[dk] = queue[1:]
 	d.mu.Unlock()
+	// Drawn once, outside the retried closure: a retry must not shift the
+	// seeded worker's later choices.
+	carrier := types.NewInt(int64(1 + rng.Intn(10)))
 
 	err := core.Exec(ctx, d.E, func(tx core.Tx) error {
 		orow, err := tx.Get(TOrders, oKey)
@@ -400,7 +403,7 @@ func (d *Driver) Delivery(ctx context.Context, rng *rand.Rand) error {
 			return err
 		}
 		no := orow.Clone()
-		no[7] = types.NewInt(int64(1 + rng.Intn(10)))
+		no[7] = carrier
 		if err := tx.Update(TOrders, no); err != nil {
 			return err
 		}

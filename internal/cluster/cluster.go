@@ -11,96 +11,11 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sync"
 	"time"
 
 	"htap/internal/raft"
-	"htap/internal/txn"
-	"htap/internal/types"
 )
-
-// Command op codes carried through the Raft log.
-const (
-	CmdPut    byte = 1 // insert or update
-	CmdDelete byte = 2
-)
-
-// Mutation is one replicated row mutation.
-type Mutation struct {
-	Table uint32
-	Key   int64
-	Op    txn.Op
-	Row   types.Row
-}
-
-// EncodeBatch serializes a commit timestamp plus mutations into a Raft
-// command.
-func EncodeBatch(commitTS uint64, muts []Mutation) raft.Command {
-	buf := binary.AppendUvarint(nil, commitTS)
-	buf = binary.AppendUvarint(buf, uint64(len(muts)))
-	for _, m := range muts {
-		if m.Op == txn.OpDelete {
-			buf = append(buf, CmdDelete)
-		} else {
-			buf = append(buf, CmdPut)
-		}
-		buf = binary.AppendUvarint(buf, uint64(m.Table))
-		buf = binary.AppendVarint(buf, m.Key)
-		if m.Op != txn.OpDelete {
-			buf = types.AppendRow(buf, m.Row)
-		}
-	}
-	return raft.Command(buf)
-}
-
-// DecodeBatch parses a command produced by EncodeBatch.
-func DecodeBatch(cmd raft.Command) (uint64, []Mutation, error) {
-	b := []byte(cmd)
-	ts, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("cluster: bad commit ts")
-	}
-	b = b[n:]
-	cnt, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("cluster: bad count")
-	}
-	b = b[n:]
-	muts := make([]Mutation, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		if len(b) == 0 {
-			return 0, nil, fmt.Errorf("cluster: truncated batch")
-		}
-		op := b[0]
-		b = b[1:]
-		table, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, nil, fmt.Errorf("cluster: bad table")
-		}
-		b = b[n:]
-		key, n := binary.Varint(b)
-		if n <= 0 {
-			return 0, nil, fmt.Errorf("cluster: bad key")
-		}
-		b = b[n:]
-		m := Mutation{Table: uint32(table), Key: key}
-		if op == CmdDelete {
-			m.Op = txn.OpDelete
-		} else {
-			m.Op = txn.OpUpdate
-			row, used, err := types.DecodeRow(b)
-			if err != nil {
-				return 0, nil, err
-			}
-			b = b[used:]
-			m.Row = row
-		}
-		muts = append(muts, m)
-	}
-	return ts, muts, nil
-}
 
 // Partition is one Raft-replicated shard.
 type Partition struct {
@@ -146,8 +61,6 @@ func (p *Partition) Propose(cmd raft.Command) error {
 type Cluster struct {
 	Partitions []*Partition
 	route      func(table uint32, key int64) int
-
-	mu sync.Mutex
 }
 
 // Config sizes the cluster.
@@ -161,14 +74,10 @@ type Config struct {
 	CompactEvery int
 	// Route maps a (table, key) to a partition; nil hashes the key.
 	Route func(table uint32, key int64) int
-	// Apply is invoked for each committed batch on every replica of a
-	// partition: role distinguishes row replicas (voters) from columnar
-	// learners.
-	Apply func(part, nodeID int, learner bool, commitTS uint64, muts []Mutation)
-	// ApplyRaw, when set, receives the raw command bytes instead of a
-	// decoded batch; the 2PC layer replicates its own command formats and
-	// uses this hook.
-	ApplyRaw func(part, nodeID int, learner bool, cmd []byte)
+	// Apply receives each committed command, as proposed, on every replica
+	// of a partition: learner distinguishes columnar learners from row
+	// replicas (voters). The command format is the caller's (twopc's).
+	Apply func(part, nodeID int, learner bool, cmd []byte)
 }
 
 // New builds and starts a cluster.
@@ -189,18 +98,9 @@ func New(cfg Config) *Cluster {
 	for pid := 0; pid < cfg.Partitions; pid++ {
 		pid := pid
 		var apply func(nodeID int, e raft.Entry)
-		switch {
-		case cfg.ApplyRaw != nil:
+		if cfg.Apply != nil {
 			apply = func(nodeID int, e raft.Entry) {
-				cfg.ApplyRaw(pid, nodeID, nodeID >= cfg.VotersPer, []byte(e.Cmd))
-			}
-		case cfg.Apply != nil:
-			apply = func(nodeID int, e raft.Entry) {
-				ts, muts, err := DecodeBatch(e.Cmd)
-				if err != nil {
-					panic(fmt.Sprintf("cluster: undecodable raft command: %v", err))
-				}
-				cfg.Apply(pid, nodeID, nodeID >= cfg.VotersPer, ts, muts)
+				cfg.Apply(pid, nodeID, nodeID >= cfg.VotersPer, []byte(e.Cmd))
 			}
 		}
 		g := raft.NewLocalGroupWith(cfg.VotersPer, cfg.LearnersPer, cfg.NetLatency,

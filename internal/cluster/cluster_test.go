@@ -1,55 +1,16 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
-	"htap/internal/txn"
-	"htap/internal/types"
+	"htap/internal/raft"
 )
 
-func TestBatchCodecRoundTrip(t *testing.T) {
-	muts := []Mutation{
-		{Table: 1, Key: 10, Op: txn.OpUpdate, Row: types.Row{types.NewInt(10), types.NewString("a")}},
-		{Table: 2, Key: -5, Op: txn.OpDelete},
-	}
-	cmd := EncodeBatch(99, muts)
-	ts, got, err := DecodeBatch(cmd)
-	if err != nil || ts != 99 || len(got) != 2 {
-		t.Fatalf("decode = (%d, %v, %v)", ts, got, err)
-	}
-	if got[0].Key != 10 || got[0].Row[1].Str() != "a" {
-		t.Fatalf("mut 0 = %+v", got[0])
-	}
-	if got[1].Op != txn.OpDelete || got[1].Key != -5 {
-		t.Fatalf("mut 1 = %+v", got[1])
-	}
-}
-
-func TestQuickBatchCodec(t *testing.T) {
-	f := func(ts uint64, keys []int64) bool {
-		muts := make([]Mutation, len(keys))
-		for i, k := range keys {
-			muts[i] = Mutation{Table: uint32(i), Key: k, Op: txn.OpUpdate,
-				Row: types.Row{types.NewInt(k)}}
-		}
-		gotTS, got, err := DecodeBatch(EncodeBatch(ts, muts))
-		if err != nil || gotTS != ts || len(got) != len(muts) {
-			return false
-		}
-		for i := range muts {
-			if got[i].Key != muts[i].Key || got[i].Table != muts[i].Table {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
+// keyCmd is a command naming one key; the cluster replicates it unread.
+func keyCmd(key int64) raft.Command { return binary.AppendVarint(nil, key) }
 
 func TestClusterRoutingDeterministic(t *testing.T) {
 	c := New(Config{Partitions: 4, VotersPer: 1})
@@ -74,11 +35,10 @@ func TestClusterReplicatesToRowAndColumnReplicas(t *testing.T) {
 	c := New(Config{
 		Partitions: 2, VotersPer: 3, LearnersPer: 1,
 		Route: func(table uint32, key int64) int { return int(key % 2) },
-		Apply: func(part, nodeID int, learner bool, ts uint64, muts []Mutation) {
+		Apply: func(part, nodeID int, learner bool, cmd []byte) {
+			key, _ := binary.Varint(cmd)
 			mu.Lock()
-			for _, m := range muts {
-				events = append(events, applyEvent{part, learner, m.Key})
-			}
+			events = append(events, applyEvent{part, learner, key})
 			mu.Unlock()
 		},
 	})
@@ -88,9 +48,7 @@ func TestClusterReplicatesToRowAndColumnReplicas(t *testing.T) {
 	}
 	for key := int64(0); key < 4; key++ {
 		p := c.Route(1, key)
-		cmd := EncodeBatch(uint64(key+1), []Mutation{{Table: 1, Key: key, Op: txn.OpUpdate,
-			Row: types.Row{types.NewInt(key)}}})
-		if err := p.Propose(cmd); err != nil {
+		if err := p.Propose(keyCmd(key)); err != nil {
 			t.Fatalf("propose key %d: %v", key, err)
 		}
 	}
@@ -136,9 +94,7 @@ func TestProposeSurvivesLeaderChange(t *testing.T) {
 	l := p.Leader()
 	p.Group.Net.Isolate(l.Status().ID, true)
 	defer p.Group.Net.Isolate(l.Status().ID, false)
-	err := p.Propose(EncodeBatch(1, []Mutation{{Table: 1, Key: 1, Op: txn.OpUpdate,
-		Row: types.Row{types.NewInt(1)}}}))
-	if err != nil {
+	if err := p.Propose(keyCmd(1)); err != nil {
 		t.Fatalf("propose after leader isolation: %v", err)
 	}
 }

@@ -55,19 +55,10 @@ func (v *voterStorage) LatestVersion(table uint32, key int64) uint64 {
 }
 
 // ApplyMutations implements twopc.Storage.
-func (v *voterStorage) ApplyMutations(commitTS uint64, muts []cluster.Mutation) {
-	eachTable(tableOrdered(writesOf(muts)), func(id uint32, ws []txn.Write) {
+func (v *voterStorage) ApplyMutations(commitTS uint64, writes []txn.Write) {
+	eachTable(tableOrdered(writes), func(id uint32, ws []txn.Write) {
 		v.rows[id].Apply(commitTS, ws)
 	})
-}
-
-// writesOf is a replicated mutation batch as a write set.
-func writesOf(muts []cluster.Mutation) []txn.Write {
-	ws := make([]txn.Write, len(muts))
-	for i, m := range muts {
-		ws[i] = txn.Write{Table: m.Table, Key: m.Key, Op: m.Op, Row: m.Row}
-	}
-	return ws
 }
 
 // learnerStorage is one columnar replica's state: per-table log-based
@@ -96,8 +87,8 @@ func (l *learnerStorage) LatestVersion(table uint32, key int64) uint64 {
 
 // ApplyMutations implements twopc.Storage: committed writes land in the
 // log-based delta files (the TiFlash write path).
-func (l *learnerStorage) ApplyMutations(commitTS uint64, muts []cluster.Mutation) {
-	eachTable(tableOrdered(writesOf(muts)), func(id uint32, ws []txn.Write) {
+func (l *learnerStorage) ApplyMutations(commitTS uint64, writes []txn.Write) {
+	eachTable(tableOrdered(writes), func(id uint32, ws []txn.Write) {
 		l.deltas[id].Append(commitTS, ws)
 	})
 }
@@ -169,7 +160,7 @@ func NewEngineB(cfg ConfigB) *EngineB {
 	e.c = cluster.New(cluster.Config{
 		Partitions: cfg.Partitions, VotersPer: cfg.VotersPer, LearnersPer: cfg.LearnersPer,
 		NetLatency: cfg.NetLatency, CompactEvery: 4096,
-		ApplyRaw: func(part, nodeID int, learner bool, cmd []byte) {
+		Apply: func(part, nodeID int, learner bool, cmd []byte) {
 			e.parts[part][nodeID].Apply(cmd)
 		},
 	})
@@ -203,7 +194,7 @@ type txB struct {
 	e      *EngineB
 	ctx    context.Context
 	readTS uint64
-	muts   []cluster.Mutation
+	muts   []txn.Write
 	idx    map[[2]int64]int // (table, key) -> muts index
 	done   bool
 }
@@ -216,11 +207,11 @@ func (e *EngineB) Begin(ctx context.Context) Tx {
 
 func (t *txB) key(table uint32, key int64) [2]int64 { return [2]int64{int64(table), key} }
 
-func (t *txB) ownWrite(table uint32, key int64) (cluster.Mutation, bool) {
+func (t *txB) ownWrite(table uint32, key int64) (txn.Write, bool) {
 	if i, ok := t.idx[t.key(table, key)]; ok {
 		return t.muts[i], true
 	}
-	return cluster.Mutation{}, false
+	return txn.Write{}, false
 }
 
 func (t *txB) Get(table string, key int64) (types.Row, error) {
@@ -250,7 +241,7 @@ func (t *txB) buffer(id uint32, key int64, op txn.Op, row types.Row) {
 		return
 	}
 	t.idx[k] = len(t.muts)
-	t.muts = append(t.muts, cluster.Mutation{Table: id, Key: key, Op: op, Row: row})
+	t.muts = append(t.muts, txn.Write{Table: id, Key: key, Op: op, Row: row})
 }
 
 func (t *txB) Insert(table string, row types.Row) error {

@@ -109,17 +109,24 @@ func NewEngineC(cfg ConfigC) *EngineC {
 func (e *EngineC) installWrites(commitTS uint64, writes []txn.Write) {
 	eachTable(writes, func(id uint32, ws []txn.Write) {
 		e.rows[id].Apply(commitTS, ws)
-		if e.imcs[id].isLoaded() {
-			e.imcs[id].delta.Append(commitTS, ws)
+		if d := e.imcs[id].liveDelta(); d != nil {
+			d.Append(commitTS, ws)
 		}
 	})
 }
 
-func (it *imcsTable) isLoaded() bool {
+// liveDelta returns the delta of a loaded table, nil when the table is not
+// loaded. LoadColumns and Unload replace it under it.mu.
+func (it *imcsTable) liveDelta() *delta.Mem {
 	it.mu.RLock()
 	defer it.mu.RUnlock()
-	return it.proj != nil
+	if it.proj == nil {
+		return nil
+	}
+	return it.delta
 }
+
+func (it *imcsTable) isLoaded() bool { return it.liveDelta() != nil }
 
 func (it *imcsTable) covers(cols []string) bool {
 	it.mu.RLock()
@@ -277,6 +284,9 @@ func (e *EngineC) Source(ctx context.Context, table string, cols []string, pred 
 
 	it := e.imcs[id]
 	covered := it.covers(qcols)
+	it.mu.RLock()
+	deltaRows := it.delta.Unmerged()
+	it.mu.RUnlock()
 	in := planner.TableInput{
 		Rows:        rowsN,
 		Cols:        len(full.Cols),
@@ -285,7 +295,7 @@ func (e *EngineC) Source(ctx context.Context, table string, cols []string, pred 
 		KeyRange:    pred != nil && pred.Col == full.Cols[full.KeyCol].Name,
 		ZoneMapped:  pred != nil,
 		RowOnDisk:   true,
-		DeltaRows:   it.delta.Unmerged(),
+		DeltaRows:   deltaRows,
 		HasColumn:   covered,
 	}
 	d := e.cfg.Cost.Choose(in)
@@ -387,24 +397,11 @@ func (e *EngineC) mergeIMCS(id uint32, upTo uint64) {
 	d := it.delta
 	it.mu.RUnlock()
 	full := e.ts.schemas[id]
-	entries := d.Pending(upTo)
-	// Net effect per key (newest image wins), as in datasync.MergeDelta.
-	images := make(map[int64]types.Row, len(entries))
-	order := make([]int64, 0, len(entries))
-	for _, en := range entries {
-		if _, seen := images[en.Key]; !seen {
-			order = append(order, en.Key)
-		}
-		if en.Op == txn.OpDelete {
-			images[en.Key] = nil
-		} else {
-			images[en.Key] = en.Row
-		}
-	}
+	keys, net := delta.Fold(d.Pending(upTo))
 	perShard := make([][]types.Row, len(shards))
-	for _, k := range order {
+	for _, k := range keys {
 		sh := shardFor(k, len(shards))
-		img := images[k]
+		img := net.Rows[k]
 		if img == nil {
 			shards[sh].DeleteKey(k)
 			continue

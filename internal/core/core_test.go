@@ -420,6 +420,41 @@ func TestEngineCPushdownAndFallback(t *testing.T) {
 	}
 }
 
+// Commits to a table and scans of it race LoadColumns replacing its IMCS
+// delta: install and Source must read the delta under the table's lock.
+// The race detector is what fails this test.
+func TestEngineCCommitRacesLoadColumns(t *testing.T) {
+	e := NewEngineC(ConfigC{Schemas: testSchemas(), Shards: 2, Disk: disk.MemConfig()})
+	defer e.Close()
+	e.LoadColumns("acct", []string{"bal"})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.LoadColumns("acct", []string{"bal"})
+			}
+		}
+	}()
+	for i := int64(0); i < 200; i++ {
+		if err := Exec(context.Background(), e, func(tx Tx) error { return tx.Insert("acct", acct(i, 0, 1)) }); err != nil {
+			t.Fatal(err)
+		}
+		e.Query(context.Background(), "acct", []string{"id", "bal"}, nil).Count()
+	}
+	close(stop)
+	wg.Wait()
+	e.Sync()
+	if got := e.Query(context.Background(), "acct", nil, nil).Count(); got != 200 {
+		t.Fatalf("rows = %d, want 200", got)
+	}
+}
+
 func TestEngineDLayerPromotion(t *testing.T) {
 	e := NewEngineD(ConfigD{Schemas: testSchemas(), L1Rows: 4, L2Rows: 8})
 	defer e.Close()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"htap/internal/disk"
+	"htap/internal/txn"
 	"htap/internal/wal"
 )
 
@@ -25,16 +26,17 @@ func (e *walEngine) recover(dev *disk.Device) error {
 	return nil
 }
 
-// replayTxn installs one committed transaction's records through the same
+// replayTxn installs one committed transaction's writes through the same
 // install step a live commit runs, at a fresh timestamp drawn in log order,
 // so post-recovery snapshots observe the original commit order.
-func (e *walEngine) replayTxn(recs []wal.Record) error {
-	if len(recs) == 0 {
+func (e *walEngine) replayTxn(writes []txn.Write) error {
+	if len(writes) == 0 {
 		return nil
 	}
-	writes, err := walWrites(len(e.ts.schemas), recs)
-	if err != nil {
-		return err
+	for _, w := range writes {
+		if int(w.Table) >= len(e.ts.schemas) {
+			return fmt.Errorf("unknown table id %d", w.Table)
+		}
 	}
 	commitTS := e.mgr.Oracle().Next()
 	e.install(commitTS, tableOrdered(writes))
@@ -50,25 +52,25 @@ type replaySummary struct {
 }
 
 // replayLog drives one ARIES-style redo pass over a WAL: DML records are
-// staged per transaction and installed (via install) when their COMMIT
-// record appears; transactions without a durable COMMIT — including any torn
-// group-commit tail the log discarded — are dropped, exactly as §2.2(1)'s
-// "MVCC + logging" promises. It returns the replay summary so callers can
+// staged per transaction as writes (a record's type is its write's op) and
+// installed (via install) when their COMMIT record appears; transactions
+// without a durable COMMIT — including any torn group-commit tail the log
+// discarded — are dropped, exactly as §2.2(1)'s "MVCC + logging" promises. It returns the replay summary so callers can
 // resume LSN and transaction-id assignment after the recovered history.
-func replayLog(l *wal.Log, install func(recs []wal.Record) error) (replaySummary, error) {
+func replayLog(l *wal.Log, install func(writes []txn.Write) error) (replaySummary, error) {
 	var sum replaySummary
-	pending := make(map[uint64][]wal.Record)
+	pending := make(map[uint64][]txn.Write)
 	res, err := l.Replay(func(r wal.Record) error {
 		if r.Txn > sum.maxTxn {
 			sum.maxTxn = r.Txn
 		}
 		switch r.Type {
 		case wal.RecInsert, wal.RecUpdate, wal.RecDelete:
-			pending[r.Txn] = append(pending[r.Txn], r)
+			pending[r.Txn] = append(pending[r.Txn], txn.Write{Table: r.Table, Op: txn.Op(r.Type), Key: r.Key, Row: r.Row})
 		case wal.RecCommit:
-			recs := pending[r.Txn]
+			writes := pending[r.Txn]
 			delete(pending, r.Txn)
-			if err := install(recs); err != nil {
+			if err := install(writes); err != nil {
 				return fmt.Errorf("core: replaying txn %d: %w", r.Txn, err)
 			}
 		case wal.RecAbort:

@@ -64,7 +64,7 @@ func (e *walEngine) commit(ctx context.Context, tx *txn.Txn) (uint64, error) {
 	ts, err := tx.Commit(func(commitTS uint64, writes []txn.Write) error {
 		writes = tableOrdered(writes)
 		for _, w := range writes {
-			if _, err := e.wal.Append(wal.Record{Txn: tx.ID, Type: recTypeOf[w.Op], Table: w.Table, Key: w.Key, Row: w.Row}); err != nil {
+			if _, err := e.wal.Append(wal.Record{Txn: tx.ID, Type: wal.RecType(w.Op), Table: w.Table, Key: w.Key, Row: w.Row}); err != nil {
 				return fmt.Errorf("core: wal append: %w", err)
 			}
 		}
@@ -90,36 +90,6 @@ func (e *walEngine) abort(tx *txn.Txn) {
 	if tx.Abort() {
 		e.om.aborts.Inc()
 	}
-}
-
-// recTypeOf maps a buffered write's op to its redo record type; walWrites
-// is the inverse.
-var recTypeOf = [...]wal.RecType{
-	txn.OpInsert: wal.RecInsert,
-	txn.OpUpdate: wal.RecUpdate,
-	txn.OpDelete: wal.RecDelete,
-}
-
-// walWrites converts one committed transaction's redo records into a write
-// set, validating table ids against the recovered schema set.
-func walWrites(nTables int, recs []wal.Record) ([]txn.Write, error) {
-	writes := make([]txn.Write, 0, len(recs))
-	for _, r := range recs {
-		if int(r.Table) >= nTables {
-			return nil, fmt.Errorf("unknown table id %d", r.Table)
-		}
-		var op txn.Op
-		switch r.Type {
-		case wal.RecInsert:
-			op = txn.OpInsert
-		case wal.RecUpdate:
-			op = txn.OpUpdate
-		case wal.RecDelete:
-			op = txn.OpDelete
-		}
-		writes = append(writes, txn.Write{Table: r.Table, Key: r.Key, Op: op, Row: r.Row})
-	}
-	return writes, nil
 }
 
 // tableOrdered returns writes ordered by table id, keeping each table's

@@ -82,26 +82,10 @@ func MergeDelta(tbl *colstore.Table, d delta.Store, upTo uint64) Result {
 		d.MarkMerged(upTo)
 		return res
 	}
-	// Net effect per key: the newest image wins, deletes drop the key.
-	images := make(map[int64]types.Row, len(entries))
-	orderKeys := make([]int64, 0, len(entries))
-	maxTS := uint64(0)
-	for _, e := range entries {
-		if _, seen := images[e.Key]; !seen {
-			orderKeys = append(orderKeys, e.Key)
-		}
-		if e.Op == txn.OpDelete {
-			images[e.Key] = nil
-		} else {
-			images[e.Key] = e.Row
-		}
-		if e.CommitTS > maxTS {
-			maxTS = e.CommitTS
-		}
-	}
-	rows := make([]types.Row, 0, len(images))
-	for _, k := range orderKeys {
-		img := images[k]
+	keys, net := delta.Fold(entries)
+	rows := make([]types.Row, 0, len(net.Rows))
+	for _, k := range keys {
+		img := net.Rows[k]
 		if img == nil {
 			if tbl.DeleteKey(k) {
 				res.Deleted++
@@ -112,10 +96,7 @@ func MergeDelta(tbl *colstore.Table, d delta.Store, upTo uint64) Result {
 	}
 	tbl.AppendRows(rows) // upserts tombstone superseded images internally
 	res.Inserted = len(rows)
-	if upTo > maxTS {
-		maxTS = upTo
-	}
-	tbl.SetApplied(maxTS)
+	tbl.SetApplied(max(upTo, net.MaxTS))
 	tbl.NoteMerge()
 	d.MarkMerged(upTo)
 	res.Duration = time.Since(start)
@@ -218,28 +199,13 @@ func (l *Layered) PromoteL1(upTo uint64) Result {
 	start := time.Now()
 	entries := l.L1.Pending(upTo)
 	res := Result{Entries: len(entries)}
-	images := make(map[int64]types.Row, len(entries))
-	orderKeys := make([]int64, 0, len(entries))
-	maxTS := upTo
-	for _, e := range entries {
-		if _, seen := images[e.Key]; !seen {
-			orderKeys = append(orderKeys, e.Key)
-		}
-		if e.Op == txn.OpDelete {
-			images[e.Key] = nil
-		} else {
-			images[e.Key] = e.Row
-		}
-		if e.CommitTS > maxTS {
-			maxTS = e.CommitTS
-		}
-	}
-	rows := make([]types.Row, 0, len(images))
-	for _, k := range orderKeys {
+	keys, net := delta.Fold(entries)
+	rows := make([]types.Row, 0, len(net.Rows))
+	for _, k := range keys {
 		if l.Main.DeleteKey(k) {
 			res.Deleted++
 		}
-		img := images[k]
+		img := net.Rows[k]
 		if img == nil {
 			if l.L2.DeleteKey(k) {
 				res.Deleted++
@@ -250,7 +216,7 @@ func (l *Layered) PromoteL1(upTo uint64) Result {
 	}
 	l.L2.AppendRows(rows)
 	res.Inserted = len(rows)
-	l.L2.SetApplied(maxTS)
+	l.L2.SetApplied(max(upTo, net.MaxTS))
 	l.L1.MarkMerged(upTo)
 	res.Duration = time.Since(start)
 	mPromoteL1.note(res.Entries, res.Duration)

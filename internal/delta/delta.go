@@ -20,7 +20,9 @@ package delta
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"htap/internal/btree"
@@ -29,12 +31,10 @@ import (
 	"htap/internal/types"
 )
 
-// Entry is one committed mutation awaiting merge into the column store.
+// Entry is one committed write awaiting merge into the column store.
 type Entry struct {
 	CommitTS uint64
-	Key      int64
-	Op       txn.Op
-	Row      types.Row // nil for deletes
+	txn.Write
 }
 
 // Overlay is the net effect of unmerged delta entries visible at a
@@ -45,6 +45,28 @@ type Overlay struct {
 	Rows   map[int64]types.Row
 	Masked map[int64]struct{}
 	MaxTS  uint64
+}
+
+// Fold is the one fold of commit-ordered delta entries into net images:
+// it returns the keys in first-seen order and an overlay whose Rows hold
+// each key's newest image (nil, i.e. absent, when its newest entry deletes
+// it), whose Masked holds every key, and whose MaxTS is the highest commit
+// timestamp. Every overlay and every merge into a column store runs it.
+func Fold(entries []Entry) (keys []int64, o *Overlay) {
+	o = &Overlay{Rows: make(map[int64]types.Row), Masked: make(map[int64]struct{})}
+	for _, e := range entries {
+		n := len(o.Masked)
+		if o.Masked[e.Key] = struct{}{}; len(o.Masked) > n {
+			keys = append(keys, e.Key)
+		}
+		if e.Op == txn.OpDelete {
+			delete(o.Rows, e.Key)
+		} else {
+			o.Rows[e.Key] = e.Row
+		}
+		o.MaxTS = max(o.MaxTS, e.CommitTS)
+	}
+	return keys, o
 }
 
 // Len returns the number of visible net images.
@@ -97,7 +119,7 @@ func NewMem() *Mem { return &Mem{} }
 func (m *Mem) Append(commitTS uint64, ws []txn.Write) {
 	m.mu.Lock()
 	for _, w := range ws {
-		m.entries = append(m.entries, Entry{CommitTS: commitTS, Key: w.Key, Op: w.Op, Row: w.Row})
+		m.entries = append(m.entries, Entry{CommitTS: commitTS, Write: w})
 	}
 	if commitTS > m.maxTS {
 		m.maxTS = commitTS
@@ -105,25 +127,12 @@ func (m *Mem) Append(commitTS uint64, ws []txn.Write) {
 	m.mu.Unlock()
 }
 
-// Overlay implements Store.
+// Overlay implements Store. It folds the entries in place, under the read
+// lock: every analytical scan of architecture A pays for it.
 func (m *Mem) Overlay(ts uint64) *Overlay {
-	o := &Overlay{Rows: make(map[int64]types.Row), Masked: make(map[int64]struct{})}
 	m.mu.RLock()
-	for _, e := range m.entries[m.merged:] {
-		if e.CommitTS > ts {
-			break // entries are commit-ordered
-		}
-		o.Masked[e.Key] = struct{}{}
-		if e.Op == txn.OpDelete {
-			delete(o.Rows, e.Key)
-		} else {
-			o.Rows[e.Key] = e.Row
-		}
-		if e.CommitTS > o.MaxTS {
-			o.MaxTS = e.CommitTS
-		}
-	}
-	m.mu.RUnlock()
+	defer m.mu.RUnlock()
+	_, o := Fold(m.visible(ts))
 	return o
 }
 
@@ -131,14 +140,14 @@ func (m *Mem) Overlay(ts uint64) *Overlay {
 func (m *Mem) Pending(ts uint64) []Entry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var out []Entry
-	for _, e := range m.entries[m.merged:] {
-		if e.CommitTS > ts {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
+	return append([]Entry(nil), m.visible(ts)...)
+}
+
+// visible returns the unmerged entries with CommitTS <= ts: a prefix, since
+// entries are commit-ordered. The caller holds m.mu.
+func (m *Mem) visible(ts uint64) []Entry {
+	es := m.entries[m.merged:]
+	return es[:sort.Search(len(es), func(i int) bool { return es[i].CommitTS > ts })]
 }
 
 // MarkMerged implements Store.
@@ -222,84 +231,45 @@ func NewLog(dev *disk.Device, file string) *Log {
 	return &Log{dev: dev, file: file, idx: btree.New[logRef]()}
 }
 
-// entry wire format: u32 length | payload
-// payload: uvarint commitTS | op byte | varint key | row (insert/update)
-
-func encodeEntry(e Entry) []byte {
-	payload := make([]byte, 0, 64)
-	payload = binary.AppendUvarint(payload, e.CommitTS)
-	payload = append(payload, byte(e.Op))
-	payload = binary.AppendVarint(payload, e.Key)
-	if e.Op != txn.OpDelete {
-		payload = types.AppendRow(payload, e.Row)
-	}
-	buf := make([]byte, 4, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
-}
-
-func decodeEntry(p []byte) (Entry, error) {
-	var e Entry
-	ts, n := binary.Uvarint(p)
-	if n <= 0 {
-		return e, fmt.Errorf("delta: bad commit ts")
-	}
-	p = p[n:]
-	if len(p) == 0 {
-		return e, fmt.Errorf("delta: missing op")
-	}
-	op := txn.Op(p[0])
-	p = p[1:]
-	key, n := binary.Varint(p)
-	if n <= 0 {
-		return e, fmt.Errorf("delta: bad key")
-	}
-	p = p[n:]
-	e = Entry{CommitTS: ts, Key: key, Op: op}
-	if op != txn.OpDelete {
-		row, _, err := types.DecodeRow(p)
-		if err != nil {
-			return e, err
-		}
-		e.Row = row
-	}
-	return e, nil
-}
+// An entry on the device is u32 length | uvarint commitTS | txn.AppendWrite.
 
 // Append implements Store.
 func (l *Log) Append(commitTS uint64, ws []txn.Write) {
-	var buf []byte
-	type meta struct {
-		key int64
-		off int64
-	}
-	metas := make([]meta, 0, len(ws))
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	base := l.dev.Size(l.file)
-	rel := int64(0)
-	for _, w := range ws {
-		e := Entry{CommitTS: commitTS, Key: w.Key, Op: w.Op, Row: w.Row}
-		enc := encodeEntry(e)
-		metas = append(metas, meta{w.Key, base + rel})
-		rel += int64(len(enc))
-		buf = append(buf, enc...)
+	var buf []byte
+	offs := make([]int64, len(ws))
+	for i, w := range ws {
+		start := len(buf)
+		offs[i] = base + int64(start)
+		buf = append(buf, 0, 0, 0, 0)
+		buf = binary.AppendUvarint(buf, commitTS)
+		buf = txn.AppendWrite(buf, w)
+		binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	}
 	if len(buf) > 0 {
 		if _, err := l.dev.Append(l.file, buf); err != nil {
-			l.mu.Unlock()
 			panic(fmt.Sprintf("delta: append to simulated device failed: %v", err))
 		}
 	}
-	for _, m := range metas {
-		l.idx.Put(m.key, logRef{off: m.off, ts: commitTS})
-		l.offsets = append(l.offsets, m.off)
+	for i, w := range ws {
+		l.idx.Put(w.Key, logRef{off: offs[i], ts: commitTS})
+		l.offsets = append(l.offsets, offs[i])
 		l.tsAt = append(l.tsAt, commitTS)
 	}
-	if commitTS > l.maxTS {
-		l.maxTS = commitTS
-	}
+	l.maxTS = max(l.maxTS, commitTS)
 	l.appended += int64(len(ws))
-	l.mu.Unlock()
+}
+
+// parseEntry decodes one entry's bytes after its length prefix.
+func parseEntry(p []byte) (Entry, error) {
+	ts, n := binary.Uvarint(p)
+	if n <= 0 {
+		return Entry{}, errors.New("delta: bad commit ts")
+	}
+	w, _, err := txn.DecodeWrite(p[n:])
+	return Entry{CommitTS: ts, Write: w}, err
 }
 
 // readEntry reads and decodes the entry at off, paying device I/O.
@@ -313,7 +283,7 @@ func (l *Log) readEntry(off int64) (Entry, error) {
 	if err := l.dev.ReadAt(l.file, payload, off+4); err != nil {
 		return Entry{}, err
 	}
-	return decodeEntry(payload)
+	return parseEntry(payload)
 }
 
 // readRange reads and decodes the unmerged entries with CommitTS <= ts.
@@ -358,7 +328,7 @@ func (l *Log) readRange(ts uint64) []Entry {
 		}
 		length := int(binary.BigEndian.Uint32(buf[pos : pos+4]))
 		pos += 4
-		e, err := decodeEntry(buf[pos : pos+length])
+		e, err := parseEntry(buf[pos : pos+length])
 		if err != nil {
 			panic(fmt.Sprintf("delta: corrupt log delta: %v", err))
 		}
@@ -371,18 +341,7 @@ func (l *Log) readRange(ts uint64) []Entry {
 // Overlay implements Store; it reads the unmerged entries from the
 // simulated disk in one sequential pass.
 func (l *Log) Overlay(ts uint64) *Overlay {
-	o := &Overlay{Rows: make(map[int64]types.Row), Masked: make(map[int64]struct{})}
-	for _, e := range l.readRange(ts) {
-		o.Masked[e.Key] = struct{}{}
-		if e.Op == txn.OpDelete {
-			delete(o.Rows, e.Key)
-		} else {
-			o.Rows[e.Key] = e.Row
-		}
-		if e.CommitTS > o.MaxTS {
-			o.MaxTS = e.CommitTS
-		}
-	}
+	_, o := Fold(l.readRange(ts))
 	return o
 }
 

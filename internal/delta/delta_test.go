@@ -145,20 +145,23 @@ func TestLogBytesExcludePayload(t *testing.T) {
 
 func TestEntryCodecRoundTrip(t *testing.T) {
 	f := func(ts uint64, key int64, val int64, del bool) bool {
-		e := Entry{CommitTS: ts, Key: key, Op: txn.OpInsert,
-			Row: types.Row{types.NewInt(key), types.NewInt(val)}}
+		e := Entry{CommitTS: ts, Write: txn.Write{Table: 1, Key: key, Op: txn.OpInsert,
+			Row: types.Row{types.NewInt(key), types.NewInt(val)}}}
 		if del {
-			e = Entry{CommitTS: ts, Key: key, Op: txn.OpDelete}
+			e = Entry{CommitTS: ts, Write: txn.Write{Table: 1, Key: key, Op: txn.OpDelete}}
 		}
-		enc := encodeEntry(e)
-		got, err := decodeEntry(enc[4:])
-		if err != nil {
+		// The entry's round trip through the device: Append encodes it,
+		// Pending reads it back.
+		l := NewLog(disk.New(disk.MemConfig()), "d")
+		l.Append(e.CommitTS, []txn.Write{e.Write})
+		got := l.Pending(ts)
+		if len(got) != 1 {
 			return false
 		}
-		if got.CommitTS != e.CommitTS || got.Key != e.Key || got.Op != e.Op {
+		if got[0].CommitTS != e.CommitTS || got[0].Key != e.Key || got[0].Op != e.Op {
 			return false
 		}
-		if !del && got.Row[1].Int() != val {
+		if !del && got[0].Row[1].Int() != val {
 			return false
 		}
 		return true

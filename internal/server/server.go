@@ -560,7 +560,6 @@ type olapReply func(eos wire.EOS) error
 // frame before calling runOLAP, so nothing is admitted or watched for a
 // request that cannot run.
 func (c *session) runOLAP(deadline int64, profile bool, sp *obs.Span, run func(ctx context.Context) (olapReply, error)) error {
-	defer sp.End()
 	start := time.Now()
 	ctx, cancel := c.reqCtx(deadline)
 	defer cancel()
@@ -568,6 +567,7 @@ func (c *session) runOLAP(deadline int64, profile bool, sp *obs.Span, run func(c
 	admitNS := time.Since(start).Nanoseconds()
 	sp.AttrInt("admit_wait_ns", admitNS)
 	if !ok {
+		sp.End()
 		return cerr
 	}
 	qctx, stop := c.watch(ctx)
@@ -581,6 +581,9 @@ func (c *session) runOLAP(deadline int64, profile bool, sp *obs.Span, run func(c
 	reply, err := run(qctx)
 	broken := stop()
 	c.srv.m.reqNS[wire.ClassOLAP].Since(start)
+	// The result is materialized: end the span before any reply frame, so a
+	// client that has read EOS finds it in /spans.
+	sp.End()
 	if broken {
 		return errors.New("client broke protocol or disconnected")
 	}

@@ -118,7 +118,7 @@ func newRaftHarness(t *testing.T, partitions int) *harness {
 	c := cluster.New(cluster.Config{
 		Partitions: partitions, VotersPer: voters,
 		Route: func(_ uint32, key int64) int { return int(uint64(key) % uint64(partitions)) },
-		ApplyRaw: func(part, nodeID int, _ bool, cmd []byte) {
+		Apply: func(part, nodeID int, _ bool, cmd []byte) {
 			participants[part][nodeID].Apply(cmd)
 		},
 	})
@@ -139,8 +139,8 @@ func forBackends(t *testing.T, partitions int, fn func(t *testing.T, h *harness)
 	t.Run("raft", func(t *testing.T) { fn(t, newRaftHarness(t, partitions)) })
 }
 
-func put(key, val int64) cluster.Mutation {
-	return cluster.Mutation{Table: 1, Key: key, Op: txn.OpUpdate, Row: types.Row{types.NewInt(val)}}
+func put(key, val int64) txn.Write {
+	return txn.Write{Table: 1, Key: key, Op: txn.OpUpdate, Row: types.Row{types.NewInt(val)}}
 }
 
 // waitValue waits until key holds val on every replica of its partition
@@ -168,7 +168,7 @@ func (h *harness) waitValue(t *testing.T, key, val int64) {
 
 func TestCommitSinglePartitionFastPath(t *testing.T) {
 	forBackends(t, 2, func(t *testing.T, h *harness) {
-		ts, err := h.coord.Commit(context.Background(), 0, []cluster.Mutation{put(4, 40)})
+		ts, err := h.coord.Commit(context.Background(), 0, []txn.Write{put(4, 40)})
 		if err != nil || ts == 0 {
 			t.Fatalf("commit = (%d, %v)", ts, err)
 		}
@@ -183,7 +183,7 @@ func TestCommitSinglePartitionFastPath(t *testing.T) {
 
 func TestCommitCrossPartition(t *testing.T) {
 	forBackends(t, 2, func(t *testing.T, h *harness) {
-		ts, err := h.coord.Commit(context.Background(), 0, []cluster.Mutation{put(0, 100), put(1, 101)})
+		ts, err := h.coord.Commit(context.Background(), 0, []txn.Write{put(0, 100), put(1, 101)})
 		if err != nil || ts == 0 {
 			t.Fatalf("commit = (%d, %v)", ts, err)
 		}
@@ -203,12 +203,12 @@ func TestCommitCrossPartition(t *testing.T) {
 func TestCommitConflictAbortsAll(t *testing.T) {
 	forBackends(t, 2, func(t *testing.T, h *harness) {
 		ctx := context.Background()
-		if _, err := h.coord.Commit(ctx, 0, []cluster.Mutation{put(0, 1), put(1, 1)}); err != nil {
+		if _, err := h.coord.Commit(ctx, 0, []txn.Write{put(0, 1), put(1, 1)}); err != nil {
 			t.Fatal(err)
 		}
 		// Key 0 is now newer than snapshot 0; key 3 is untouched. The stale
 		// branch must take the clean one down with it.
-		_, err := h.coord.Commit(ctx, 0, []cluster.Mutation{put(0, 2), put(3, 2)})
+		_, err := h.coord.Commit(ctx, 0, []txn.Write{put(0, 2), put(3, 2)})
 		if !errors.Is(err, ErrConflict) {
 			t.Fatalf("stale cross-partition commit = %v, want conflict", err)
 		}
@@ -222,10 +222,10 @@ func TestCommitConflictAbortsAll(t *testing.T) {
 		}
 		// Locks must be fully released so a fresh transaction succeeds, on the
 		// one-shot path too.
-		if _, err := h.coord.Commit(ctx, h.oracle.Watermark(), []cluster.Mutation{put(0, 3), put(3, 3)}); err != nil {
+		if _, err := h.coord.Commit(ctx, h.oracle.Watermark(), []txn.Write{put(0, 3), put(3, 3)}); err != nil {
 			t.Fatalf("post-abort commit: %v", err)
 		}
-		if _, err := h.coord.Commit(ctx, 0, []cluster.Mutation{put(3, 4)}); !errors.Is(err, ErrConflict) {
+		if _, err := h.coord.Commit(ctx, 0, []txn.Write{put(3, 4)}); !errors.Is(err, ErrConflict) {
 			t.Fatalf("stale one-shot commit = %v, want conflict", err)
 		}
 		h.waitValue(t, 0, 3)
@@ -237,7 +237,7 @@ func TestCommitConflictAbortsAll(t *testing.T) {
 
 func TestCommitPrepareFailureAbortsAll(t *testing.T) {
 	h := newLogHarness(3)
-	muts := []cluster.Mutation{put(0, 10), put(1, 11), put(2, 12)}
+	muts := []txn.Write{put(0, 10), put(1, 11), put(2, 12)}
 	h.logs[1].fault.failPrepare = true
 
 	_, err := h.coord.Commit(context.Background(), 0, muts)
@@ -270,7 +270,7 @@ func TestCommitLostAckIsIndeterminateAndConverges(t *testing.T) {
 	h := newLogHarness(3)
 	h.logs[1].fault.dropAck = true // commit record logged, partition dies before replying
 
-	_, err := h.coord.Commit(context.Background(), 0, []cluster.Mutation{put(0, 10), put(1, 11), put(2, 12)})
+	_, err := h.coord.Commit(context.Background(), 0, []txn.Write{put(0, 10), put(1, 11), put(2, 12)})
 	var ind *IndeterminateError
 	if !errors.As(err, &ind) || !errors.Is(err, ErrIndeterminate) {
 		t.Fatalf("err = %v, want IndeterminateError", err)
@@ -296,7 +296,7 @@ func TestCommitLostCommitRecordResolvesOnRecovery(t *testing.T) {
 	b := h.logs[1]
 	b.fault.dropCommit = true // crash between prepare and commit: record never logged
 
-	_, err := h.coord.Commit(context.Background(), 0, []cluster.Mutation{put(0, 10), put(1, 11)})
+	_, err := h.coord.Commit(context.Background(), 0, []txn.Write{put(0, 10), put(1, 11)})
 	if !errors.Is(err, ErrIndeterminate) {
 		t.Fatalf("err = %v, want indeterminate", err)
 	}
@@ -333,7 +333,7 @@ func TestCommitCancelledBeforeDecisionAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	_, err := h.coord.Commit(ctx, 0, []cluster.Mutation{put(0, 10), put(1, 11)})
+	_, err := h.coord.Commit(ctx, 0, []txn.Write{put(0, 10), put(1, 11)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -23,7 +23,6 @@ import (
 	"htap/internal/cluster"
 	"htap/internal/raft"
 	"htap/internal/txn"
-	"htap/internal/types"
 )
 
 // Command kinds, the first byte of every replicated command.
@@ -45,8 +44,8 @@ type Storage interface {
 	// key (0 when absent); prepare validation compares it to the
 	// transaction's snapshot.
 	LatestVersion(table uint32, key int64) uint64
-	// ApplyMutations installs committed mutations at commitTS.
-	ApplyMutations(commitTS uint64, muts []cluster.Mutation)
+	// ApplyMutations installs committed writes at commitTS.
+	ApplyMutations(commitTS uint64, muts []txn.Write)
 }
 
 // --- command encoding ---
@@ -55,7 +54,7 @@ type Storage interface {
 type Prepare struct {
 	TxnID   uint64
 	StartTS uint64
-	Muts    []cluster.Mutation
+	Muts    []txn.Write
 }
 
 // EncodePrepare serializes a PREPARE command.
@@ -63,17 +62,17 @@ func EncodePrepare(p Prepare) raft.Command {
 	buf := []byte{cmdPrepare}
 	buf = binary.AppendUvarint(buf, p.TxnID)
 	buf = binary.AppendUvarint(buf, p.StartTS)
-	buf = appendMutations(buf, p.Muts)
+	buf = appendWrites(buf, p.Muts)
 	return buf
 }
 
 // EncodeOneShot serializes the single-partition fast-path command.
-func EncodeOneShot(txnID, startTS, commitTS uint64, muts []cluster.Mutation) raft.Command {
+func EncodeOneShot(txnID, startTS, commitTS uint64, muts []txn.Write) raft.Command {
 	buf := []byte{cmdOneShot}
 	buf = binary.AppendUvarint(buf, txnID)
 	buf = binary.AppendUvarint(buf, startTS)
 	buf = binary.AppendUvarint(buf, commitTS)
-	buf = appendMutations(buf, muts)
+	buf = appendWrites(buf, muts)
 	return buf
 }
 
@@ -92,54 +91,32 @@ func EncodeAbort(txnID uint64) raft.Command {
 	return buf
 }
 
-func appendMutations(buf []byte, muts []cluster.Mutation) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(muts)))
-	for _, m := range muts {
-		buf = append(buf, byte(m.Op))
-		buf = binary.AppendUvarint(buf, uint64(m.Table))
-		buf = binary.AppendVarint(buf, m.Key)
-		if m.Op != txn.OpDelete {
-			buf = types.AppendRow(buf, m.Row)
-		}
+// appendWrites appends a count, then each write in txn.AppendWrite form.
+func appendWrites(buf []byte, ws []txn.Write) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(ws)))
+	for _, w := range ws {
+		buf = txn.AppendWrite(buf, w)
 	}
 	return buf
 }
 
-func decodeMutations(b []byte) ([]cluster.Mutation, []byte, error) {
+func decodeWrites(b []byte) ([]txn.Write, error) {
 	cnt, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("twopc: bad mutation count")
+	// A write takes at least three bytes (op, table, key): a larger count
+	// is corrupt, and checking it first bounds the allocation below.
+	if n <= 0 || cnt > uint64(len(b)-n)/3 {
+		return nil, fmt.Errorf("twopc: bad write count")
 	}
 	b = b[n:]
-	muts := make([]cluster.Mutation, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		if len(b) == 0 {
-			return nil, nil, fmt.Errorf("twopc: truncated mutations")
+	ws := make([]txn.Write, cnt)
+	for i := range ws {
+		w, n, err := txn.DecodeWrite(b)
+		if err != nil {
+			return nil, err
 		}
-		op := txn.Op(b[0])
-		b = b[1:]
-		table, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("twopc: bad table")
-		}
-		b = b[n:]
-		key, n := binary.Varint(b)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("twopc: bad key")
-		}
-		b = b[n:]
-		m := cluster.Mutation{Table: uint32(table), Key: key, Op: op}
-		if op != txn.OpDelete {
-			row, used, err := types.DecodeRow(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			b = b[used:]
-			m.Row = row
-		}
-		muts = append(muts, m)
+		ws[i], b = w, b[n:]
 	}
-	return muts, b, nil
+	return ws, nil
 }
 
 // --- participant ---
@@ -151,7 +128,7 @@ type lockKey struct {
 
 type pendingTxn struct {
 	startTS uint64
-	muts    []cluster.Mutation
+	muts    []txn.Write
 	locks   []lockKey
 }
 
@@ -190,7 +167,7 @@ func (p *Participant) Apply(cmd raft.Command) {
 		b = b[n:]
 		startTS, n := binary.Uvarint(b)
 		b = b[n:]
-		muts, _, err := decodeMutations(b)
+		muts, err := decodeWrites(b)
 		if err != nil {
 			panic(fmt.Sprintf("twopc: corrupt prepare: %v", err))
 		}
@@ -202,7 +179,7 @@ func (p *Participant) Apply(cmd raft.Command) {
 		b = b[n:]
 		commitTS, n := binary.Uvarint(b)
 		b = b[n:]
-		muts, _, err := decodeMutations(b)
+		muts, err := decodeWrites(b)
 		if err != nil {
 			panic(fmt.Sprintf("twopc: corrupt one-shot: %v", err))
 		}
@@ -224,7 +201,7 @@ func (p *Participant) Apply(cmd raft.Command) {
 	}
 }
 
-func (p *Participant) applyPrepare(txnID, startTS uint64, muts []cluster.Mutation) error {
+func (p *Participant) applyPrepare(txnID, startTS uint64, muts []txn.Write) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Validate: every key unlocked and unchanged since the snapshot.
@@ -368,12 +345,12 @@ func NewCoordinator(c *cluster.Cluster, o Oracle, participantAt func(part int) *
 // fast path (one Raft round); failures are CommitAll's: a prepare failure
 // or conflict aborted everything and is safe to retry, an
 // IndeterminateError is not.
-func (c *Coordinator) Commit(ctx context.Context, startTS uint64, muts []cluster.Mutation) (uint64, error) {
+func (c *Coordinator) Commit(ctx context.Context, startTS uint64, muts []txn.Write) (uint64, error) {
 	if len(muts) == 0 {
 		return startTS, nil
 	}
 	t := &raftTxn{c: c, id: c.nextTxn.Add(1), startTS: startTS}
-	byPart := make([][]cluster.Mutation, c.parts)
+	byPart := make([][]txn.Write, c.parts)
 	for _, m := range muts {
 		pid := c.route(m.Table, m.Key)
 		byPart[pid] = append(byPart[pid], m)
@@ -413,7 +390,7 @@ func (t *raftTxn) decide() uint64 {
 type raftBranch struct {
 	txn      *raftTxn
 	part     int
-	muts     []cluster.Mutation
+	muts     []txn.Write
 	prepared bool
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"htap/internal/cluster"
 	"htap/internal/txn"
 	"htap/internal/types"
 )
@@ -27,7 +26,7 @@ func (s *memStorage) LatestVersion(table uint32, key int64) uint64 {
 	return s.versions[key]
 }
 
-func (s *memStorage) ApplyMutations(commitTS uint64, muts []cluster.Mutation) {
+func (s *memStorage) ApplyMutations(commitTS uint64, muts []txn.Write) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, m := range muts {
@@ -51,7 +50,7 @@ func TestParticipantPrepareCommit(t *testing.T) {
 	st := newMemStorage()
 	p := NewParticipant(st)
 
-	muts := []cluster.Mutation{{Table: 1, Key: 1, Op: txn.OpUpdate, Row: types.Row{types.NewInt(1)}}}
+	muts := []txn.Write{{Table: 1, Key: 1, Op: txn.OpUpdate, Row: types.Row{types.NewInt(1)}}}
 	p.Apply(EncodePrepare(Prepare{TxnID: 7, StartTS: 0, Muts: muts}))
 	if err, ok := p.Verdict(7); !ok || err != nil {
 		t.Fatalf("verdict = (%v, %v)", err, ok)
@@ -74,8 +73,8 @@ func TestParticipantPrepareCommit(t *testing.T) {
 func TestParticipantConflicts(t *testing.T) {
 	st := newMemStorage()
 	p := NewParticipant(st)
-	muts := func(key int64) []cluster.Mutation {
-		return []cluster.Mutation{{Table: 1, Key: key, Op: txn.OpUpdate, Row: types.Row{types.NewInt(key)}}}
+	muts := func(key int64) []txn.Write {
+		return []txn.Write{{Table: 1, Key: key, Op: txn.OpUpdate, Row: types.Row{types.NewInt(key)}}}
 	}
 	// Lock conflict.
 	p.Apply(EncodePrepare(Prepare{TxnID: 1, StartTS: 0, Muts: muts(9)}))
@@ -104,7 +103,7 @@ func TestParticipantConflicts(t *testing.T) {
 func TestParticipantOneShot(t *testing.T) {
 	st := newMemStorage()
 	p := NewParticipant(st)
-	muts := []cluster.Mutation{{Table: 1, Key: 2, Op: txn.OpUpdate, Row: types.Row{types.NewInt(2)}}}
+	muts := []txn.Write{{Table: 1, Key: 2, Op: txn.OpUpdate, Row: types.Row{types.NewInt(2)}}}
 	p.Apply(EncodeOneShot(11, 0, 7, muts))
 	if r, ok := st.get(2); !ok || r[0].Int() != 2 {
 		t.Fatalf("one-shot row = %v %v", r, ok)
@@ -126,7 +125,7 @@ func TestParticipantOneShot(t *testing.T) {
 func TestParticipantIdempotentCommit(t *testing.T) {
 	st := newMemStorage()
 	p := NewParticipant(st)
-	muts := []cluster.Mutation{{Table: 1, Key: 3, Op: txn.OpUpdate, Row: types.Row{types.NewInt(3)}}}
+	muts := []txn.Write{{Table: 1, Key: 3, Op: txn.OpUpdate, Row: types.Row{types.NewInt(3)}}}
 	p.Apply(EncodePrepare(Prepare{TxnID: 1, StartTS: 0, Muts: muts}))
 	p.Apply(EncodeCommit(1, 4))
 	p.Apply(EncodeCommit(1, 4)) // duplicate: must be a no-op
@@ -139,13 +138,13 @@ func TestParticipantIdempotentCommit(t *testing.T) {
 func TestParticipantDeterminism(t *testing.T) {
 	// Two replicas fed the same command sequence converge exactly.
 	cmds := [][]byte{
-		EncodePrepare(Prepare{TxnID: 1, StartTS: 0, Muts: []cluster.Mutation{
+		EncodePrepare(Prepare{TxnID: 1, StartTS: 0, Muts: []txn.Write{
 			{Table: 1, Key: 1, Op: txn.OpUpdate, Row: types.Row{types.NewInt(10)}}}}),
 		EncodeCommit(1, 2),
-		EncodePrepare(Prepare{TxnID: 2, StartTS: 1, Muts: []cluster.Mutation{
+		EncodePrepare(Prepare{TxnID: 2, StartTS: 1, Muts: []txn.Write{
 			{Table: 1, Key: 1, Op: txn.OpUpdate, Row: types.Row{types.NewInt(20)}}}}),
 		EncodeAbort(2), // conflicted on version, coordinator aborts
-		EncodePrepare(Prepare{TxnID: 3, StartTS: 2, Muts: []cluster.Mutation{
+		EncodePrepare(Prepare{TxnID: 3, StartTS: 2, Muts: []txn.Write{
 			{Table: 1, Key: 1, Op: txn.OpDelete}}}),
 		EncodeCommit(3, 5),
 	}

@@ -11,7 +11,9 @@
 package txn
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -28,12 +30,59 @@ const (
 	OpDelete
 )
 
-// Write is one buffered mutation of a transaction.
+// Write is one mutation of a transaction: buffered in its write set, then,
+// once committed, a WAL record, a replicated 2PC command and a delta entry.
 type Write struct {
 	Table uint32
-	Key   int64
 	Op    Op
+	Key   int64
 	Row   types.Row
+}
+
+// AppendWrite appends the one byte form of a write to dst:
+//
+//	op byte | uvarint table | varint key | row
+//
+// The row is present iff the op is OpInsert or OpUpdate. A WAL record, a
+// 2PC command and a log-delta entry each wrap exactly these bytes; a WAL
+// COMMIT or ABORT record is a write with that op and no row.
+func AppendWrite(dst []byte, w Write) []byte {
+	dst = append(dst, byte(w.Op))
+	dst = binary.AppendUvarint(dst, uint64(w.Table))
+	dst = binary.AppendVarint(dst, w.Key)
+	if w.Op == OpInsert || w.Op == OpUpdate {
+		dst = types.AppendRow(dst, w.Row)
+	}
+	return dst
+}
+
+// DecodeWrite decodes one write produced by AppendWrite from the front of b
+// and returns it with the number of bytes consumed.
+func DecodeWrite(b []byte) (Write, int, error) {
+	if len(b) == 0 {
+		return Write{}, 0, errors.New("txn: missing write op")
+	}
+	w := Write{Op: Op(b[0])}
+	pos := 1
+	table, n := binary.Uvarint(b[pos:])
+	if n <= 0 || table > math.MaxUint32 {
+		return Write{}, 0, errors.New("txn: bad write table")
+	}
+	w.Table = uint32(table)
+	pos += n
+	if w.Key, n = binary.Varint(b[pos:]); n <= 0 {
+		return Write{}, 0, errors.New("txn: bad write key")
+	}
+	pos += n
+	if w.Op == OpInsert || w.Op == OpUpdate {
+		row, n, err := types.DecodeRow(b[pos:])
+		if err != nil {
+			return Write{}, 0, err
+		}
+		w.Row = row
+		pos += n
+	}
+	return w, pos, nil
 }
 
 // Common transaction errors.

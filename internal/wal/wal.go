@@ -19,19 +19,20 @@ import (
 
 	"htap/internal/disk"
 	"htap/internal/obs"
+	"htap/internal/txn"
 	"htap/internal/types"
 )
 
 // RecType enumerates log record kinds.
 type RecType uint8
 
-// Log record kinds.
+// Log record kinds. A data record's type byte is its write's op.
 const (
-	RecInsert RecType = iota + 1
-	RecUpdate
-	RecDelete
-	RecCommit
-	RecAbort
+	RecInsert = RecType(txn.OpInsert)
+	RecUpdate = RecType(txn.OpUpdate)
+	RecDelete = RecType(txn.OpDelete)
+	RecCommit = RecDelete + 1
+	RecAbort  = RecDelete + 2
 )
 
 // String implements fmt.Stringer.
@@ -105,7 +106,7 @@ func New(dev *disk.Device, name string) *Log {
 }
 
 // encode: uint32 length | uint32 crc | payload
-// payload: uvarint lsn | uvarint txn | type byte | uvarint table | varint key | row? (present for insert/update)
+// payload: uvarint lsn | uvarint txn | txn.AppendWrite of (type, table, key, row)
 
 // Append encodes rec, assigns it the next LSN, and buffers it. It returns
 // the assigned LSN. COMMIT records trigger a flush when FlushOnCommit is
@@ -122,21 +123,15 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	}
 	rec.LSN = l.nextLSN
 	l.nextLSN++
-	payload := make([]byte, 0, 64)
-	payload = binary.AppendUvarint(payload, rec.LSN)
-	payload = binary.AppendUvarint(payload, rec.Txn)
-	payload = append(payload, byte(rec.Type))
-	payload = binary.AppendUvarint(payload, uint64(rec.Table))
-	payload = binary.AppendVarint(payload, rec.Key)
-	if rec.Type == RecInsert || rec.Type == RecUpdate {
-		payload = types.AppendRow(payload, rec.Row)
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	// The payload is encoded in place behind a header filled in after it.
 	start := len(l.buf)
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, payload...)
+	l.buf = append(l.buf, make([]byte, 8)...)
+	l.buf = binary.AppendUvarint(l.buf, rec.LSN)
+	l.buf = binary.AppendUvarint(l.buf, rec.Txn)
+	l.buf = txn.AppendWrite(l.buf, txn.Write{Table: rec.Table, Op: txn.Op(rec.Type), Key: rec.Key, Row: rec.Row})
+	payload := l.buf[start+8:]
+	binary.BigEndian.PutUint32(l.buf[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(l.buf[start+4:], crc32.ChecksumIEEE(payload))
 	l.records++
 	if rec.Type == RecCommit && l.FlushOnCommit {
 		if err := l.flushLocked(); err != nil {
@@ -285,39 +280,18 @@ func (l *Log) Replay(fn func(Record) error) (ReplayResult, error) {
 }
 
 func decodePayload(p []byte) (Record, error) {
-	var rec Record
 	lsn, n := binary.Uvarint(p)
 	if n <= 0 {
-		return rec, fmt.Errorf("wal: bad lsn")
+		return Record{}, fmt.Errorf("wal: bad lsn")
 	}
 	p = p[n:]
-	txn, n := binary.Uvarint(p)
+	txnID, n := binary.Uvarint(p)
 	if n <= 0 {
-		return rec, fmt.Errorf("wal: bad txn")
+		return Record{}, fmt.Errorf("wal: bad txn")
 	}
-	p = p[n:]
-	if len(p) == 0 {
-		return rec, fmt.Errorf("wal: missing type")
+	w, _, err := txn.DecodeWrite(p[n:])
+	if err != nil {
+		return Record{}, err
 	}
-	typ := RecType(p[0])
-	p = p[1:]
-	table, n := binary.Uvarint(p)
-	if n <= 0 {
-		return rec, fmt.Errorf("wal: bad table")
-	}
-	p = p[n:]
-	key, n := binary.Varint(p)
-	if n <= 0 {
-		return rec, fmt.Errorf("wal: bad key")
-	}
-	p = p[n:]
-	rec = Record{LSN: lsn, Txn: txn, Type: typ, Table: uint32(table), Key: key}
-	if typ == RecInsert || typ == RecUpdate {
-		row, _, err := types.DecodeRow(p)
-		if err != nil {
-			return rec, err
-		}
-		rec.Row = row
-	}
-	return rec, nil
+	return Record{LSN: lsn, Txn: txnID, Type: RecType(w.Op), Table: w.Table, Key: w.Key, Row: w.Row}, nil
 }
