@@ -42,7 +42,7 @@ type aggState struct {
 
 type hashAggOp struct {
 	in       Source
-	groupBy  []Expr
+	keyCols  []int // group-by column ordinals in the input
 	aggs     []Agg
 	aggExprs []Expr
 	schema   []types.Column
@@ -73,7 +73,7 @@ func newHashAgg(in Source, groupBy []string, aggs []Agg, par int, ctx context.Co
 	for _, g := range groupBy {
 		i := colIndex(ins, g)
 		o.schema = append(o.schema, ins[i])
-		o.groupBy = append(o.groupBy, ColName(g).Bind(ins))
+		o.keyCols = append(o.keyCols, i)
 		o.tagCols = append(o.tagCols, i+1)
 	}
 	o.intSum = make([]bool, len(aggs))
@@ -106,20 +106,30 @@ func newHashAgg(in Source, groupBy []string, aggs []Agg, par int, ctx context.Co
 
 func (o *hashAggOp) Schema() []types.Column { return o.schema }
 
-// aggGroup is one group's key and accumulator states. ord is the group's
-// position in a single per-stream ordinal space shared with spilled raw
-// rows: groups created before a spill take creation ordinals, groups
-// created during replay take their creating row's tag. Sorting recovered
-// groups by ord therefore reproduces exact first-seen output order.
+// aggGroup is one group's key and accumulator states, both cut from its
+// table's slabs. ord is the group's position in a single per-stream
+// ordinal space shared with spilled raw rows: groups created before a
+// spill take creation ordinals, groups created during replay take their
+// creating row's tag. Sorting recovered groups by ord therefore
+// reproduces exact first-seen output order. next chains the groups whose
+// keys share a hash, oldest first.
 type aggGroup struct {
 	key    types.Row
 	states []aggState
 	ord    int64
+	next   *aggGroup
 }
 
 // aggStateBytes approximates one accumulator's in-memory footprint for the
 // accountant (sum+isum+count plus two Datums).
 const aggStateBytes = 96
+
+// Slab chunks start at minSlabGroups groups and double up to
+// maxSlabGroups, so slab allocations grow with groups, not rows.
+const (
+	minSlabGroups = 16
+	maxSlabGroups = 1024
+)
 
 // aggTable is one hash-aggregation table. The sequential path uses a
 // single table; the parallel path gives each worker its own table over a
@@ -129,45 +139,94 @@ const aggStateBytes = 96
 // (spillRest / aggPartition).
 type aggTable struct {
 	o        *hashAggOp
-	groups   map[uint64][]*aggGroup
-	order    []*aggGroup // first-seen order, the output order
-	ordSeq   int64       // next ordinal (groups and spilled rows share it)
-	bytes    int64       // bytes charged to the accountant
-	newBytes int64       // bytes added since the last charge
+	index    map[uint64]*aggGroup // key hash → the first group of its chain
+	order    []*aggGroup          // first-seen order, the output order
+	ordSeq   int64                // next ordinal (groups and spilled rows share it)
+	bytes    int64                // bytes charged to the accountant
+	newBytes int64                // bytes added since the last charge
+
+	// The slab chunks groups, their states and their key datums are cut
+	// from. A chunk is never moved, so pointers into it stay valid.
+	groups []aggGroup
+	states []aggState
+	keys   []types.Datum
 }
 
 func newAggTable(o *hashAggOp) *aggTable {
-	return &aggTable{o: o, groups: make(map[uint64][]*aggGroup)}
+	return &aggTable{o: o, index: make(map[uint64]*aggGroup)}
 }
 
-// lookup finds or creates the group for key (pre-hashed to h). The caller
-// assigns ord on creation.
+// newGroup cuts a zeroed group from the slabs and links it behind last,
+// the tail of the chain for hash h (nil when there is none).
+func (t *aggTable) newGroup(h uint64, last *aggGroup) *aggGroup {
+	na, nk := len(t.o.aggs), len(t.o.keyCols)
+	if len(t.groups) == cap(t.groups) {
+		n := min(max(2*cap(t.groups), minSlabGroups), maxSlabGroups)
+		t.groups = make([]aggGroup, 0, n)
+		t.states = make([]aggState, n*na)
+		t.keys = make([]types.Datum, n*nk)
+	}
+	t.groups = t.groups[:len(t.groups)+1]
+	g := &t.groups[len(t.groups)-1]
+	g.states, t.states = t.states[:na:na], t.states[na:]
+	g.key, t.keys = t.keys[:nk:nk], t.keys[nk:]
+	if last == nil {
+		t.index[h] = g
+	} else {
+		last.next = g
+	}
+	t.order = append(t.order, g)
+	return g
+}
+
+// created charges a new group once its key is set: the materialized
+// key row plus aggStateBytes per state.
+func (t *aggTable) created(g *aggGroup) {
+	t.newBytes += rowBytes(g.key) + int64(len(g.states))*aggStateBytes
+}
+
+// lookup finds or creates the group for key (pre-hashed to h), copying
+// key into the table on creation. The caller assigns ord on creation.
 func (t *aggTable) lookup(key types.Row, h uint64) (*aggGroup, bool) {
-	for _, g := range t.groups[h] {
-		same := true
+	var last *aggGroup
+next:
+	for g := t.index[h]; g != nil; g = g.next {
 		for gi := range key {
 			if !g.key[gi].Equal(key[gi]) {
-				same = false
-				break
+				last = g
+				continue next
 			}
 		}
-		if same {
-			return g, false
-		}
+		return g, false
 	}
-	g := &aggGroup{key: key, states: make([]aggState, len(t.o.aggs))}
-	t.groups[h] = append(t.groups[h], g)
-	t.order = append(t.order, g)
-	t.newBytes += rowBytes(key) + int64(len(t.o.aggs))*aggStateBytes
+	g := t.newGroup(h, last)
+	copy(g.key, key)
+	t.created(g)
 	return g, true
 }
 
+// find is lookup for row i of b, probing from the key columns in place:
+// the key is materialized only when the group is created.
 func (t *aggTable) find(b *Batch, i int) (*aggGroup, bool) {
-	key := make(types.Row, len(t.o.groupBy))
-	for gi, g := range t.o.groupBy {
-		key[gi] = g.Eval(b, i)
+	keys := t.o.keyCols
+	h := hashKeys(b, i, keys)
+	var last *aggGroup
+next:
+	for g := t.index[h]; g != nil; g = g.next {
+		for gi, k := range keys {
+			if !g.key[gi].Equal(b.Cols[k].Datum(i)) {
+				last = g
+				continue next
+			}
+		}
+		return g, false
 	}
-	return t.lookup(key, hashRow(key))
+	g := t.newGroup(h, last)
+	for gi, k := range keys {
+		g.key[gi] = b.Cols[k].Datum(i)
+	}
+	t.created(g)
+	return g, true
 }
 
 // accumulate folds row i of b into g. Shared by first-pass consumption and
@@ -184,7 +243,10 @@ func (t *aggTable) accumulate(g *aggGroup, b *Batch, i int) {
 		d := o.aggExprs[ai].Eval(b, i)
 		switch a.Kind {
 		case Sum, Avg:
-			st.sum.add(d.Float())
+			// An integer SUM renders isum alone: its exact sum stays empty.
+			if !o.intSum[ai] {
+				st.sum.add(d.Float())
+			}
 			if d.Kind == types.Int {
 				st.isum += d.I
 			}
@@ -280,9 +342,10 @@ func (t *aggTable) fold(key types.Row, states []aggState) {
 // spillRest spills the current groups' states plus the remainder of the
 // input stream, rows tagged with their ordinals, to hash partitions,
 // finishes each partition (spillPartitions), and reassembles the table in
-// ord order. Group states encode float bits exactly and replay continues
-// each group's fold with the same accumulate code in the same row order,
-// so the reassembled table matches an unbounded aggregation bit for bit.
+// ord order. Group states encode sums exactly and replay continues each
+// group's fold with the same accumulate code in the same row order, so
+// the reassembled table matches an unbounded aggregation bit for bit. The
+// reassembled table is complete: only its order is read afterwards.
 func (t *aggTable) spillRest(src Source) {
 	o := t.o
 	all, charged, err := o.spillPartitions(t.order, t.bytes, func() (*Batch, error) {
@@ -298,17 +361,11 @@ func (t *aggTable) spillRest(src Source) {
 		coopYield()
 		return tb, nil
 	}, 0)
-	t.groups = make(map[uint64][]*aggGroup)
-	t.order = nil
-	t.bytes, t.newBytes = charged, 0
+	*t = aggTable{o: o, bytes: charged}
 	if err != nil {
 		return
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ord < all[j].ord })
-	for _, g := range all {
-		h := hashRow(g.key)
-		t.groups[h] = append(t.groups[h], g)
-	}
 	t.order = all
 }
 
@@ -393,12 +450,13 @@ func (o *hashAggOp) aggPartition(stateFile, rowFile string, depth int) ([]*aggGr
 		if !ok {
 			break
 		}
-		pg, err := DecodePartial(r[1:], len(o.groupBy), o.aggs)
+		pg, err := DecodePartial(r[1:], len(o.keyCols), o.aggs)
 		if err != nil {
 			return nil, 0, sc.fail(fmt.Errorf("exec: corrupt agg spill record in %s: %w", stateFile, err))
 		}
 		g, _ := sub.lookup(pg.Key, hashRow(pg.Key))
-		g.states, g.ord = pg.States, r[0].I
+		copy(g.states, pg.States)
+		g.ord = r[0].I
 	}
 	sub.charge()
 	qm.removeFile(stateFile)
@@ -447,8 +505,8 @@ func mergeAggState(dst, src *aggState, kind AggKind) {
 	}
 	if dst.count == 0 {
 		*dst = *src
-		// The exact-sum accumulator owns a growing big.Float; aliasing it
-		// between two states would corrupt both.
+		// A promoted exact sum owns its register; aliasing it between two
+		// states would corrupt both.
 		dst.sum = src.sum.clone()
 		return
 	}
@@ -503,17 +561,20 @@ func (o *hashAggOp) buildTable() *aggTable {
 	return t
 }
 
-// render finalizes groups to output rows: the one place accumulators
-// collapse to their rendered values. Shared by the in-engine aggregate
-// and the coordinator-side combine of pushed-down partials.
+// render finalizes groups to output rows, cut from one datum slab: the
+// one place accumulators collapse to their rendered values. Shared by the
+// in-engine aggregate and the coordinator-side combine of pushed-down
+// partials.
 func (o *hashAggOp) render(order []*aggGroup) []types.Row {
 	// A global aggregate over zero rows still yields one row of zeros.
-	if len(order) == 0 && len(o.groupBy) == 0 {
+	if len(order) == 0 && len(o.keyCols) == 0 {
 		order = append(order, &aggGroup{states: make([]aggState, len(o.aggs))})
 	}
-	out := make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, 0, len(o.schema))
+	w := len(o.schema)
+	out := make([]types.Row, len(order))
+	slab := make([]types.Datum, len(order)*w)
+	for gi, g := range order {
+		row := slab[gi*w : gi*w : (gi+1)*w]
 		row = append(row, g.key...)
 		for ai, a := range o.aggs {
 			st := g.states[ai]
@@ -538,7 +599,7 @@ func (o *hashAggOp) render(order []*aggGroup) []types.Row {
 				row = append(row, st.max)
 			}
 		}
-		out = append(out, row)
+		out[gi] = row
 	}
 	return out
 }

@@ -77,13 +77,6 @@ func (c *Col) AppendFrom(src *Col, i int) {
 	}
 }
 
-// Reset truncates the column to zero length, keeping capacity.
-func (c *Col) Reset() {
-	c.Ints = c.Ints[:0]
-	c.Floats = c.Floats[:0]
-	c.Strs = c.Strs[:0]
-}
-
 // Batch is a columnar chunk of rows with named columns.
 type Batch struct {
 	Schema []types.Column
@@ -98,14 +91,6 @@ func NewBatch(schema []types.Column) *Batch {
 		b.Cols[i] = NewCol(c.Type)
 	}
 	return b
-}
-
-// Reset empties the batch, keeping capacity.
-func (b *Batch) Reset() {
-	for _, c := range b.Cols {
-		c.Reset()
-	}
-	b.N = 0
 }
 
 // AppendRow appends a types.Row matching the batch schema.

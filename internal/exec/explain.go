@@ -97,7 +97,7 @@ func (o *hashAggOp) explain() (string, []Source) {
 	for i, a := range o.aggs {
 		aggs[i] = a.Name
 	}
-	return fmt.Sprintf("HashAggregate(groups=%d, aggs=[%s])", len(o.groupBy), strings.Join(aggs, ", ")),
+	return fmt.Sprintf("HashAggregate(groups=%d, aggs=[%s])", len(o.keyCols), strings.Join(aggs, ", ")),
 		[]Source{o.in}
 }
 

@@ -16,10 +16,10 @@ import (
 // shard ships combinable partial states (one PartialGroup per group)
 // instead of raw rows, and the coordinator merges them with exactly the
 // same mergeAggState machinery the parallel in-engine aggregate uses to
-// merge worker tables. Because SUM/AVG accumulate in the exact
-// big.Float representation (see exactsum.go), the combined result is
-// bit-identical to gathering every row centrally — the equivalence
-// tests assert exact equality, not epsilon closeness.
+// merge worker tables. Because SUM/AVG accumulate exactly, as an integer
+// multiple of 2^-1074 rounded once at render (see exactsum.go), the
+// combined result is bit-identical to gathering every row centrally —
+// the equivalence tests assert exact equality, not epsilon closeness.
 
 // AggState is one aggregate accumulator, exported opaquely so partial
 // groups can cross package boundaries. Build them with NewPartialAgg or
@@ -150,7 +150,7 @@ func (c *combineAggOp) explain() (string, []Source) {
 		aggs[i] = a.Name
 	}
 	return fmt.Sprintf("CombinePartialAgg(shards=%d, groups=%d, aggs=[%s])",
-		len(c.parts), len(c.o.groupBy), strings.Join(aggs, ", ")), nil
+		len(c.parts), len(c.o.keyCols), strings.Join(aggs, ", ")), nil
 }
 
 func (c *combineAggOp) Next() *Batch {
