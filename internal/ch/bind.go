@@ -12,22 +12,23 @@ import (
 )
 
 // Engine is the engine surface the CH-benCHmark workload needs: a
-// transactional entry point for the five TPC-C transactions and a
-// context-threaded analytical access path for the 22 queries. core.Engine
-// satisfies it, and so does the network client's remote engine — the same
-// driver code runs in-process and over the wire.
+// transactional entry point for the five TPC-C transactions and analytical
+// snapshots for the 22 queries. core.Engine satisfies it, and so does the
+// network client's remote engine — the same driver code runs in-process and
+// over the wire.
 type Engine interface {
 	core.Beginner
-	Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan
+	Snapshot(ctx context.Context) core.Snapshot
 }
 
-// boundQueryer fixes a context onto an Engine so the context-free Queryer
-// surface the 22 query functions are written against stays unchanged: every
-// scan the query issues inherits the bound context, which is how
-// cancellation reaches column scans deep inside a multi-join plan. It also
-// records the first engine-level scan failure (a plan carrying an error,
-// exec.FromError) so RunQuery can report it instead of returning rows
-// assembled from silently-empty scans.
+// boundQueryer is one snapshot behind the context-free Queryer surface the
+// 22 query functions are written against: every scan a query issues —
+// including those run mid-body at a phase barrier — reads the same
+// snapshot and inherits its context, which is how cancellation reaches
+// column scans deep inside a multi-join plan. It also records the first
+// engine-level scan failure (a plan carrying an error, exec.FromError) so
+// RunQuery can report it instead of returning rows assembled from
+// silently-empty scans.
 //
 // When the engine runs under a memory governor, every Query call starts a
 // fresh per-query accountant — but one CH query builds several plans that
@@ -36,14 +37,13 @@ type Engine interface {
 // so the whole CH query is charged against one budget and cleaned up as
 // one unit.
 type boundQueryer struct {
-	ctx context.Context
-	e   Engine
-	err error
-	qm  *exec.QueryMem
+	snap core.Snapshot
+	err  error
+	qm   *exec.QueryMem
 }
 
 func (b *boundQueryer) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	p := b.e.Query(b.ctx, table, cols, pred)
+	p := b.snap.Query(table, cols, pred)
 	if qm := p.Mem(); qm != nil {
 		if b.qm == nil {
 			b.qm = qm
@@ -58,27 +58,28 @@ func (b *boundQueryer) Query(table string, cols []string, pred *exec.ScanPred) *
 	return p
 }
 
-// Bind adapts an Engine to the Queryer interface under ctx. Queries run
-// through the returned Queryer stop scanning when ctx is cancelled; use
-// RunQuery to also surface the context error and scan failures.
+// Bind adapts an Engine to the Queryer interface: a snapshot opened under
+// ctx. Queries run through the returned Queryer stop scanning when ctx is
+// cancelled; use RunQuery to also surface the context error and scan
+// failures.
 func Bind(ctx context.Context, e Engine) Queryer {
-	return &boundQueryer{ctx: ctx, e: e}
+	return &boundQueryer{snap: e.Snapshot(ctx)}
 }
 
-// RunQuery executes CH query n (1..22) against e under ctx. When ctx is
-// cancelled or times out mid-query, the scans abandon their remaining
-// segments and RunQuery returns the context error (context.Canceled or
-// context.DeadlineExceeded) with nil rows — partial results never escape.
-// A scan that fails outright (a remote engine whose request errored after
-// retries) is reported the same way: nil rows and the scan error, never a
-// result that is indistinguishable from an empty table.
+// RunQuery executes CH query n (1..22) against e under ctx, in one
+// snapshot. When ctx is cancelled or times out mid-query, the scans abandon
+// their remaining segments and RunQuery returns the context error
+// (context.Canceled or context.DeadlineExceeded) with nil rows — partial
+// results never escape. A scan that fails outright (a remote engine whose
+// request errored after retries) is reported the same way: nil rows and the
+// scan error, never a result that is indistinguishable from an empty table.
 func RunQuery(ctx context.Context, e Engine, n int) ([]types.Row, error) {
 	q := Queries()[n]
 	if q == nil {
 		return nil, fmt.Errorf("ch: no such query Q%d", n)
 	}
 	start := time.Now()
-	bq := &boundQueryer{ctx: ctx, e: e}
+	bq := &boundQueryer{snap: e.Snapshot(ctx)}
 	rows := q(bq)
 	if bq.qm != nil {
 		// The executed plan's deferred FinishMem already drained the shared

@@ -70,7 +70,7 @@ func (d *Driver) AnalyticalNewOrder(ctx context.Context, rng *rand.Rand) error {
 
 	// Analytical operation: per-item units sold, from the columnar view.
 	popularity := make(map[int64]int64, len(items))
-	rows := d.E.Query(ctx, TOrderLine, []string{"ol_i_id", "ol_quantity"}, nil).
+	rows := d.E.Snapshot(ctx).Query(TOrderLine, []string{"ol_i_id", "ol_quantity"}, nil).
 		Filter(exec.InInts(exec.ColName("ol_i_id"), items...)).
 		Agg([]string{"ol_i_id"},
 			exec.Agg{Kind: exec.Sum, Expr: exec.ColName("ol_quantity"), Name: "sold"}).

@@ -112,7 +112,7 @@ type conn struct {
 }
 
 // Remote is a network-backed engine. It implements the ch.Engine and
-// htapbench.Engine surfaces (Begin/Query/Arch/Sync/Freshness) plus a
+// htapbench.Engine surfaces (Begin/Snapshot/Query/Arch/Sync/Freshness) plus a
 // server-side CH query path, so benchmark code cannot tell it from a
 // local engine.
 type Remote struct {
@@ -634,6 +634,24 @@ func (r *Remote) Query(ctx context.Context, table string, cols []string, pred *e
 		return exec.FromError(err)
 	}
 	return exec.From(exec.NewMemSource(sch, rows))
+}
+
+// Snapshot satisfies the engine Snapshot surface. The wire carries no read
+// timestamp yet (ROADMAP item 3), so each Query is a scan of its own at
+// the server's current state and ReadTS is 0.
+func (r *Remote) Snapshot(ctx context.Context) core.Snapshot { return remoteSnapshot{r: r, ctx: ctx} }
+
+type remoteSnapshot struct {
+	r   *Remote
+	ctx context.Context
+}
+
+// ReadTS implements core.Snapshot.
+func (s remoteSnapshot) ReadTS() uint64 { return 0 }
+
+// Query implements core.Snapshot.
+func (s remoteSnapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+	return s.r.Query(s.ctx, table, cols, pred)
 }
 
 // RunCH runs CH query n server-side and returns its rows. htapbench

@@ -65,7 +65,7 @@ func BenchmarkAblationZoneMaps(b *testing.B) {
 		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 97))})
 	}
 	tbl.AppendRows(rows)
-	segs := tbl.Segments()
+	segs := tbl.Version().Segs
 	lo, hi := int64(1000), int64(1999) // hits a handful of segments
 
 	scan := func(prune bool) int64 {

@@ -166,7 +166,7 @@ func TestBuilderSealsSegments(t *testing.T) {
 		b.Add(mkRow(int64(i), int64(i%10), float64(i), "x"))
 	}
 	b.Flush()
-	segs := tbl.Segments()
+	segs := tbl.Version().Segs
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d, want 2", len(segs))
 	}
@@ -185,7 +185,7 @@ func TestZoneMaps(t *testing.T) {
 		rows[i] = mkRow(int64(i), int64(i+1000), float64(i), "t")
 	}
 	tbl.AppendRows(rows)
-	z := tbl.Segments()[0].Zones[1]
+	z := tbl.Version().Segs[0].Zones[1]
 	if z.MinInt != 1000 || z.MaxInt != 1099 {
 		t.Fatalf("zone map = [%d,%d]", z.MinInt, z.MaxInt)
 	}
@@ -230,8 +230,10 @@ func TestAppliedWatermark(t *testing.T) {
 	if tbl.Applied() != 5 {
 		t.Fatalf("applied = %d", tbl.Applied())
 	}
-	tbl.Reset()
-	if tbl.Applied() != 0 || len(tbl.Segments()) != 0 {
+	e := tbl.Edit()
+	e.Reset()
+	e.Publish()
+	if tbl.Applied() != 0 || len(tbl.Version().Segs) != 0 {
 		t.Fatal("Reset incomplete")
 	}
 	if tbl.Stats().Rebuilds != 1 {
@@ -242,7 +244,7 @@ func TestAppliedWatermark(t *testing.T) {
 func TestSegmentRowMaterialize(t *testing.T) {
 	tbl := NewTable(testSchema)
 	tbl.AppendRows([]types.Row{mkRow(7, 8, 2.5, "hi")})
-	seg := tbl.Segments()[0]
+	seg := tbl.Version().Segs[0]
 	r := seg.Row(0)
 	if r[0].Int() != 7 || r[1].Int() != 8 || r[2].Float() != 2.5 || r[3].Str() != "hi" {
 		t.Fatalf("Row = %v", r)
@@ -293,9 +295,10 @@ func TestAppendRowsUpsertsBufferedLoads(t *testing.T) {
 		t.Fatalf("GetKey(1) = %v, %v; want the merged image", r, ok)
 	}
 	seen := map[int64]float64{}
-	for _, seg := range tbl.Segments() {
+	v := tbl.Version()
+	for si, seg := range v.Segs {
 		for i := 0; i < seg.N; i++ {
-			if seg.Deleted(i) {
+			if v.Dels[si].Get(i) {
 				continue
 			}
 			r := seg.Row(i)

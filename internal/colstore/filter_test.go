@@ -204,28 +204,28 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestDelSnapshotCaching(t *testing.T) {
+// A published version never changes: a delete publishes the next version
+// with a clone of the one bitmap it touches, and shares every other.
+func TestVersionIsImmutable(t *testing.T) {
 	tbl := NewTable(testSchema)
-	for i := int64(0); i < 10; i++ {
-		tbl.Append(mkRow(i, i%3, float64(i), "t"))
+	rows := make([]types.Row, SegmentRows+10)
+	for i := range rows {
+		rows[i] = mkRow(int64(i), int64(i%3), float64(i), "t")
 	}
-	tbl.Flush()
-	seg := tbl.Segments()[0]
-	s1 := seg.DelSnapshot()
-	s2 := seg.DelSnapshot()
-	if s1 != s2 {
-		t.Fatal("snapshot not cached across calls with no deletes")
+	tbl.AppendRows(rows)
+	v1 := tbl.Version()
+	if !tbl.DeleteKey(4) {
+		t.Fatal("DeleteKey(4) = false")
 	}
-	seg.DeleteRow(4)
-	s3 := seg.DelSnapshot()
-	if s3 == s1 {
-		t.Fatal("snapshot not invalidated by a delete")
+	v2 := tbl.Version()
+	if v1 == v2 || v1.Dels[0].Get(4) || v1.LiveRows() != len(rows) {
+		t.Fatal("a delete changed the published version")
 	}
-	if s1.Get(4) {
-		t.Fatal("old snapshot mutated by a later delete")
+	if !v2.Dels[0].Get(4) || v2.LiveRows() != len(rows)-1 {
+		t.Fatal("the next version is missing the delete")
 	}
-	if !s3.Get(4) {
-		t.Fatal("new snapshot missing the delete")
+	if v2.Dels[0] == v1.Dels[0] || v2.Dels[1] != v1.Dels[1] {
+		t.Fatal("want a clone of the touched bitmap only")
 	}
 }
 
@@ -234,7 +234,7 @@ func TestZoneMapPruneFloatStr(t *testing.T) {
 	tbl.Append(mkRow(1, 1, 2.5, "banana"))
 	tbl.Append(mkRow(2, 2, 7.5, "cherry"))
 	tbl.Flush()
-	z := &tbl.Segments()[0].Zones
+	z := &tbl.Version().Segs[0].Zones
 	amt, tag := &(*z)[2], &(*z)[3]
 	if !amt.PruneFloat(8, 100) || !amt.PruneFloat(-5, 2.4) {
 		t.Fatal("PruneFloat should prune disjoint ranges")

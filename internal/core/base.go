@@ -31,8 +31,10 @@ type engineBase struct {
 	par     atomic.Int32
 	om      archMetrics
 	obsFns  []*obs.FuncHandle
-	// self is the finished engine: Query plans read through its Source.
-	self Engine
+	// col is the finished engine's analytical side (replica.go); reps
+	// are its replicas by table id when they are fixed at construction.
+	col  columnar
+	reps [][]*replica
 
 	syncMu   sync.Mutex
 	stop     chan struct{}
@@ -54,9 +56,9 @@ func (b *engineBase) init(a Arch, name string, schemas []*types.Schema, parallel
 }
 
 // serve publishes the finished engine e: the scrape-time gauges read its
-// Freshness and dev, and Query reads through its Source.
+// Freshness and dev, and snapshots read through its replicas.
 func (b *engineBase) serve(e Engine, dev func() disk.Stats) {
-	b.self = e
+	b.col = e.(columnar)
 	b.obsFns = registerEngineFuncs(b.arch, e.Freshness, dev)
 }
 
@@ -103,15 +105,9 @@ func (b *engineBase) shared() bool { return sched.Mode(b.mode.Load()) == sched.S
 // SetParallelism implements Paralleler.
 func (b *engineBase) SetParallelism(n int) { b.par.Store(int32(n)) }
 
-// Query implements Engine: the architecture's Source under the engine's
-// degree of parallelism and memory governor.
+// Query implements Engine: a one-scan query in a snapshot of its own.
 func (b *engineBase) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	b.om.queries.Inc()
-	dop := int(b.par.Load())
-	if dop <= 0 {
-		dop = exec.DefaultParallelism()
-	}
-	return b.govern(ctx, b.arch.Label(), exec.From(b.self.Source(ctx, table, cols, pred)).Parallel(dop))
+	return b.open(ctx).Query(table, cols, pred)
 }
 
 // syncRound runs one synchronization round under the sync lock, span and

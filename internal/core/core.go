@@ -10,10 +10,15 @@
 //	D  PrimaryColDelta — primary column store + delta row store (SAP HANA)
 //
 // The Engine interface exposes a transactional point-access API (the OLTP
-// side), an exec.Source factory honoring the architecture's analytical
+// side), analytical snapshots that plan scans under the architecture's
 // technique (the OLAP side), and control hooks for data synchronization
 // and execution mode, so the benchmark harness can run identical workloads
 // against every architecture and regenerate the paper's Table 1.
+//
+// Every architecture reads through one mechanism (replica.go): a replica
+// pairs immutable column versions with the delta that feeds them, and a
+// Snapshot fixes one read timestamp per query and captures every replica
+// at it, so all scans of a query read one committed state.
 package core
 
 import (
@@ -110,12 +115,12 @@ type Engine interface {
 	// row lands in both stores so experiments start synchronized.
 	Load(table string, row types.Row) error
 
-	// Source returns the analytical access path for a table under the
-	// engine's AP technique, at the engine's current snapshot and mode.
-	// The scan polls ctx between batches: cancelling it (client
-	// disconnect, deadline) abandons the remaining segments mid-scan.
-	Source(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source
-	// Query is shorthand for exec.From(Source(...)).
+	// Snapshot opens an analytical read point under the engine's AP
+	// technique and mode. Its scans poll ctx between batches: cancelling
+	// it (client disconnect, deadline) abandons the remaining segments
+	// mid-scan.
+	Snapshot(ctx context.Context) Snapshot
+	// Query is shorthand for Snapshot(ctx).Query(...): a one-scan query.
 	Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan
 
 	// Sync forces one data-synchronization round (delta merge / rebuild).
@@ -128,6 +133,17 @@ type Engine interface {
 	Freshness() freshness.Snapshot
 	Stats() Stats
 	Close()
+}
+
+// Snapshot is one analytical read point. Every scan it plans reads the
+// same committed state — the commits at or below ReadTS, and no later
+// ones — however many tables a query touches and however long it runs.
+type Snapshot interface {
+	// ReadTS is the commit timestamp the snapshot reads at.
+	ReadTS() uint64
+	// Query plans a scan of table (all columns when cols is nil) under the
+	// engine's degree of parallelism and memory governor.
+	Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan
 }
 
 // Indexer is implemented by engines whose primary row store supports

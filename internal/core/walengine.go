@@ -21,7 +21,7 @@ import (
 // a committed write set lands — their install step — and live commit and
 // crash recovery both run exactly that step, so the two cannot drift apart:
 //
-//	an architecture = install + Source + Sync
+//	an architecture = install + replicas + Sync
 type walEngine struct {
 	engineBase
 	mgr    *txn.Manager
@@ -120,6 +120,10 @@ func eachTable(writes []txn.Write, fn func(table uint32, ws []txn.Write)) {
 		i = j
 	}
 }
+
+// readPoint implements columnar: commits serialize and install before the
+// watermark passes them, so every commit at or below it is in the stores.
+func (e *walEngine) readPoint() uint64 { return e.mgr.Oracle().Watermark() }
 
 // Freshness implements Engine. In Shared mode analytical scans overlay the
 // live delta and therefore see every commit (§2.2(2)(i): "the data

@@ -68,7 +68,7 @@ func TestPendingAndMarkMerged(t *testing.T) {
 			if s.Unmerged() != 3 {
 				t.Fatalf("unmerged = %d", s.Unmerged())
 			}
-			s.MarkMerged(2)
+			s.Publish(2, nil)
 			if s.Unmerged() != 1 {
 				t.Fatalf("unmerged after merge = %d", s.Unmerged())
 			}
@@ -93,7 +93,7 @@ func TestMemBytesShrinkAfterMerge(t *testing.T) {
 		m.Append(uint64(i+1), []txn.Write{w(i, txn.OpInsert, i)})
 	}
 	full := m.Bytes()
-	m.MarkMerged(5)
+	m.Publish(5, nil)
 	if got := m.Bytes(); got >= full {
 		t.Fatalf("bytes after merge = %d, want < %d", got, full)
 	}

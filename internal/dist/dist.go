@@ -292,15 +292,45 @@ func (d *Engine) SetMemGovernor(g *exec.Governor) { d.gov.Store(g) }
 // MemGovernor implements core.MemGoverned.
 func (d *Engine) MemGovernor() *exec.Governor { return d.gov.Load() }
 
-// Query implements core.Engine: scatter the scan to every owning shard
-// and merge. The plan is wired exactly like a single engine's — context,
-// parallelism, memory accountant, profile — plus an error sink that turns
-// a failed shard fragment into a query error instead of missing rows.
-func (d *Engine) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+// snapshot is the coordinator's core.Snapshot: one snapshot per local
+// shard, opened together; remote shards scan per call. The shards share no
+// read timestamp yet (ROADMAP item 3), so ReadTS is 0.
+type snapshot struct {
+	d     *Engine
+	ctx   context.Context
+	local []core.Snapshot // by shard index; nil for remote shards
+}
+
+// localSource is what the coordinator needs of a local shard's snapshot:
+// the raw access path its Query plans over (core's snapshots provide it).
+type localSource interface {
+	Source(table string, cols []string, pred *exec.ScanPred) exec.Source
+}
+
+// Snapshot implements core.Engine.
+func (d *Engine) Snapshot(ctx context.Context) core.Snapshot {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	src, frags := d.scatter(ctx, table, cols, pred)
+	s := &snapshot{d: d, ctx: ctx, local: make([]core.Snapshot, len(d.shards))}
+	for i, sh := range d.shards {
+		if sh.local != nil {
+			s.local[i] = sh.local.Snapshot(ctx)
+		}
+	}
+	return s
+}
+
+// ReadTS implements core.Snapshot.
+func (s *snapshot) ReadTS() uint64 { return 0 }
+
+// Query implements core.Snapshot: scatter the scan to every owning shard
+// and merge. The plan is wired exactly like a single engine's — context,
+// parallelism, memory accountant, profile — plus an error sink that turns
+// a failed shard fragment into a query error instead of missing rows.
+func (s *snapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+	d, ctx := s.d, s.ctx
+	src, frags := s.scatter(table, cols, pred)
 	if prof := exec.ProfileFrom(ctx); prof != nil {
 		prof.SetArch("dist")
 	}
@@ -323,14 +353,7 @@ func (d *Engine) Query(ctx context.Context, table string, cols []string, pred *e
 	return p
 }
 
-// Source implements core.Engine. Callers holding a bare Source have no
-// error channel; a remote fragment failure poisons its shard's stream
-// (zero rows, never fabricated ones). Prefer Query, which surfaces such
-// failures as query errors.
-func (d *Engine) Source(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	src, _ := d.scatter(ctx, table, cols, pred)
-	return src
+// Query implements core.Engine: a one-scan query in a snapshot of its own.
+func (d *Engine) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+	return d.Snapshot(ctx).Query(table, cols, pred)
 }

@@ -19,11 +19,12 @@ type fragRef struct {
 
 // scatter builds the gather source for one table scan: a union of
 // per-shard sources in shard (= warehouse) order, wrapped in the merge
-// counter. Local shards contribute their engine's own analytical source;
+// counter. Local shards contribute their snapshot's analytical source;
 // remote shards contribute a lazy fragment whose unsent window lets
 // Plan.Filter push predicates into the frame. Replicated tables live on
 // every shard, so only shard 0 scans — anything else would duplicate rows.
-func (d *Engine) scatter(ctx context.Context, table string, cols []string, pred *exec.ScanPred) (exec.Source, []fragRef) {
+func (s *snapshot) scatter(table string, cols []string, pred *exec.ScanPred) (exec.Source, []fragRef) {
+	d, ctx := s.d, s.ctx
 	sch := d.byName[table]
 	if sch == nil {
 		return exec.NewUnion(), nil // carries the construction error
@@ -35,14 +36,14 @@ func (d *Engine) scatter(ctx context.Context, table string, cols []string, pred 
 	proj := projectedSchema(sch, cols)
 	srcs := make([]exec.Source, len(shards))
 	var frags []fragRef
-	for i, s := range shards {
-		if s.local != nil {
-			srcs[i] = s.local.Source(ctx, table, cols, pred)
+	for i, sh := range shards {
+		if sh.local != nil {
+			srcs[i] = s.local[i].(localSource).Source(table, cols, pred)
 			continue
 		}
-		fs := s.remote.Fragment(ctx, table, proj, pred)
+		fs := sh.remote.Fragment(ctx, table, proj, pred)
 		srcs[i] = fs
-		frags = append(frags, fragRef{shard: s.name, src: fs})
+		frags = append(frags, fragRef{shard: sh.name, src: fs})
 	}
 	scatterFragments.Add(int64(len(srcs)))
 	return &mergeCount{inner: exec.NewUnion(srcs...), d: d}, frags

@@ -221,7 +221,7 @@ func TestColScanWithOverlay(t *testing.T) {
 	tbl.AppendRows(testRows())
 
 	// No overlay: pure column scan.
-	if got := From(NewColScan(context.Background(), tbl, nil, nil, nil)).Count(); got != 5 {
+	if got := From(NewColScan(context.Background(), tbl.Version(), nil, nil, nil)).Count(); got != 5 {
 		t.Fatalf("pure scan = %d", got)
 	}
 
@@ -232,7 +232,7 @@ func TestColScanWithOverlay(t *testing.T) {
 		{Table: 1, Key: 2, Op: txn.OpDelete},
 		{Table: 1, Key: 6, Op: txn.OpInsert, Row: sale(6, 4, 60, "fig")},
 	})
-	rows := From(NewColScan(context.Background(), tbl, nil, nil, d.Overlay(10))).Sort(SortKey{Col: "id"}).Run()
+	rows := From(NewColScan(context.Background(), tbl.Version(), nil, nil, d.Overlay(10))).Sort(SortKey{Col: "id"}).Run()
 	if len(rows) != 5 {
 		t.Fatalf("overlay scan = %d rows: %v", len(rows), rows)
 	}
@@ -257,7 +257,7 @@ func TestColScanZonePruning(t *testing.T) {
 	}
 	tbl.AppendRows(rows)
 	pred := &ScanPred{Col: "region", Lo: 0, Hi: 10}
-	got := From(NewColScan(context.Background(), tbl, nil, pred, nil)).
+	got := From(NewColScan(context.Background(), tbl.Version(), nil, pred, nil)).
 		Filter(Between(ColName("region"), 0, 10)).Count()
 	if got != 11 {
 		t.Fatalf("pruned scan = %d, want 11", got)
@@ -267,7 +267,7 @@ func TestColScanZonePruning(t *testing.T) {
 func TestColScanProjection(t *testing.T) {
 	tbl := colstore.NewTable(salesSchema)
 	tbl.AppendRows(testRows())
-	rows := From(NewColScan(context.Background(), tbl, []string{"item", "amount"}, nil, nil)).Run()
+	rows := From(NewColScan(context.Background(), tbl.Version(), []string{"item", "amount"}, nil, nil)).Run()
 	if len(rows[0]) != 2 || rows[0][0].Kind != types.String {
 		t.Fatalf("projection = %v", rows[0])
 	}
@@ -293,7 +293,7 @@ func BenchmarkColScanAgg(b *testing.B) {
 	tbl.AppendRows(rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		From(NewColScan(context.Background(), tbl, []string{"region", "amount"}, nil, nil)).
+		From(NewColScan(context.Background(), tbl.Version(), []string{"region", "amount"}, nil, nil)).
 			Agg([]string{"region"}, Agg{Sum, ColName("amount"), "s"}).Count()
 	}
 }

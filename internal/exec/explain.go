@@ -59,7 +59,7 @@ func (s *colScan) explain() (string, []Source) {
 		push = fmt.Sprintf(", pushdown=[%s]", strings.Join(ps, " AND "))
 	}
 	return fmt.Sprintf("ColumnScan(%s, segments=%d, cols=%d%s%s%s)",
-		s.tbl.Schema.Name, len(s.segs), len(s.schema), pred, ov, push), nil
+		s.v.Schema.Name, len(s.v.Segs), len(s.schema), pred, ov, push), nil
 }
 
 func (s *errSource) explain() (string, []Source) {

@@ -80,7 +80,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 		overlay.Rows[k] = sale(k, k%7, float64(k), "d")
 	}
 	mk := func(par int) *Plan {
-		return From(NewColScan(context.Background(), tbl, nil, nil, overlay)).
+		return From(NewColScan(context.Background(), tbl.Version(), nil, nil, overlay)).
 			Parallel(par).
 			Filter(Cmp(GE, ColName("region"), ConstInt(2)))
 	}
@@ -99,7 +99,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 func TestParallelAggDeterministic(t *testing.T) {
 	tbl := newSalesTable(3 * colstore.SegmentRows)
 	run := func(par int) []types.Row {
-		return From(NewColScan(context.Background(), tbl, nil, nil, nil)).
+		return From(NewColScan(context.Background(), tbl.Version(), nil, nil, nil)).
 			Parallel(par).
 			Agg([]string{"region"},
 				Agg{Kind: Sum, Expr: ColName("amount"), Name: "total"},
@@ -149,7 +149,7 @@ func TestParallelJoinMatchesSequential(t *testing.T) {
 		)
 	}
 	mk := func(par int) *Plan {
-		return From(NewColScan(context.Background(), left, nil, nil, nil)).
+		return From(NewColScan(context.Background(), left.Version(), nil, nil, nil)).
 			Parallel(par).
 			Join(From(NewMemSource(dimSchema.Cols, dim)).Parallel(par), []string{"region"}, []string{"r"})
 	}
@@ -169,7 +169,7 @@ func TestParallelCancellation(t *testing.T) {
 	tbl := newSalesTable(4 * colstore.SegmentRows)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := From(NewColScan(ctx, tbl, nil, nil, nil)).Parallel(4).RunCtx(ctx)
+	rows, err := From(NewColScan(ctx, tbl.Version(), nil, nil, nil)).Parallel(4).RunCtx(ctx)
 	if err == nil {
 		t.Fatal("cancelled parallel run returned no error")
 	}

@@ -314,7 +314,7 @@ func (s *colScan) fuseFilter(expr Expr) Source {
 	if len(s.pushed) == 0 {
 		return &filterOp{in: s, expr: expr}
 	}
-	s.selObs = s.tbl.SelObserver()
+	s.selObs = s.v.SelObserver()
 	switch len(residual) {
 	case 0:
 		return s
@@ -329,7 +329,7 @@ func (s *colScan) fuseFilter(expr Expr) Source {
 // validates that the (column type, comparand) pairing can be evaluated on
 // encoded vectors with Datum.Compare semantics.
 func (s *colScan) acceptPred(p *colPred) bool {
-	ti := s.tbl.Schema.ColIndex(p.col)
+	ti := s.v.Schema.ColIndex(p.col)
 	oi := -1
 	for i, c := range s.schema {
 		if c.Name == p.col {
@@ -340,7 +340,7 @@ func (s *colScan) acceptPred(p *colPred) bool {
 	if ti < 0 || oi < 0 {
 		return false
 	}
-	switch ct := s.tbl.Schema.Cols[ti].Type; p.kind {
+	switch ct := s.v.Schema.Cols[ti].Type; p.kind {
 	case predCmp:
 		switch ct {
 		case types.Int, types.Float:
@@ -380,7 +380,7 @@ func (s *colScan) zonesPrune(seg *colstore.Segment) bool {
 				return true
 			}
 		case predCmp:
-			if zonePruneCmp(z, s.tbl.Schema.Cols[p.idx].Type, p.op, p.d) {
+			if zonePruneCmp(z, s.v.Schema.Cols[p.idx].Type, p.op, p.d) {
 				return true
 			}
 		}
@@ -440,20 +440,21 @@ func zonePruneCmp(z *colstore.ZoneMap, ct types.ColType, op CmpOp, d types.Datum
 	return false
 }
 
-// computeSel evaluates the pushed predicates over seg's encoded vectors:
-// all-selected, minus the one-shot delete snapshot, minus every predicate's
-// rejections. Returns (nil, true) when zone maps prune the whole segment.
+// computeSel evaluates the pushed predicates over the encoded vectors of
+// m's segment: all-selected, minus the version's delete bitmap, minus every
+// predicate's rejections. Returns (nil, true) when zone maps prune the whole segment.
 // Deterministic for a fixed segment state, so DOP-1 and DOP-N scans select
 // identical rows.
-func (s *colScan) computeSel(seg *colstore.Segment) (*bitmap.Bitmap, bool) {
+func (s *colScan) computeSel(m colstore.Morsel) (*bitmap.Bitmap, bool) {
+	seg := m.Seg
 	if s.zonesPrune(seg) {
 		pushSegsPruned.Inc()
 		return nil, true
 	}
 	sel := bitmap.New(seg.N)
 	sel.Fill(seg.N)
-	if del := seg.DelSnapshot(); del.Any() {
-		sel.AndNot(del)
+	if m.Del.Any() {
+		sel.AndNot(m.Del)
 	}
 	for i := range s.pushed {
 		if sel.Count() == 0 {

@@ -119,13 +119,12 @@ func projectSchema(s *types.Schema, cols []string) ([]types.Column, []int) {
 // type, so every degree of parallelism runs the one loop in Next.
 type colScan struct {
 	ctx     context.Context
-	tbl     *colstore.Table
+	v       *colstore.Version
 	schema  []types.Column
 	idxs    []int
 	pred    *ScanPred
 	predIdx int
 	overlay *delta.Overlay
-	segs    []*colstore.Segment
 
 	morsels []colstore.Morsel // unscanned morsels; the head may be partly scanned
 	overRem []types.Row
@@ -134,7 +133,7 @@ type colScan struct {
 	// Cursor: the head morsel's next row (-1 before it is entered) and the
 	// segment it lies in — whether zone maps pruned the segment, and the
 	// selection its rows pass: the pushed predicates' bitmap (sel), else
-	// the live rows of the delete snapshot (del).
+	// the live rows of the version's delete bitmap (del).
 	row    int
 	seg    *colstore.Segment
 	skip   bool
@@ -155,19 +154,20 @@ type colScan struct {
 
 func (s *colScan) attachStats(st *OpStats) { s.st = st }
 
-// NewColScan scans the column store, merging an optional delta overlay: the
-// paper's "in-memory delta and column scan" when the overlay comes from a
-// Mem delta, its "log-based delta and column scan" when it comes from a Log
-// delta, and its pure "column scan" when the overlay is nil. The scan polls
-// ctx between batches, so cancelling the context stops a multi-segment scan
-// mid-flight; Plan.RunCtx surfaces the context error.
-func NewColScan(ctx context.Context, tbl *colstore.Table, cols []string, pred *ScanPred, overlay *delta.Overlay) Source {
-	schema, idxs := projectSchema(tbl.Schema, cols)
-	s := &colScan{ctx: orBackground(ctx), tbl: tbl, schema: schema, idxs: idxs, pred: pred, predIdx: -1, overlay: overlay, row: -1}
-	s.segs = tbl.Segments()
-	s.morsels = colstore.Morsels(s.segs, MorselRows)
+// NewColScan scans one version of a column table, merging an optional
+// delta overlay: the paper's "in-memory delta and column scan" when the
+// overlay comes from a Mem delta, its "log-based delta and column scan"
+// when it comes from a Log delta, and its pure "column scan" when the
+// overlay is nil. The version is immutable, so the scan reads one state of
+// the table however long it runs. The scan polls ctx between batches, so
+// cancelling the context stops a multi-segment scan mid-flight;
+// Plan.RunCtx surfaces the context error.
+func NewColScan(ctx context.Context, v *colstore.Version, cols []string, pred *ScanPred, overlay *delta.Overlay) Source {
+	schema, idxs := projectSchema(v.Schema, cols)
+	s := &colScan{ctx: orBackground(ctx), v: v, schema: schema, idxs: idxs, pred: pred, predIdx: -1, overlay: overlay, row: -1}
+	s.morsels = v.Morsels(MorselRows)
 	if pred != nil {
-		if i := tbl.Schema.ColIndex(pred.Col); i >= 0 && tbl.Schema.Cols[i].Type == types.Int {
+		if i := v.Schema.ColIndex(pred.Col); i >= 0 && v.Schema.Cols[i].Type == types.Int {
 			s.predIdx = i
 		}
 	}
@@ -237,7 +237,7 @@ func (s *colScan) Next() *Batch {
 // enter starts morsel m. On the first morsel of a segment the zone maps
 // prune it (the advisory ScanPred, then the pushed predicates) and the
 // segment's selection is built: computeSel when predicates are pushed,
-// otherwise the shared delete snapshot, read as its clear bits.
+// otherwise the morsel's delete bitmap, read as its clear bits.
 func (s *colScan) enter(m colstore.Morsel) {
 	s.row = m.Lo
 	if m.Seg != s.seg {
@@ -246,9 +246,9 @@ func (s *colScan) enter(m colstore.Morsel) {
 		switch {
 		case s.skip:
 		case len(s.pushed) > 0:
-			s.sel, s.skip = s.computeSel(m.Seg)
+			s.sel, s.skip = s.computeSel(m)
 		default:
-			s.del = m.Seg.DelSnapshot()
+			s.del = m.Del
 		}
 	}
 	if !s.skip && len(s.pushed) > 0 {
@@ -325,7 +325,7 @@ func (s *colScan) Split(n int) []Source {
 }
 
 // part is a fresh cursor over ms and over. Parts share the scan's
-// immutable segment snapshot, predicates, overlay and profiling counters.
+// immutable version, predicates, overlay and profiling counters.
 func (s *colScan) part(ms []colstore.Morsel, over []types.Row) *colScan {
 	p := *s
 	p.morsels, p.overRem, p.done = ms, over, false

@@ -36,7 +36,7 @@ func TestColScanBatchShape(t *testing.T) {
 		{"pushed-all", Cmp(GE, ColName("region"), ConstInt(0))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := From(NewColScan(context.Background(), tbl, nil, nil, overlay))
+			p := From(NewColScan(context.Background(), tbl.Version(), nil, nil, overlay))
 			if tc.filter != nil {
 				p = p.Filter(tc.filter)
 			}

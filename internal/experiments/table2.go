@@ -123,7 +123,7 @@ func Table2AP(o Opts) []APRow {
 		if ov != nil {
 			overlay = ov()
 		}
-		exec.From(exec.NewColScan(context.Background(), tbl, []string{"grp", "val"}, nil, overlay)).
+		exec.From(exec.NewColScan(context.Background(), tbl.Version(), []string{"grp", "val"}, nil, overlay)).
 			Agg([]string{"grp"}, exec.Agg{Kind: exec.Sum, Expr: exec.ColName("val"), Name: "s"}).
 			Count()
 		return time.Since(start)
@@ -427,17 +427,6 @@ func Table2QOHybrid(o Opts) []HybridRow {
 	pred := &exec.ScanPred{Col: "o_key", Lo: lo, Hi: hi}
 	filter := exec.Between(exec.ColName("o_key"), lo, hi)
 
-	run := func(orders exec.Source) (int, time.Duration) {
-		start := time.Now()
-		n := exec.From(orders).
-			Filter(filter).
-			Join(exec.From(ec.Source(context.Background(), ch.TOrderLine, []string{"ol_o_key", "ol_amount"}, nil)),
-				[]string{"o_key"}, []string{"ol_o_key"}).
-			Agg([]string{"o_key"}, exec.Agg{Kind: exec.Sum, Expr: exec.ColName("ol_amount"), Name: "rev"}).
-			Count()
-		return n, time.Since(start)
-	}
-
 	var out []HybridRow
 	// Row-only: both sides from the disk row store.
 	{
@@ -463,8 +452,14 @@ func Table2QOHybrid(o Opts) []HybridRow {
 	// Hybrid: the planner picks per side (row index for the selective
 	// side, column scan for the wide side).
 	{
-		n, lat := run(e.Source(context.Background(), ch.TOrders, []string{"o_key"}, pred))
-		out = append(out, HybridRow{Plan: "hybrid(cost-based)", Latency: lat, Rows: n})
+		start := time.Now()
+		snap := e.Snapshot(context.Background())
+		n := snap.Query(ch.TOrders, []string{"o_key"}, pred).Filter(filter).
+			Join(snap.Query(ch.TOrderLine, []string{"ol_o_key", "ol_amount"}, nil),
+				[]string{"o_key"}, []string{"ol_o_key"}).
+			Agg([]string{"o_key"}, exec.Agg{Kind: exec.Sum, Expr: exec.ColName("ol_amount"), Name: "rev"}).
+			Count()
+		out = append(out, HybridRow{Plan: "hybrid(cost-based)", Latency: time.Since(start), Rows: n})
 	}
 	return out
 }

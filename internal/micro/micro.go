@@ -98,7 +98,7 @@ func (d *Dataset) source(l Layout, cols []string, pred *exec.ScanPred) exec.Sour
 	if l == RowLayout {
 		return exec.NewRowScan(context.Background(), d.Row, d.Mgr.Oracle().Watermark(), cols, pred)
 	}
-	return exec.NewColScan(context.Background(), d.Col, cols, pred, nil)
+	return exec.NewColScan(context.Background(), d.Col.Version(), cols, pred, nil)
 }
 
 // ScanResult reports one scan measurement.

@@ -345,12 +345,22 @@ type cancelAtFirstBatch struct {
 	released chan struct{}
 }
 
-func (e *cancelAtFirstBatch) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	return exec.From(e.Source(ctx, table, cols, pred))
+func (e *cancelAtFirstBatch) Snapshot(ctx context.Context) core.Snapshot {
+	return heldSnapshot{Snapshot: e.Engine.Snapshot(ctx), ctx: ctx, e: e}
 }
 
-func (e *cancelAtFirstBatch) Source(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
-	return &heldSource{Source: e.Engine.Source(ctx, table, cols, pred), ctx: ctx, e: e}
+type heldSnapshot struct {
+	core.Snapshot
+	ctx context.Context
+	e   *cancelAtFirstBatch
+}
+
+func (s heldSnapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+	type sourcer interface {
+		Source(table string, cols []string, pred *exec.ScanPred) exec.Source
+	}
+	src := s.Snapshot.(sourcer).Source(table, cols, pred)
+	return exec.From(&heldSource{Source: src, ctx: s.ctx, e: s.e})
 }
 
 type heldSource struct {
