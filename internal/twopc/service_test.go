@@ -193,8 +193,8 @@ func TestCommitCrossPartition(t *testing.T) {
 			t.Fatalf("watermark = %d, want commit ts %d", h.oracle.Watermark(), ts)
 		}
 		for _, l := range h.logs {
-			if l.kinds() != "PC" || l.p.AppliedTS() != ts {
-				t.Fatalf("log = %q applied = %d, want prepare+commit at the one commit ts %d", l.kinds(), l.p.AppliedTS(), ts)
+			if l.kinds() != "PC" || l.p.SafeTS() != ts {
+				t.Fatalf("log = %q applied = %d, want prepare+commit at the one commit ts %d", l.kinds(), l.p.SafeTS(), ts)
 			}
 		}
 	})
@@ -285,8 +285,8 @@ func TestCommitLostAckIsIndeterminateAndConverges(t *testing.T) {
 	commitTS := h.oracle.Current()
 	for k := int64(0); k < 3; k++ {
 		h.waitValue(t, k, 10+k)
-		if l := h.logs[k]; l.p.AppliedTS() != commitTS || l.p.LockCount() != 0 {
-			t.Fatalf("partition %d after recovery: applied TS %d (want %d), %d locks", k, l.p.AppliedTS(), commitTS, l.p.LockCount())
+		if l := h.logs[k]; l.p.SafeTS() != commitTS || l.p.LockCount() != 0 {
+			t.Fatalf("partition %d after recovery: applied TS %d (want %d), %d locks", k, l.p.SafeTS(), commitTS, l.p.LockCount())
 		}
 	}
 }
@@ -316,15 +316,15 @@ func TestCommitLostCommitRecordResolvesOnRecovery(t *testing.T) {
 	// partition's outcome) re-delivers the commit decision; idempotent apply
 	// converges both partitions.
 	b.fault.dropCommit = false
-	commitTS := h.logs[0].p.AppliedTS()
+	commitTS := h.logs[0].p.SafeTS()
 	if err := b.propose(EncodeCommit(1, commitTS)); err != nil {
 		t.Fatalf("re-delivered commit: %v", err)
 	}
 	b.p.Apply(EncodeCommit(1, commitTS)) // duplicate delivery must stay a no-op
 	h.waitValue(t, 0, 10)
 	h.waitValue(t, 1, 11)
-	if b.p.AppliedTS() != commitTS || b.p.LockCount() != 0 {
-		t.Fatalf("after resolution: applied TS %d (want %d), %d locks", b.p.AppliedTS(), commitTS, b.p.LockCount())
+	if b.p.SafeTS() != commitTS || b.p.LockCount() != 0 {
+		t.Fatalf("after resolution: applied TS %d (want %d), %d locks", b.p.SafeTS(), commitTS, b.p.LockCount())
 	}
 }
 

@@ -65,8 +65,8 @@ func TestParticipantPrepareCommit(t *testing.T) {
 	if r, ok := st.get(1); !ok || r[0].Int() != 1 {
 		t.Fatalf("row = %v %v", r, ok)
 	}
-	if p.AppliedTS() != 5 {
-		t.Fatalf("applied = %d", p.AppliedTS())
+	if p.SafeTS() != 5 {
+		t.Fatalf("applied = %d", p.SafeTS())
 	}
 }
 
