@@ -206,7 +206,10 @@ func (t *distTx) Commit() error {
 		return errTxDone
 	}
 	t.done = true
-	t.d.forget(t)
+	// Leave the open set only once the branches have committed: a
+	// rebalance drain that saw this transaction gone would otherwise
+	// rescan the moving range before its writes land.
+	defer t.d.forget(t)
 	var branches []twopc.TxParticipant
 	for i, s := range t.subs {
 		if s != nil {
