@@ -60,7 +60,9 @@ func run(ctrl sched.Controller) (tps, qps, avgLag float64, syncs int64) {
 			return err == nil
 		},
 		func() bool {
-			queries[6](ch.Bind(context.Background(), engine))
+			q := ch.Bind(context.Background(), engine)
+			queries[6](q)
+			q.Close()
 			return true
 		},
 	)

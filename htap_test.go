@@ -26,7 +26,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 				t.Fatalf("%v: txn: %v", arch, err)
 			}
 		}
-		rows := htap.CHQueries()[1](ch.Bind(context.Background(), engine))
+		q := ch.Bind(context.Background(), engine)
+		rows := htap.CHQueries()[1](q)
+		q.Close()
 		if len(rows) == 0 {
 			t.Fatalf("%v: Q1 empty", arch)
 		}

@@ -58,11 +58,21 @@ func (b *boundQueryer) Query(table string, cols []string, pred *exec.ScanPred) *
 	return p
 }
 
+// Close releases the snapshot the queries read.
+func (b *boundQueryer) Close() { b.snap.Close() }
+
+// BoundQueryer is a Queryer over one snapshot. Close it when its queries
+// have run.
+type BoundQueryer interface {
+	Queryer
+	Close()
+}
+
 // Bind adapts an Engine to the Queryer interface: a snapshot opened under
 // ctx. Queries run through the returned Queryer stop scanning when ctx is
 // cancelled; use RunQuery to also surface the context error and scan
 // failures.
-func Bind(ctx context.Context, e Engine) Queryer {
+func Bind(ctx context.Context, e Engine) BoundQueryer {
 	return &boundQueryer{snap: e.Snapshot(ctx)}
 }
 
@@ -80,6 +90,7 @@ func RunQuery(ctx context.Context, e Engine, n int) ([]types.Row, error) {
 	}
 	start := time.Now()
 	bq := &boundQueryer{snap: e.Snapshot(ctx)}
+	defer bq.Close()
 	rows := q(bq)
 	if bq.qm != nil {
 		// The executed plan's deferred FinishMem already drained the shared

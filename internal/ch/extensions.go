@@ -70,11 +70,13 @@ func (d *Driver) AnalyticalNewOrder(ctx context.Context, rng *rand.Rand) error {
 
 	// Analytical operation: per-item units sold, from the columnar view.
 	popularity := make(map[int64]int64, len(items))
-	rows := d.E.Snapshot(ctx).Query(TOrderLine, []string{"ol_i_id", "ol_quantity"}, nil).
+	snap := d.E.Snapshot(ctx)
+	rows := snap.Query(TOrderLine, []string{"ol_i_id", "ol_quantity"}, nil).
 		Filter(exec.InInts(exec.ColName("ol_i_id"), items...)).
 		Agg([]string{"ol_i_id"},
 			exec.Agg{Kind: exec.Sum, Expr: exec.ColName("ol_quantity"), Name: "sold"}).
 		Run()
+	snap.Close()
 	for _, r := range rows {
 		popularity[r[0].Int()] = r[1].Int()
 	}

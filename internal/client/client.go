@@ -654,6 +654,10 @@ func (s remoteSnapshot) Query(table string, cols []string, pred *exec.ScanPred) 
 	return s.r.Query(s.ctx, table, cols, pred)
 }
 
+// Close implements core.Snapshot. It has nothing to release: each scan the
+// server runs opens and closes a snapshot of its own.
+func (s remoteSnapshot) Close() {}
+
 // RunCH runs CH query n server-side and returns its rows. htapbench
 // prefers this over client-side query assembly when the engine provides
 // it: one round trip carries only the (small, aggregated) result set.

@@ -55,13 +55,13 @@ func NewEngineA(cfg ConfigA) *EngineA {
 	e := &EngineA{cfg: cfg}
 	e.init(ArchA, "primary-row+inmem-col", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	for i, s := range cfg.Schemas {
-		e.rows = append(e.rows, rowstore.New(uint32(i), s))
+		e.addRows(rowstore.New(uint32(i), s))
 		e.cols = append(e.cols, colstore.NewTable(s))
 		observeSelectivity(e.fb, ArchA, e.cols[i])
 		e.deltas = append(e.deltas, delta.NewMem())
 		e.reps = append(e.reps, []*replica{{parts: []*colstore.Table{e.cols[i]}, delta: e.deltas[i]}})
 	}
-	e.serve(e, e.walDev.Stats)
+	e.serve(e, e.walDev.Stats, e.rowVersions)
 	e.every(cfg.SyncInterval, func() {
 		if e.shouldSync() {
 			e.Sync()
@@ -103,10 +103,12 @@ func (e *EngineA) Load(table string, row types.Row) error {
 }
 
 // Sync implements Engine: merge every delta into its column table, or
-// rebuild the table from the row store, per the configured strategy.
+// rebuild the table from the row store, per the configured strategy. A
+// rebuild reads the row store at upTo, which stays pinned for the round.
 func (e *EngineA) Sync() {
 	e.syncRound(func(sp *obs.Span) uint64 {
-		upTo := e.mgr.Oracle().Watermark()
+		upTo := e.pins.Pin(e.readPoint)
+		defer e.pins.Release(upTo)
 		for i := range e.cols {
 			if e.cfg.Strategy == SyncRebuild {
 				child := sp.Child("rebuild").AttrInt("table", int64(i))

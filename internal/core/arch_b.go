@@ -40,10 +40,14 @@ type voterStorage struct {
 	rows []*rowstore.Store
 }
 
-func newVoterStorage(schemas []*types.Schema) *voterStorage {
+// newVoterStorage returns a voter's stores; they prune behind pins, which
+// holds the read timestamps of the engine's transactions.
+func newVoterStorage(schemas []*types.Schema, pins *txn.Pins) *voterStorage {
 	v := &voterStorage{}
 	for i, s := range schemas {
-		v.rows = append(v.rows, rowstore.New(uint32(i), s))
+		st := rowstore.New(uint32(i), s)
+		st.SetPins(pins)
+		v.rows = append(v.rows, st)
 	}
 	return v
 }
@@ -138,13 +142,14 @@ func NewEngineB(cfg ConfigB) *EngineB {
 		parts:    make(map[int]map[int]*twopc.Participant),
 	}
 	e.init(ArchB, "dist-row+col-replica", cfg.Schemas, cfg.Parallelism)
+	e.pins = txn.NewPins(e.oracle.Watermark)
 	e.serving = make([]int, cfg.Partitions)
 	for pid := 0; pid < cfg.Partitions; pid++ {
 		e.voters[pid] = make(map[int]*voterStorage)
 		e.learners[pid] = make(map[int]*learnerStorage)
 		e.parts[pid] = make(map[int]*twopc.Participant)
 		for n := 0; n < cfg.VotersPer; n++ {
-			vs := newVoterStorage(cfg.Schemas)
+			vs := newVoterStorage(cfg.Schemas, e.pins)
 			e.voters[pid][n] = vs
 			e.parts[pid][n] = twopc.NewParticipant(vs)
 		}
@@ -182,7 +187,7 @@ func NewEngineB(cfg ConfigB) *EngineB {
 		}
 		return e.parts[part][l.Status().ID]
 	})
-	e.serve(e, func() disk.Stats { return e.Stats().Disk })
+	e.serve(e, func() disk.Stats { return e.Stats().Disk }, e.rowVersions)
 	e.every(cfg.MergeInterval, e.Sync)
 	return e
 }
@@ -207,10 +212,11 @@ type txB struct {
 	done   bool
 }
 
-// Begin implements Engine.
+// Begin implements Engine. The read timestamp stays pinned until the
+// transaction commits or aborts.
 func (e *EngineB) Begin(ctx context.Context) Tx {
 	e.om.begins.Inc()
-	return &txB{e: e, ctx: ctxOrBackground(ctx), readTS: e.oracle.Watermark(), idx: make(map[[2]int64]int)}
+	return &txB{e: e, ctx: ctxOrBackground(ctx), readTS: e.pins.Pin(e.oracle.Watermark), idx: make(map[[2]int64]int)}
 }
 
 func (t *txB) key(table uint32, key int64) [2]int64 { return [2]int64{int64(table), key} }
@@ -312,6 +318,7 @@ func (t *txB) Commit() error {
 	t.done = true
 	start := time.Now()
 	ts, err := e.coord.Commit(t.ctx, t.readTS, t.muts)
+	e.pins.Release(t.readTS)
 	if err != nil {
 		e.aborts.Add(1)
 		e.om.aborts.Inc()
@@ -325,6 +332,7 @@ func (t *txB) Commit() error {
 func (t *txB) Abort() {
 	if !t.done {
 		t.done = true
+		t.e.pins.Release(t.readTS)
 		t.e.aborts.Add(1)
 		t.e.om.aborts.Inc()
 	}
@@ -407,6 +415,19 @@ func (e *EngineB) Freshness() freshness.Snapshot {
 		return e.tracker.ReadWithApplied(e.readPoint())
 	}
 	return e.tracker.Read()
+}
+
+// rowVersions is the number of row versions every voter's stores hold.
+func (e *EngineB) rowVersions() int64 {
+	var n int64
+	for _, vs := range e.voters {
+		for _, v := range vs {
+			for _, s := range v.rows {
+				n += s.Versions()
+			}
+		}
+	}
+	return n
 }
 
 // Stats implements Engine.

@@ -95,11 +95,11 @@ func NewEngineC(cfg ConfigC) *EngineC {
 	e.init(ArchC, "disk-row+dist-col", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	e.imcs = make([]atomic.Pointer[imcsTable], len(cfg.Schemas))
 	for i, s := range cfg.Schemas {
-		e.rows = append(e.rows, rowstore.NewDiskBacked(uint32(i), s, e.rowDev))
+		e.addRows(rowstore.NewDiskBacked(uint32(i), s, e.rowDev))
 	}
 	// The analytical cost model charges the row device; export it (the WAL
 	// device is already covered by htap_wal_* series).
-	e.serve(e, e.rowDev.Stats)
+	e.serve(e, e.rowDev.Stats, e.rowVersions)
 	return e
 }
 
@@ -175,7 +175,8 @@ func (e *EngineC) LoadColumns(table string, cols []string) {
 		it.parts = append(it.parts, sh)
 		builders[i] = sh.NewBuilder()
 	}
-	snap := e.mgr.Oracle().Watermark()
+	snap := e.pins.Pin(e.readPoint)
+	defer e.pins.Release(snap)
 	e.rows[id].Scan(snap, func(key int64, r types.Row) bool {
 		builders[shardFor(key, len(builders))].Add(it.projectRow(r))
 		return true
@@ -194,8 +195,9 @@ func (e *EngineC) Unload(table string) { e.imcs[e.ts.mustID(table)].Store(nil) }
 // recommended projections under the memory budget (§2.2(4)(i)).
 func (e *EngineC) Reselect() colsel.Selection {
 	var cands []colsel.Candidate
+	ts := e.pins.Pin(e.readPoint)
 	for id, s := range e.ts.schemas {
-		rows := e.rows[id].Count(e.mgr.Oracle().Watermark())
+		rows := e.rows[id].Count(ts)
 		for _, c := range s.Cols {
 			width := 8
 			if c.Type == types.String {
@@ -207,6 +209,7 @@ func (e *EngineC) Reselect() colsel.Selection {
 			})
 		}
 	}
+	e.pins.Release(ts)
 	budget := e.cfg.BudgetBytes
 	if budget <= 0 {
 		budget = 1 << 40
@@ -236,10 +239,13 @@ func (e *EngineC) PushdownStats() (pushdowns, fallbacks int64) {
 }
 
 // RowSource forces the disk row-store access path, bypassing the cost
-// model; the hybrid-scan experiments use it as the row-only baseline.
+// model; the hybrid-scan experiments use it as the row-only baseline. The
+// scan materializes under a pin of its read point.
 func (e *EngineC) RowSource(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
 	id := e.ts.mustID(table)
-	return exec.NewRowScan(ctx, e.rows[id], e.mgr.Oracle().Watermark(), cols, pred)
+	ts := e.pins.Pin(e.readPoint)
+	defer e.pins.Release(ts)
+	return exec.NewRowScan(ctx, e.rows[id], ts, cols, pred)
 }
 
 // ColSource forces the IMCS access path in a snapshot of its own,
@@ -247,6 +253,7 @@ func (e *EngineC) RowSource(ctx context.Context, table string, cols []string, pr
 func (e *EngineC) ColSource(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
 	id := int(e.ts.mustID(table))
 	s := e.open(ctx)
+	defer s.Close()
 	if len(s.reps[id]) == 0 || !covers(s.reps[id][0].vers[0].Schema, cols) {
 		panic(fmt.Sprintf("core: ColSource(%s): columns not loaded", table))
 	}

@@ -59,7 +59,7 @@ func NewEngineD(cfg ConfigD) *EngineD {
 		e.reps = append(e.reps, []*replica{{parts: []*colstore.Table{l.Main, l.L2}, delta: l.L1}})
 		e.versions = append(e.versions, make(map[int64]uint64))
 	}
-	e.serve(e, e.walDev.Stats)
+	e.serve(e, e.walDev.Stats, nil)
 	return e
 }
 

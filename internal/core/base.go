@@ -12,6 +12,7 @@ import (
 	"htap/internal/obs"
 	"htap/internal/planner"
 	"htap/internal/sched"
+	"htap/internal/txn"
 	"htap/internal/types"
 )
 
@@ -31,6 +32,9 @@ type engineBase struct {
 	par     atomic.Int32
 	om      archMetrics
 	obsFns  []*obs.FuncHandle
+	// pins holds the read timestamps of open transactions and snapshots;
+	// row stores prune behind its horizon.
+	pins *txn.Pins
 	// col is the finished engine's analytical side (replica.go); reps
 	// are its replicas by table id when they are fixed at construction.
 	col  columnar
@@ -56,10 +60,10 @@ func (b *engineBase) init(a Arch, name string, schemas []*types.Schema, parallel
 }
 
 // serve publishes the finished engine e: the scrape-time gauges read its
-// Freshness and dev, and snapshots read through its replicas.
-func (b *engineBase) serve(e Engine, dev func() disk.Stats) {
+// Freshness, dev and row versions, and snapshots read through its replicas.
+func (b *engineBase) serve(e Engine, dev func() disk.Stats, versions func() int64) {
 	b.col = e.(columnar)
-	b.obsFns = registerEngineFuncs(b.arch, e.Freshness, dev)
+	b.obsFns = registerEngineFuncs(b.arch, e.Freshness, dev, b.pins, versions)
 }
 
 // every runs tick on a ticker until Close: the background synchronization
@@ -84,6 +88,10 @@ func (b *engineBase) every(d time.Duration, tick func()) {
 	}()
 }
 
+// Pins exposes the read timestamps the engine's open transactions and
+// snapshots hold.
+func (b *engineBase) Pins() *txn.Pins { return b.pins }
+
 // Name implements Engine.
 func (b *engineBase) Name() string { return b.name }
 
@@ -105,9 +113,14 @@ func (b *engineBase) shared() bool { return sched.Mode(b.mode.Load()) == sched.S
 // SetParallelism implements Paralleler.
 func (b *engineBase) SetParallelism(n int) { b.par.Store(int32(n)) }
 
-// Query implements Engine: a one-scan query in a snapshot of its own.
+// Query implements Engine: a one-scan query in a snapshot of its own. The
+// snapshot closes as soon as the plan's sources are built: column versions
+// are immutable and a row scan materializes when it is planned, so the
+// plan reads nothing a later commit may prune.
 func (b *engineBase) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	return b.open(ctx).Query(table, cols, pred)
+	s := b.open(ctx)
+	defer s.Close()
+	return s.Query(table, cols, pred)
 }
 
 // syncRound runs one synchronization round under the sync lock, span and

@@ -118,9 +118,10 @@ type Engine interface {
 	// Snapshot opens an analytical read point under the engine's AP
 	// technique and mode. Its scans poll ctx between batches: cancelling
 	// it (client disconnect, deadline) abandons the remaining segments
-	// mid-scan.
+	// mid-scan. The caller closes it when its plans have run.
 	Snapshot(ctx context.Context) Snapshot
 	// Query is shorthand for Snapshot(ctx).Query(...): a one-scan query.
+	// It closes its snapshot itself.
 	Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan
 
 	// Sync forces one data-synchronization round (delta merge / rebuild).
@@ -144,6 +145,11 @@ type Snapshot interface {
 	// Query plans a scan of table (all columns when cols is nil) under the
 	// engine's degree of parallelism and memory governor.
 	Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan
+	// Close releases the read point: row versions only it could see may
+	// then be pruned. Plans built before Close stay valid, since every
+	// scan is planned from immutable versions or materialized rows, but no
+	// scan may be planned after it. Closing twice is harmless.
+	Close()
 }
 
 // Indexer is implemented by engines whose primary row store supports

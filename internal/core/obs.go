@@ -11,6 +11,7 @@ import (
 	"htap/internal/freshness"
 	"htap/internal/obs"
 	"htap/internal/planner"
+	"htap/internal/txn"
 )
 
 // Label returns the short arch value used in metric labels.
@@ -56,11 +57,13 @@ func newArchMetrics(a Arch) archMetrics {
 }
 
 // registerEngineFuncs exports scrape-time callbacks for one live engine: the
-// freshness lag gauges every architecture must expose, and the engine's
-// device counters re-labeled by architecture.
+// freshness lag gauges every architecture must expose, how far its oldest
+// open reader trails the watermark, the row versions its stores hold (nil
+// when it has no row store), and its device counters re-labeled by
+// architecture.
 // Rebuilding an engine of the same architecture transfers series ownership
 // to the newest instance; Close unregisters only what it still owns.
-func registerEngineFuncs(a Arch, fresh func() freshness.Snapshot, dev func() disk.Stats) []*obs.FuncHandle {
+func registerEngineFuncs(a Arch, fresh func() freshness.Snapshot, dev func() disk.Stats, pins *txn.Pins, versions func() int64) []*obs.FuncHandle {
 	l := obs.L("arch", a.Label())
 	hs := []*obs.FuncHandle{
 		obs.Default.RegisterFunc("htap_freshness_lag_ts", l, obs.KindGauge, func() float64 {
@@ -69,6 +72,14 @@ func registerEngineFuncs(a Arch, fresh func() freshness.Snapshot, dev func() dis
 		obs.Default.RegisterFunc("htap_freshness_lag_seconds", l, obs.KindGauge, func() float64 {
 			return fresh().LagTime.Seconds()
 		}),
+		obs.Default.RegisterFunc("htap_txn_snapshot_lag", l, obs.KindGauge, func() float64 {
+			return float64(pins.Lag())
+		}),
+	}
+	if versions != nil {
+		hs = append(hs, obs.Default.RegisterFunc("htap_rowstore_versions", l, obs.KindGauge, func() float64 {
+			return float64(versions())
+		}))
 	}
 	for _, c := range []struct {
 		name string

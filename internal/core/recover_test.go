@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"htap/internal/disk"
@@ -267,29 +268,84 @@ func TestWALBytesPinned(t *testing.T) {
 	})
 }
 
-func TestEngineGCReclaimsVersions(t *testing.T) {
+// TestPruneEngineVersions: on an engine, a commit prunes the key's chain
+// behind the oldest open transaction. One that began before 20 updates
+// keeps every version since its snapshot and still reads its own image;
+// once it ends, further updates leave the head and the image it replaced.
+func TestPruneEngineVersions(t *testing.T) {
 	e := NewEngineA(ConfigA{Schemas: testSchemas()})
 	defer e.Close()
-	Exec(context.Background(), e, func(tx Tx) error { return tx.Insert("acct", acct(1, 0, 0)) })
-	for i := 0; i < 20; i++ {
-		i := i
-		if err := Exec(context.Background(), e, func(tx Tx) error { return tx.Update("acct", acct(1, 0, float64(i))) }); err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	mustExec(t, e, func(tx Tx) error { return tx.Insert("acct", acct(1, 0, 0)) })
+	update := func(from, to int) {
+		for i := from; i <= to; i++ {
+			mustExec(t, e, func(tx Tx) error { return tx.Update("acct", acct(1, 0, float64(i))) })
 		}
 	}
-	reclaimed := e.GC()
-	if reclaimed < 19 {
-		t.Fatalf("reclaimed %d versions, want >= 19", reclaimed)
+	old := e.Begin(ctx)
+	update(1, 20)
+	if got := e.rowVersions(); got != 21 {
+		t.Fatalf("with a transaction open since before the updates: %d versions, want 21", got)
 	}
-	// Current state unaffected.
-	tx := e.Begin(context.Background())
+	if r, err := old.Get("acct", 1); err != nil || r[2].Float() != 0 {
+		t.Fatalf("open transaction read %v, %v; want its own image (bal 0)", r, err)
+	}
+	old.Abort()
+	update(21, 40)
+	if got := e.rowVersions(); got != 2 {
+		t.Fatalf("with nothing open: %d versions, want 2", got)
+	}
+	tx := e.Begin(ctx)
 	defer tx.Abort()
-	r, err := tx.Get("acct", 1)
-	if err != nil || r[2].Float() != 19 {
-		t.Fatalf("post-GC read = %v, %v", r, err)
+	if r, err := tx.Get("acct", 1); err != nil || r[2].Float() != 40 {
+		t.Fatalf("latest image %v, %v; want bal 40", r, err)
 	}
-	// Repeated GC finds nothing new.
-	if again := e.GC(); again != 0 {
-		t.Fatalf("second GC reclaimed %d", again)
+}
+
+// TestPruneVersionCount: after 5 000 seeded transactions on A, with nothing
+// pinned, every chain holds its head, plus the image the head replaced if
+// the key was written more than once: Σ Versions() is the live keys plus
+// the tombstoned chains plus the chains written twice or more.
+func TestPruneVersionCount(t *testing.T) {
+	e := NewEngineA(ConfigA{Schemas: testSchemas()})
+	defer e.Close()
+	rng := rand.New(rand.NewSource(11))
+	live := map[int64]bool{}
+	installs := map[int64]int{} // by key: the commits that wrote it
+	for i := 0; i < 5000; i++ {
+		wrote := map[int64]bool{} // by key: live after this transaction
+		mustExec(t, e, func(tx Tx) error {
+			clear(wrote)
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				k := int64(rng.Intn(300))
+				if _, again := wrote[k]; again {
+					continue
+				}
+				var err error
+				switch {
+				case !live[k]:
+					err, wrote[k] = tx.Insert("acct", acct(k, 0, float64(i))), true
+				case rng.Intn(4) == 0:
+					err, wrote[k] = tx.Delete("acct", k), false
+				default:
+					err, wrote[k] = tx.Update("acct", acct(k, 0, float64(i))), true
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		for k, l := range wrote {
+			installs[k]++
+			live[k] = l
+		}
+	}
+	want := int64(0)
+	for _, n := range installs {
+		want += int64(min(n, 2))
+	}
+	if got := e.rowVersions(); got != want {
+		t.Fatalf("Σ Versions() = %d, want %d (%d chains)", got, want, len(installs))
 	}
 }

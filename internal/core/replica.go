@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 
 	"htap/internal/colstore"
 	"htap/internal/delta"
@@ -66,13 +67,15 @@ type snapshot struct {
 	readTS uint64
 	shared bool
 	reps   [][]replicaSnap // by table id
+	closed atomic.Bool
 }
 
 // Snapshot implements Engine. The read point is fixed first, then every
 // replica is captured; a merge that publishes past the read point before a
 // replica is captured forces a fresh one, so no captured version holds a
 // commit after readTS and every view holds every unmerged entry up to it.
-// In Isolated mode scans read the merged versions only.
+// In Isolated mode scans read the merged versions only. The read point
+// stays pinned until Close.
 func (b *engineBase) Snapshot(ctx context.Context) Snapshot { return b.open(ctx) }
 
 func (b *engineBase) open(ctx context.Context) *snapshot {
@@ -82,16 +85,18 @@ func (b *engineBase) open(ctx context.Context) *snapshot {
 	return s
 }
 
-// capture fixes the read point, then captures every replica. It reports
-// false when a merge published past the read point meanwhile.
+// capture fixes and pins the read point, then captures every replica. It
+// reports false, with the pin released, when a merge published past the
+// read point meanwhile.
 func (s *snapshot) capture() bool {
-	s.readTS = s.b.col.readPoint()
+	s.readTS = s.b.pins.Pin(s.b.col.readPoint)
 	for id := range s.reps {
 		s.reps[id] = s.reps[id][:0]
 		for _, r := range s.b.col.replicas(id) {
 			rs := r.snapshot()
 			for _, v := range rs.vers {
 				if s.shared && v.Applied > s.readTS {
+					s.b.pins.Release(s.readTS)
 					return false
 				}
 			}
@@ -103,6 +108,14 @@ func (s *snapshot) capture() bool {
 
 // ReadTS implements Snapshot.
 func (s *snapshot) ReadTS() uint64 { return s.readTS }
+
+// Close implements Snapshot: it releases the read point's pin. Closing
+// twice is harmless.
+func (s *snapshot) Close() {
+	if s.closed.CompareAndSwap(false, true) {
+		s.b.pins.Release(s.readTS)
+	}
+}
 
 // Query implements Snapshot: the architecture's access path under the
 // engine's degree of parallelism and memory governor.

@@ -13,8 +13,8 @@ import (
 
 // rowEngine is a walEngine whose primary copy is an MVCC row store per table
 // — architectures A (memory-optimized) and C (disk-backed). Transactions,
-// bulk load, secondary indexes and version GC are the same on both; only the
-// column side, which the embedding engine adds, differs.
+// bulk load, secondary indexes and version pruning are the same on both;
+// only the column side, which the embedding engine adds, differs.
 type rowEngine struct {
 	walEngine
 	rows []*rowstore.Store
@@ -93,16 +93,19 @@ func (e *rowEngine) Load(table string, row types.Row) error {
 	return e.rows[id].Load(row)
 }
 
-// GC reclaims row versions older than the current watermark that are
-// shadowed by newer ones; §2.2(1)'s MVCC leaves them behind. It returns
-// the number of reclaimed versions.
-func (e *rowEngine) GC() int64 {
-	ts := e.mgr.Oracle().Watermark()
-	var reclaimed int64
+// addRows adds table s's row store: it prunes behind the engine's pins.
+func (e *rowEngine) addRows(s *rowstore.Store) {
+	s.SetPins(e.pins)
+	e.rows = append(e.rows, s)
+}
+
+// rowVersions is the number of row versions the engine's stores hold.
+func (e *rowEngine) rowVersions() int64 {
+	var n int64
 	for _, s := range e.rows {
-		reclaimed += s.GC(ts)
+		n += s.Versions()
 	}
-	return reclaimed
+	return n
 }
 
 // AddIndex implements Indexer.

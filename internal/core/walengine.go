@@ -37,6 +37,7 @@ type walEngine struct {
 func (e *walEngine) init(a Arch, name string, schemas []*types.Schema, parallelism int, install func(uint64, []txn.Write)) {
 	e.engineBase.init(a, name, schemas, parallelism)
 	e.mgr = txn.NewManager()
+	e.pins = e.mgr.Pins()
 	e.walDev = disk.New(disk.DefaultConfig())
 	e.wal = wal.New(e.walDev, e.walName())
 	e.install = install

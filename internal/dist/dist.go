@@ -324,6 +324,15 @@ func (d *Engine) Snapshot(ctx context.Context) core.Snapshot {
 // ReadTS implements core.Snapshot.
 func (s *snapshot) ReadTS() uint64 { return 0 }
 
+// Close implements core.Snapshot: it closes every local shard's snapshot.
+func (s *snapshot) Close() {
+	for _, l := range s.local {
+		if l != nil {
+			l.Close()
+		}
+	}
+}
+
 // Query implements core.Snapshot: scatter the scan to every owning shard
 // and merge. The plan is wired exactly like a single engine's — context,
 // parallelism, memory accountant, profile — plus an error sink that turns
@@ -353,7 +362,10 @@ func (s *snapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec
 	return p
 }
 
-// Query implements core.Engine: a one-scan query in a snapshot of its own.
+// Query implements core.Engine: a one-scan query in a snapshot of its own,
+// closed once the shards' sources are built (see core.Engine.Query).
 func (d *Engine) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	return d.Snapshot(ctx).Query(table, cols, pred)
+	s := d.Snapshot(ctx)
+	defer s.Close()
+	return s.Query(table, cols, pred)
 }

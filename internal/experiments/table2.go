@@ -337,7 +337,7 @@ func Table2QOColSel(o Opts) []ColSelRow {
 			queries := []int{1, 5, 6, 12, 14}
 			all := ch.Queries()
 			for _, qi := range queries {
-				all[qi](ch.Bind(context.Background(), e))
+				runBound(e, all[qi])
 			}
 			full := fullFootprint(e)
 			e2 := e // reuse; budget applies at Reselect time
@@ -350,12 +350,12 @@ func Table2QOColSel(o Opts) []ColSelRow {
 				panic(err)
 			}
 			for _, qi := range queries {
-				all[qi](ch.Bind(context.Background(), e3))
+				runBound(e3, all[qi])
 			}
 			sel := e3.Reselect()
 			pdBefore, fbBefore := e3.PushdownStats()
 			for _, qi := range queries {
-				all[qi](ch.Bind(context.Background(), e3))
+				runBound(e3, all[qi])
 			}
 			pdAfter, fbAfter := e3.PushdownStats()
 			pd, fb := pdAfter-pdBefore, fbAfter-fbBefore
@@ -459,6 +459,7 @@ func Table2QOHybrid(o Opts) []HybridRow {
 				[]string{"o_key"}, []string{"ol_o_key"}).
 			Agg([]string{"o_key"}, exec.Agg{Kind: exec.Sum, Expr: exec.ColName("ol_amount"), Name: "rev"}).
 			Count()
+		snap.Close()
 		out = append(out, HybridRow{Plan: "hybrid(cost-based)", Latency: time.Since(start), Rows: n})
 	}
 	return out
@@ -586,7 +587,7 @@ func runScheduled(o Opts, ctrl sched.Controller) RSRow {
 			rng := <-rngPool
 			qi := qset[rng.Intn(len(qset))]
 			rngPool <- rng
-			queries[qi](ch.Bind(context.Background(), e))
+			runBound(e, queries[qi])
 			return true
 		},
 	)
@@ -679,4 +680,11 @@ func FormatHAP(pts []micro.HAPPoint) string {
 		fmt.Fprintf(&b, "%-8.2f %-8s %12.1f\n", p.UpdateFraction, p.Layout, p.OpsPerSec)
 	}
 	return b.String()
+}
+
+// runBound runs CH query q in a snapshot of its own, then closes it.
+func runBound(e ch.Engine, q ch.QueryFunc) []types.Row {
+	b := ch.Bind(context.Background(), e)
+	defer b.Close()
+	return q(b)
 }

@@ -62,6 +62,7 @@ func NewDataset(rows, cols int, seed int64) *Dataset {
 		Col: colstore.NewTable(schema),
 		Mgr: txn.NewManager(),
 	}
+	d.Row.SetPins(d.Mgr.Pins())
 	rng := rand.New(rand.NewSource(seed))
 	builder := d.Col.NewBuilder()
 	for r := 0; r < rows; r++ {

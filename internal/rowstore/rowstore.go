@@ -5,7 +5,9 @@
 // version carries a begin timestamp, matching §2.2(1): "An update creates a
 // new version of a row with a new lifetime of a begin timestamp and an end
 // timestamp" (the end timestamp is implicit here: a version ends where the
-// next newer one begins, and deletions install tombstone versions). The
+// next newer one begins, and deletions install tombstone versions). Old
+// versions are reclaimed where they are made: the commit that installs a
+// new version unlinks the ones below it that no pinned reader can see. The
 // store can be memory-resident (architectures A, B, D) or disk-backed
 // (architecture C's "Disk Row Store", which charges simulated I/O per row
 // access).
@@ -46,6 +48,22 @@ func (c *chain) visible(ts uint64) *version {
 	return nil
 }
 
+// prune unlinks the versions below the newest one at or below horizon: a
+// read at or above the horizon sees that version or a newer one, never an
+// older one. It returns how many versions it unlinked.
+func (c *chain) prune(horizon uint64) int64 {
+	v := c.visible(horizon)
+	if v == nil {
+		return 0
+	}
+	n := int64(0)
+	for d := v.next; d != nil; d = d.next {
+		n++
+	}
+	v.next = nil
+	return n
+}
+
 // Store is an MVCC row store for one table.
 type Store struct {
 	ID     uint32
@@ -60,6 +78,10 @@ type Store struct {
 
 	indexes  []*SecondaryIndex
 	versions int64
+	// pins holds the read timestamps of the store's readers; Apply prunes
+	// behind its horizon. A store without one keeps every version, since
+	// its readers may read at any timestamp.
+	pins *txn.Pins
 }
 
 // New returns a memory-resident store.
@@ -72,6 +94,18 @@ func NewDiskBacked(id uint32, schema *types.Schema, dev *disk.Device) *Store {
 	s := New(id, schema)
 	s.dev = dev
 	return s
+}
+
+// SetPins names the pin set that holds the read timestamps of every reader
+// of the store. Call it before the first Apply.
+func (s *Store) SetPins(p *txn.Pins) { s.pins = p }
+
+// horizon is the timestamp Apply prunes behind.
+func (s *Store) horizon() uint64 {
+	if s.pins == nil {
+		return 0
+	}
+	return s.pins.Horizon()
 }
 
 // rowBytes estimates the stored size of a row for I/O accounting.
@@ -215,9 +249,12 @@ func (s *Store) Delete(tx *txn.Txn, key int64) error {
 	return tx.Write(s.ID, key, txn.OpDelete, nil, latestTS)
 }
 
-// Apply installs the subset of writes belonging to this table at commitTS.
-// Engines call it from the txn.Commit apply callback.
+// Apply installs the subset of writes belonging to this table at commitTS,
+// and prunes every chain it touches behind the pin set's horizon (see
+// chain.prune). Engines call it from the txn.Commit apply callback, and
+// recovery replays through it with nothing pinned, at the watermark.
 func (s *Store) Apply(commitTS uint64, writes []txn.Write) {
+	horizon := s.horizon()
 	s.mu.Lock()
 	for _, w := range writes {
 		if w.Table != s.ID {
@@ -240,7 +277,7 @@ func (s *Store) Apply(commitTS uint64, writes []txn.Write) {
 			v.row = w.Row
 		}
 		c.head = v
-		s.versions++
+		s.versions += 1 - c.prune(horizon)
 		for _, ix := range s.indexes {
 			ix.update(w.Key, oldRow, v.row)
 		}
@@ -320,31 +357,10 @@ func (s *Store) Count(ts uint64) int {
 	return n
 }
 
-// Versions returns the total number of row versions ever installed.
+// Versions returns the number of row versions the store holds: every
+// chain's head, and the older versions a pinned reader may still see.
 func (s *Store) Versions() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.versions
-}
-
-// GC drops versions older than ts that are shadowed by a newer version,
-// returning how many were reclaimed. Visibility at or after ts is
-// unaffected.
-func (s *Store) GC(ts uint64) int64 {
-	reclaimed := int64(0)
-	s.mu.Lock()
-	s.idx.Ascend(func(_ int64, c *chain) bool {
-		v := c.visible(ts)
-		if v == nil {
-			return true
-		}
-		for v.next != nil {
-			v.next = v.next.next
-			reclaimed++
-			s.versions--
-		}
-		return true
-	})
-	s.mu.Unlock()
-	return reclaimed
 }

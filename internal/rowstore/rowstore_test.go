@@ -219,25 +219,110 @@ func TestLoadVisibleEverywhere(t *testing.T) {
 	_ = m
 }
 
-func TestGC(t *testing.T) {
+// TestPruneAtCommit: with nothing else pinned, a commit keeps of the key's
+// versions the new head and the image it replaced (a transaction that
+// begins while the commit installs still reads that one), so 20 updates
+// leave two versions, not 21. A transaction that began before the updates
+// holds every version since its snapshot, and still reads its own image.
+func TestPruneAtCommit(t *testing.T) {
 	m := txn.NewManager()
 	s := New(1, testSchema)
+	s.SetPins(m.Pins())
 	tx := m.Begin()
 	s.Insert(tx, acct(1, 0))
 	commitVia(t, tx, s)
-	for i := 0; i < 10; i++ {
+	old := m.Begin()
+	for i := 1; i <= 20; i++ {
 		tx := m.Begin()
 		s.Update(tx, acct(1, int64(i)))
 		commitVia(t, tx, s)
 	}
-	before := s.Versions()
-	ts := m.Oracle().Watermark()
-	reclaimed := s.GC(ts)
-	if reclaimed != before-1 {
-		t.Fatalf("GC reclaimed %d of %d", reclaimed, before)
+	if got := s.Versions(); got != 21 {
+		t.Fatalf("with a reader pinned before the updates: %d versions, want 21", got)
 	}
-	if r, err := s.GetAt(ts, 1); err != nil || r[1].Int() != 9 {
-		t.Fatalf("post-GC visibility broken: %v %v", r, err)
+	if r, err := s.Get(old, 1); err != nil || r[1].Int() != 0 {
+		t.Fatalf("pinned reader read %v, %v; want its own image (bal 0)", r, err)
+	}
+	old.Abort()
+	for i := 21; i <= 40; i++ {
+		tx := m.Begin()
+		s.Update(tx, acct(1, int64(i)))
+		commitVia(t, tx, s)
+	}
+	if got := s.Versions(); got != 2 {
+		t.Fatalf("with nothing pinned: %d versions, want 2", got)
+	}
+	if r, err := s.GetAt(m.Oracle().Watermark(), 1); err != nil || r[1].Int() != 40 {
+		t.Fatalf("latest image %v, %v; want bal 40", r, err)
+	}
+}
+
+// TestPruneDifferential runs a seeded mix of inserts, updates, deletes,
+// pins and releases against a pruning store and a store that keeps every
+// version. At every step every read at every pinned timestamp, and at the
+// watermark, must agree.
+func TestPruneDifferential(t *testing.T) {
+	const steps, keys = 20000, 16
+	m := txn.NewManager()
+	pruned, full := New(1, testSchema), New(1, testSchema)
+	pruned.SetPins(m.Pins())
+	rng := rand.New(rand.NewSource(7))
+	var readers []*txn.Txn
+	var pins []uint64 // bare pins, as a snapshot holds them
+	apply := func(ts uint64, ws []txn.Write) error {
+		pruned.Apply(ts, ws)
+		full.Apply(ts, ws)
+		return nil
+	}
+	for step := 0; step < steps; step++ {
+		switch r := rng.Intn(100); {
+		case r < 6 && len(readers) < 6:
+			readers = append(readers, m.Begin())
+		case r < 9 && len(pins) < 4:
+			pins = append(pins, m.Pins().Pin(m.Oracle().Watermark))
+		case r >= 9 && r < 15 && len(readers) > 0:
+			i := rng.Intn(len(readers))
+			readers[i].Abort()
+			readers = append(readers[:i], readers[i+1:]...)
+		case r >= 15 && r < 18 && len(pins) > 0:
+			i := rng.Intn(len(pins))
+			m.Pins().Release(pins[i])
+			pins = append(pins[:i], pins[i+1:]...)
+		default:
+			tx := m.Begin()
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				k := int64(rng.Intn(keys))
+				switch rng.Intn(3) {
+				case 0:
+					full.Insert(tx, acct(k, int64(step)))
+				case 1:
+					full.Update(tx, acct(k, int64(step)))
+				default:
+					full.Delete(tx, k)
+				}
+			}
+			if _, err := tx.Commit(apply); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := append([]uint64{m.Oracle().Watermark()}, pins...)
+		for _, r := range readers {
+			at = append(at, r.ReadTS)
+		}
+		for _, ts := range at {
+			for k := int64(0); k < keys; k++ {
+				want, werr := full.GetAt(ts, k)
+				got, gerr := pruned.GetAt(ts, k)
+				// Both stores hold the very row a write carried.
+				if werr != gerr || len(got) != len(want) || len(got) > 0 && &got[0] != &want[0] {
+					t.Fatalf("step %d: key %d at ts %d: pruned store read %v, %v; full store %v, %v",
+						step, k, ts, got, gerr, want, werr)
+				}
+			}
+		}
+	}
+	if pruned.Versions() >= full.Versions() {
+		t.Fatalf("pruned store holds %d versions, full store %d: nothing was pruned", pruned.Versions(), full.Versions())
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"htap/internal/core"
 	"htap/internal/exec"
 	"htap/internal/obs"
+	"htap/internal/txn"
 	"htap/internal/types"
 	"htap/internal/wire"
 )
@@ -569,4 +570,69 @@ func TestHandshakeAdvertisesLiveHistoryWatermark(t *testing.T) {
 	if got := r2.Meta()["hkey"]; got < hi {
 		t.Fatalf("second handshake hkey = %d, want >= %d (stale watermark re-issues driver key ranges)", got, hi)
 	}
+}
+
+// TestPinsReleasedOnEveryPath: a remote transaction pins the engine's read
+// timestamp for as long as it is open on the server — through commit,
+// abort, a server-side CH query, and a client that drops its connection
+// mid-transaction (the session's cleanup aborts it).
+func TestPinsReleasedOnEveryPath(t *testing.T) {
+	e, _ := newEngine(t, smallScale())
+	srv, r := startServer(t, Config{Engine: e})
+	pins := e.(interface{ Pins() *txn.Pins }).Pins()
+	ctx := context.Background()
+	released := func(path string) {
+		t.Helper()
+		if pins.Held() != 0 || pins.Lag() != 0 {
+			t.Fatalf("after %s: %d pins held, horizon %d behind the watermark", path, pins.Held(), pins.Lag())
+		}
+	}
+	get := func(tx core.Tx) {
+		t.Helper()
+		if _, err := tx.Get(ch.TWarehouse, ch.WarehouseKey(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tx := r.Begin(ctx)
+	get(tx)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	released("a remote commit")
+
+	tx = r.Begin(ctx)
+	get(tx)
+	tx.Abort()
+	released("a remote abort")
+
+	if _, err := r.RunCH(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	released("a remote CH query")
+
+	// A peer that begins a transaction, then drops the connection.
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		typ     byte
+		payload []byte
+	}{{wire.MsgHello, wire.Hello{Version: wire.Version}.Encode(nil)}, {wire.MsgBegin, wire.Begin{}.Encode(nil)}} {
+		if err := wire.WriteFrame(nc, f.typ, f.payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := wire.ReadFrame(nc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pins.Held() != 1 {
+		t.Fatalf("an open remote transaction holds %d pins, want 1", pins.Held())
+	}
+	nc.Close()
+	for deadline := time.Now().Add(5 * time.Second); pins.Held() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	released("a connection dropped mid-transaction")
 }

@@ -140,6 +140,7 @@ type Stats struct {
 // Manager coordinates transactions.
 type Manager struct {
 	oracle  Oracle
+	pins    *Pins
 	nextTxn atomic.Uint64
 	shards  [lockShards]lockShard
 
@@ -152,6 +153,7 @@ type Manager struct {
 // NewManager returns a ready manager.
 func NewManager() *Manager {
 	m := &Manager{}
+	m.pins = NewPins(m.oracle.Watermark)
 	for i := range m.shards {
 		m.shards[i].locks = make(map[lockKey]uint64)
 	}
@@ -160,6 +162,10 @@ func NewManager() *Manager {
 
 // Oracle exposes the manager's timestamp oracle.
 func (m *Manager) Oracle() *Oracle { return &m.oracle }
+
+// Pins exposes the read timestamps the manager's open transactions hold.
+// Its clock is the read watermark.
+func (m *Manager) Pins() *Pins { return m.pins }
 
 // AdvanceTxnID ensures every future Begin hands out an id greater than id.
 // Recovery calls it with the highest transaction id seen in the replayed
@@ -193,12 +199,14 @@ type Txn struct {
 	done     bool
 }
 
-// Begin starts a transaction reading at the current watermark.
+// Begin starts a transaction reading at the current watermark. The read
+// timestamp stays pinned (see Pins) until the transaction commits or
+// aborts.
 func (m *Manager) Begin() *Txn {
 	return &Txn{
 		mgr:      m,
 		ID:       m.nextTxn.Add(1),
-		ReadTS:   m.oracle.Watermark(),
+		ReadTS:   m.pins.Pin(m.oracle.Watermark),
 		writeIdx: make(map[lockKey]int),
 	}
 }
@@ -300,7 +308,8 @@ func (tx *Txn) Pending() int { return len(tx.writes) }
 
 // Commit assigns a commit timestamp, invokes apply with the write set, and
 // advances the read watermark. The apply callback installs the writes into
-// the engine's stores and logs; if it fails, the transaction aborts.
+// the engine's stores and logs; if it fails, the transaction aborts. Either
+// way the read timestamp's pin is released once apply has returned.
 //
 // Commits serialize on a short critical section. This models the single
 // timestamp authority of the centralized engines (architectures A/C/D); the
@@ -311,6 +320,7 @@ func (tx *Txn) Commit(apply func(commitTS uint64, writes []Write) error) (uint64
 	}
 	tx.done = true
 	defer tx.mgr.unlockAll(tx)
+	defer tx.mgr.pins.Release(tx.ReadTS)
 	if len(tx.writes) == 0 {
 		tx.mgr.commits.Add(1)
 		return tx.ReadTS, nil
@@ -340,6 +350,7 @@ func (tx *Txn) Abort() bool {
 	}
 	tx.done = true
 	tx.mgr.unlockAll(tx)
+	tx.mgr.pins.Release(tx.ReadTS)
 	tx.mgr.aborts.Add(1)
 	return true
 }

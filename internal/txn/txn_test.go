@@ -194,3 +194,35 @@ func TestConcurrentDisjointCommits(t *testing.T) {
 		t.Fatalf("commits = %d, want %d", got, workers*perWorker)
 	}
 }
+
+// TestPinsAllocateNothing: once the pin set has grown, a transaction's pin
+// and release allocate nothing, and the horizon is the oldest pin.
+func TestPinsAllocateNothing(t *testing.T) {
+	m := NewManager()
+	commit := func() {
+		tx := m.Begin()
+		tx.Write(1, 1, OpUpdate, nil, 0)
+		tx.Commit(nil)
+	}
+	old := m.Begin()
+	commit()
+	mid := m.Begin()
+	commit()
+	if h := m.Pins().Horizon(); h != old.ReadTS {
+		t.Fatalf("horizon = %d, want the oldest pin %d", h, old.ReadTS)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ts := m.Pins().Pin(m.Oracle().Watermark)
+		m.Pins().Release(ts)
+	}); allocs != 0 {
+		t.Fatalf("pin and release allocate %.1f times", allocs)
+	}
+	old.Abort()
+	if h := m.Pins().Horizon(); h != mid.ReadTS {
+		t.Fatalf("horizon = %d, want %d once the oldest pin is released", h, mid.ReadTS)
+	}
+	mid.Abort()
+	if h, w := m.Pins().Horizon(), m.Oracle().Watermark(); h != w || m.Pins().Held() != 0 {
+		t.Fatalf("horizon = %d with %d pins held, want the watermark %d and none", h, m.Pins().Held(), w)
+	}
+}
