@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -352,5 +354,40 @@ func TestJoinBuildCancellation(t *testing.T) {
 	}
 	if cs.served > 4 {
 		t.Fatalf("build pulled %d batches after cancellation", cs.served)
+	}
+}
+
+// TestSpillBytesPinned pins the bytes of every spill file that a forced
+// spill writes at DOP 1 under a 16 KB budget: the external sort's runs,
+// the grace join's partitions and outputs, and the hash aggregate's state
+// and row partitions. A change to how operators hold rows must not change
+// a byte of what they spill.
+func TestSpillBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"sort": "6095b3df277d2996565080a2c2fc2666ec0c930b1ba2d2d7e8d56579bdda533d",
+		"join": "8f069251a2d47d30057a07187bcfa5d64ed335f4c4549fc518d7f5d2b8f6fe91",
+		"agg":  "3be8e396b57958b3f58dca0deb71276a67e36d1bdfa4dedd7dcb69672a748391",
+	}
+	defer func() { spillTap = nil }()
+	for _, name := range []string{"sort", "join", "agg"} {
+		h := sha256.New()
+		var files, bytes int
+		seen := map[string]bool{}
+		spillTap = func(file string, frame []byte) {
+			if !seen[file] {
+				seen[file] = true
+				files++
+			}
+			bytes += len(frame)
+			h.Write([]byte(file))
+			h.Write(frame)
+		}
+		g := testGov(16 << 10)
+		if _, err := govPlans[name](g.StartQuery()).RunCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[name] {
+			t.Errorf("%s: spill digest = %s (%d files, %d bytes), want %s", name, got, files, bytes, want[name])
+		}
 	}
 }
