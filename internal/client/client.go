@@ -123,6 +123,7 @@ type Remote struct {
 
 	mu     sync.Mutex
 	idle   []*conn
+	out    map[*conn]struct{} // handed out by get, not yet put back
 	closed bool
 
 	arch core.Arch
@@ -143,6 +144,7 @@ func Connect(ctx context.Context, addr string, opt Options) (*Remote, error) {
 		addr:     addr,
 		opt:      opt,
 		rng:      rand.New(rand.NewSource(opt.Seed)),
+		out:      map[*conn]struct{}{},
 		mReq:     map[string]*obs.Counter{},
 		mRetries: map[string]*obs.Counter{},
 		mLatNS:   map[string]*obs.Histogram{},
@@ -172,7 +174,9 @@ func (r *Remote) Arch() core.Arch { return r.arch }
 // history-key watermark).
 func (r *Remote) Meta() map[string]int64 { return r.meta }
 
-// Close discards all pooled connections.
+// Close closes every connection: the pooled ones and those checked out,
+// so a transaction still open ends its server session (and releases its
+// read pin) instead of outliving the Remote.
 func (r *Remote) Close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -180,7 +184,10 @@ func (r *Remote) Close() {
 	for _, c := range r.idle {
 		_ = c.nc.Close()
 	}
-	r.idle = nil
+	for c := range r.out {
+		_ = c.nc.Close()
+	}
+	r.idle, r.out = nil, nil
 }
 
 func (r *Remote) dial(ctx context.Context) (*conn, error) {
@@ -221,21 +228,36 @@ func (r *Remote) dial(ctx context.Context) (*conn, error) {
 	}
 }
 
-// get returns a pooled or fresh connection.
+var errClosed = errors.New("client: closed")
+
+// get returns a pooled or fresh connection, tracked as checked out until
+// put.
 func (r *Remote) get(ctx context.Context) (*conn, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, errors.New("client: closed")
+		return nil, errClosed
 	}
 	if n := len(r.idle); n > 0 {
 		c := r.idle[n-1]
 		r.idle = r.idle[:n-1]
+		r.out[c] = struct{}{}
 		r.mu.Unlock()
 		return c, nil
 	}
 	r.mu.Unlock()
-	return r.dial(ctx)
+	c, err := r.dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		_ = c.nc.Close()
+		return nil, errClosed
+	}
+	r.out[c] = struct{}{}
+	return c, nil
 }
 
 // put returns a healthy connection to the pool and closes broken or
@@ -244,12 +266,9 @@ func (r *Remote) put(c *conn) {
 	if c == nil {
 		return
 	}
-	if c.broken.Load() {
-		_ = c.nc.Close()
-		return
-	}
 	r.mu.Lock()
-	if r.closed || len(r.idle) >= r.opt.PoolSize {
+	delete(r.out, c)
+	if c.broken.Load() || r.closed || len(r.idle) >= r.opt.PoolSize {
 		r.mu.Unlock()
 		_ = c.nc.Close()
 		return

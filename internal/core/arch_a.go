@@ -12,15 +12,6 @@ import (
 	"htap/internal/types"
 )
 
-// SyncStrategy selects the data-synchronization technique of an engine.
-type SyncStrategy uint8
-
-// Synchronization strategies (paper §2.2(3)).
-const (
-	SyncMerge   SyncStrategy = iota + 1 // in-memory / log-based delta merge
-	SyncRebuild                         // rebuild from the primary row store
-)
-
 // ConfigA configures architecture A.
 type ConfigA struct {
 	Schemas []*types.Schema
@@ -29,8 +20,6 @@ type ConfigA struct {
 	SyncInterval time.Duration
 	// Threshold triggers merges from the background loop.
 	Threshold datasync.Threshold
-	// Strategy picks delta merge (default) or full rebuild.
-	Strategy SyncStrategy
 	// Parallelism is the degree of parallelism analytical queries run
 	// with; zero means GOMAXPROCS. SetParallelism overrides it at runtime.
 	Parallelism int
@@ -49,9 +38,6 @@ type EngineA struct {
 
 // NewEngineA builds architecture A over the given schemas.
 func NewEngineA(cfg ConfigA) *EngineA {
-	if cfg.Strategy == 0 {
-		cfg.Strategy = SyncMerge
-	}
 	e := &EngineA{cfg: cfg}
 	e.init(ArchA, "primary-row+inmem-col", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	for i, s := range cfg.Schemas {
@@ -102,23 +88,16 @@ func (e *EngineA) Load(table string, row types.Row) error {
 	return nil
 }
 
-// Sync implements Engine: merge every delta into its column table, or
-// rebuild the table from the row store, per the configured strategy. A
-// rebuild reads the row store at upTo, which stays pinned for the round.
+// Sync implements Engine: merge every delta into its column table up to
+// upTo, which stays pinned for the round.
 func (e *EngineA) Sync() {
 	e.syncRound(func(sp *obs.Span) uint64 {
 		upTo := e.pins.Pin(e.readPoint)
 		defer e.pins.Release(upTo)
 		for i := range e.cols {
-			if e.cfg.Strategy == SyncRebuild {
-				child := sp.Child("rebuild").AttrInt("table", int64(i))
-				datasync.Rebuild(e.cols[i], e.rows[i], e.deltas[i], upTo)
-				child.End()
-			} else {
-				child := sp.Child("merge").AttrInt("table", int64(i))
-				datasync.MergeDelta(e.cols[i], e.deltas[i], upTo)
-				child.End()
-			}
+			child := sp.Child("merge").AttrInt("table", int64(i))
+			datasync.MergeDelta(e.cols[i], e.deltas[i], upTo)
+			child.End()
 		}
 		return upTo
 	})

@@ -60,14 +60,24 @@ func startServer(t testing.TB, cfg Config) (*Server, *client.Remote) {
 	return srv, r
 }
 
+// TestHandshakeMeta: the server advertises its configured meta, except
+// that hkey is the larger of the configured key and the process-global
+// history-key watermark, which earlier loads in this process may have
+// raised. A configured hkey above any load's pins the configured branch.
 func TestHandshakeMeta(t *testing.T) {
 	e, _ := newEngine(t, smallScale())
-	_, r := startServer(t, Config{Engine: e, Meta: map[string]int64{"warehouses": 1, "hkey": 99}})
-	if r.Arch() != core.ArchA {
-		t.Fatalf("arch = %v", r.Arch())
-	}
-	if r.Meta()["warehouses"] != 1 || r.Meta()["hkey"] != 99 {
-		t.Fatalf("meta = %v", r.Meta())
+	for _, hkey := range []int64{99, 1 << 40} {
+		_, r := startServer(t, Config{Engine: e, Meta: map[string]int64{"warehouses": 1, "hkey": hkey}})
+		if r.Arch() != core.ArchA {
+			t.Fatalf("arch = %v", r.Arch())
+		}
+		want := max(hkey, ch.HistoryKeyWatermark())
+		if r.Meta()["warehouses"] != 1 || r.Meta()["hkey"] != want {
+			t.Fatalf("configured hkey %d: meta = %v, want hkey %d", hkey, r.Meta(), want)
+		}
+		if hkey == 1<<40 && r.Meta()["hkey"] != 1<<40 {
+			t.Fatalf("configured hkey 1<<40 advertised as %d", r.Meta()["hkey"])
+		}
 	}
 }
 
@@ -635,4 +645,27 @@ func TestPinsReleasedOnEveryPath(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	released("a connection dropped mid-transaction")
+}
+
+// TestRemoteCloseEndsOpenTxn: closing a Remote closes the connection of a
+// transaction still open on it, so the server aborts the transaction and
+// releases its read pin.
+func TestRemoteCloseEndsOpenTxn(t *testing.T) {
+	e, _ := newEngine(t, smallScale())
+	_, r := startServer(t, Config{Engine: e})
+	pins := e.(interface{ Pins() *txn.Pins }).Pins()
+	tx := r.Begin(context.Background())
+	if _, err := tx.Get(ch.TWarehouse, ch.WarehouseKey(1)); err != nil {
+		t.Fatal(err)
+	}
+	if pins.Held() != 1 {
+		t.Fatalf("an open remote transaction holds %d pins, want 1", pins.Held())
+	}
+	r.Close()
+	for deadline := time.Now().Add(5 * time.Second); pins.Held() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pins still held 5s after Close", pins.Held())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
