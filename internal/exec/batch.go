@@ -10,6 +10,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 
 	"htap/internal/types"
@@ -24,21 +25,6 @@ type Col struct {
 	Ints   []int64
 	Floats []float64
 	Strs   []string
-}
-
-// NewCol returns an empty column of the given kind.
-func NewCol(kind types.ColType) *Col { return &Col{Kind: kind} }
-
-// Len returns the number of values.
-func (c *Col) Len() int {
-	switch c.Kind {
-	case types.Int:
-		return len(c.Ints)
-	case types.Float:
-		return len(c.Floats)
-	default:
-		return len(c.Strs)
-	}
 }
 
 // Datum returns the value at row i.
@@ -77,6 +63,27 @@ func (c *Col) AppendFrom(src *Col, i int) {
 	}
 }
 
+// setFrom overwrites row i with row j of src.
+func (c *Col) setFrom(i int, src *Col, j int) {
+	switch c.Kind {
+	case types.Int:
+		c.Ints[i] = src.Ints[j]
+	case types.Float:
+		c.Floats[i] = src.Floats[j]
+	default:
+		c.Strs[i] = src.Strs[j]
+	}
+}
+
+// compare orders row i of c against row j of d exactly as
+// types.Datum.Compare orders their datums.
+func (c *Col) compare(i int, d *Col, j int) int {
+	if c.Kind == types.Int && d.Kind == types.Int {
+		return cmp.Compare(c.Ints[i], d.Ints[j])
+	}
+	return c.Datum(i).Compare(d.Datum(j))
+}
+
 // Batch is a columnar chunk of rows with named columns.
 type Batch struct {
 	Schema []types.Column
@@ -88,7 +95,7 @@ type Batch struct {
 func NewBatch(schema []types.Column) *Batch {
 	b := &Batch{Schema: schema, Cols: make([]*Col, len(schema))}
 	for i, c := range schema {
-		b.Cols[i] = NewCol(c.Type)
+		b.Cols[i] = &Col{Kind: c.Type}
 	}
 	return b
 }
@@ -101,23 +108,78 @@ func (b *Batch) AppendRow(r types.Row) {
 	b.N++
 }
 
-// Row materializes row i.
-func (b *Batch) Row(i int) types.Row {
-	r := make(types.Row, len(b.Cols))
+// appendFrom appends row i of cols, which match b's column kinds.
+func (b *Batch) appendFrom(cols []*Col, i int) {
 	for c, col := range b.Cols {
-		r[c] = col.Datum(i)
+		col.AppendFrom(cols[c], i)
 	}
-	return r
+	b.N++
 }
 
-// ColIndex returns the ordinal of the named column or -1.
-func (b *Batch) ColIndex(name string) int {
-	for i, c := range b.Schema {
-		if c.Name == name {
-			return i
+// gatherRows copies up to BatchSize rows that next yields into a batch of
+// schema, dropping each row's first skip columns; nil when next yields
+// none.
+func gatherRows(schema []types.Column, skip int, next func() (*Batch, int, error)) (*Batch, error) {
+	out := NewBatch(schema)
+	for out.N < BatchSize {
+		b, i, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		out.appendFrom(b.Cols[skip:], i)
+	}
+	if out.N == 0 {
+		return nil, nil
+	}
+	return out, nil
+}
+
+// rowOrder is the one row comparator: sort, top-k and the k-way merge
+// order batch rows with it. Rows compare on the key columns in turn; a
+// total order then breaks key ties on every column ascending.
+type rowOrder struct {
+	keys  []orderKey
+	total bool
+}
+
+type orderKey struct {
+	col  int
+	desc bool
+}
+
+// tagOrder orders tagged rows by their tag (column 0).
+var tagOrder = rowOrder{keys: []orderKey{{col: 0}}}
+
+func newRowOrder(schema []types.Column, keys []SortKey, total bool) rowOrder {
+	o := rowOrder{keys: make([]orderKey, len(keys)), total: total}
+	for i, k := range keys {
+		o.keys[i] = orderKey{col: colIndex(schema, k.Col), desc: k.Desc}
+	}
+	return o
+}
+
+// compare returns a negative number when row i of a orders before row j
+// of b, a positive one when after, and 0 when neither does.
+func (o rowOrder) compare(a *Batch, i int, b *Batch, j int) int {
+	for _, k := range o.keys {
+		if c := a.Cols[k.col].compare(i, b.Cols[k.col], j); c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
 		}
 	}
-	return -1
+	if o.total {
+		for k, col := range a.Cols {
+			if c := col.compare(i, b.Cols[k], j); c != 0 {
+				return c
+			}
+		}
+	}
+	return 0
 }
 
 // colIndex resolves name against a schema, panicking on typos: plans are

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"testing"
 
@@ -130,5 +131,61 @@ func TestErrorPlanShortCircuits(t *testing.T) {
 	// The error also flows in from the right side of a join.
 	if err := right.SemiJoin(FromError(boom), []string{"id"}, []string{"id"}).Err(); err != boom {
 		t.Fatalf("right-side join error not carried: %v", err)
+	}
+}
+
+// salesBatch is one full batch of sale rows over few distinct keys.
+func salesBatch() *Batch {
+	b := NewBatch(salesSchema.Cols)
+	for _, r := range manyRows(BatchSize) {
+		b.AppendRow(r)
+	}
+	return b
+}
+
+// TestSortAllocsIndependentOfRows: the sort orders references to its
+// input rows and gathers output batches, so it allocates per batch, never
+// per row: eight times the rows cost the same allocations per batch, and
+// far fewer than one per row.
+func TestSortAllocsIndependentOfRows(t *testing.T) {
+	b := salesBatch()
+	perBatch := func(rows int) float64 {
+		n := rows / BatchSize
+		return testing.AllocsPerRun(1, func() {
+			From(&repeatSource{b: b, n: n}).Sort(SortKey{Col: "region"}, SortKey{Col: "amount", Desc: true}).Count()
+		}) / float64(n)
+	}
+	small, large := perBatch(64<<10), perBatch(512<<10)
+	if math.Abs(large-small) > 1 || large > BatchSize/8 {
+		t.Fatalf("sort allocates per row: %.1f allocations per batch at 64Ki rows, %.1f at 512Ki", small, large)
+	}
+}
+
+// TestRunCtxAllocsPerBatch: RunCtx cuts each batch's rows from one datum
+// slab, so materializing the result costs a couple of allocations per
+// batch, not one per row.
+func TestRunCtxAllocsPerBatch(t *testing.T) {
+	b := salesBatch()
+	const n = 256
+	perBatch := testing.AllocsPerRun(1, func() {
+		if rows := From(&repeatSource{b: b, n: n}).Run(); len(rows) != n*BatchSize {
+			t.Fatalf("rows = %d", len(rows))
+		}
+	}) / n
+	if perBatch > 2 {
+		t.Fatalf("RunCtx makes %.1f allocations per batch", perBatch)
+	}
+}
+
+// TestRunCtxRowsDoNotAlias: rows cut from one slab are capped, so
+// appending to a returned row leaves the next row unchanged.
+func TestRunCtxRowsDoNotAlias(t *testing.T) {
+	rows := From(NewMemSource(salesSchema.Cols, manyRows(3))).Run()
+	want := append(types.Row(nil), rows[1]...)
+	_ = append(rows[0], types.NewInt(-1), types.NewInt(-2))
+	for c := range want {
+		if !rows[1][c].Equal(want[c]) {
+			t.Fatalf("appending to row 0 changed row 1: %v, want %v", rows[1], want)
+		}
 	}
 }

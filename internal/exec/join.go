@@ -133,10 +133,7 @@ func newJoinTable(schema []types.Column) *joinTable {
 func (t *joinTable) add(b *Batch, keys []int) {
 	for i := 0; i < b.N; i++ {
 		idx := t.rows.N
-		for c := range b.Cols {
-			t.rows.Cols[c].AppendFrom(b.Cols[c], i)
-		}
-		t.rows.N++
+		t.rows.appendFrom(b.Cols, i)
 		h := hashKeys(b, i, keys)
 		t.buckets[h] = append(t.buckets[h], idx)
 	}
@@ -159,13 +156,7 @@ func (o *hashJoinOp) build() {
 	}
 	parts := trySplit(o.buildSrc, o.par)
 	if parts == nil {
-		for o.ctx.Err() == nil {
-			b := o.buildSrc.Next()
-			if b == nil {
-				return
-			}
-			o.tbl.add(b, o.rightKeys)
-		}
+		drain(o.ctx, []Source{o.buildSrc}, func(_ int, b *Batch) { o.tbl.add(b, o.rightKeys) })
 		return
 	}
 	type buildPart struct {
@@ -173,39 +164,21 @@ func (o *hashJoinOp) build() {
 		hashes []uint64
 	}
 	res := make([]buildPart, len(parts))
-	tasks := make([]func(), len(parts))
-	for w := range parts {
-		w := w
-		tasks[w] = func() {
-			src := parts[w]
-			rows := NewBatch(src.Schema())
-			var hashes []uint64
-			for o.ctx.Err() == nil {
-				b := src.Next()
-				if b == nil {
-					break
-				}
-				for i := 0; i < b.N; i++ {
-					for c := range b.Cols {
-						rows.Cols[c].AppendFrom(b.Cols[c], i)
-					}
-					rows.N++
-					hashes = append(hashes, hashKeys(b, i, o.rightKeys))
-				}
-			}
-			res[w] = buildPart{rows: rows, hashes: hashes}
-		}
+	for w := range res {
+		res[w].rows = NewBatch(o.buildSrc.Schema())
 	}
-	SharedPool().Run(tasks)
+	drain(o.ctx, parts, func(w int, b *Batch) {
+		for i := 0; i < b.N; i++ {
+			res[w].rows.appendFrom(b.Cols, i)
+			res[w].hashes = append(res[w].hashes, hashKeys(b, i, o.rightKeys))
+		}
+	})
 	start := time.Now()
 	t := o.tbl
 	for _, bp := range res {
 		for i := 0; i < bp.rows.N; i++ {
 			idx := t.rows.N
-			for c := range bp.rows.Cols {
-				t.rows.Cols[c].AppendFrom(bp.rows.Cols[c], i)
-			}
-			t.rows.N++
+			t.rows.appendFrom(bp.rows.Cols, i)
 			t.buckets[bp.hashes[i]] = append(t.buckets[bp.hashes[i]], idx)
 		}
 	}
@@ -296,10 +269,7 @@ func (o *hashJoinOp) probe(t *joinTable, schema []types.Column, b *Batch, lk []i
 			out.N++
 		}
 		if (o.typ == LeftSemiJoin && matched) || (o.typ == LeftAntiJoin && !matched) {
-			for c := range b.Cols {
-				out.Cols[c].AppendFrom(b.Cols[c], i)
-			}
-			out.N++
+			out.appendFrom(b.Cols, i)
 		}
 	}
 	return out
@@ -368,23 +338,15 @@ func (p *hashJoinProbe) Next() *Batch {
 		}
 		p.merge = m
 	}
-	b := NewBatch(o.schema)
-	for b.N < BatchSize {
-		r, ok, err := p.merge.next()
-		if err != nil {
-			p.failed = true
-			return nil
-		}
-		if !ok {
-			break
-		}
-		b.AppendRow(r[1:])
-	}
-	if b.N == 0 {
+	out, err := gatherRows(o.schema, 1, p.merge.next) // drop the tag
+	if err != nil {
+		p.failed = true
 		return nil
 	}
-	coopYield()
-	return b
+	if out != nil {
+		coopYield()
+	}
+	return out
 }
 
 // graceMerge runs one probe stream's grace join: its rows, tagged with
@@ -429,7 +391,7 @@ func (o *hashJoinOp) joinPartitions(bw, pw []*spillWriter, depth int, ownBuild b
 		}
 		outs = append(outs, out)
 	}
-	return newSortMerge(o.mem, outs, nil, tagLess)
+	return newSortMerge(o.mem, outs, o.tagOut, nil, tagOrder)
 }
 
 // partitionOut joins one build partition file against one tagged probe
@@ -490,7 +452,7 @@ func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (stri
 		}
 		out := o.probe(tbl, o.tagOut, b, o.tagKeys)
 		for i := 0; i < out.N; i++ {
-			if err := w.add(out.Row(i)); err != nil {
+			if err := w.addFrom(out, i); err != nil {
 				return "", err
 			}
 		}
@@ -544,14 +506,14 @@ func (o *hashJoinOp) repartition(bf, pf string, bc *spillCursor, rows *Batch, ch
 	}
 	w := newSpillWriter(qm, "join-out")
 	for {
-		r, ok, err := m.next()
+		b, i, err := m.next()
 		if err != nil {
 			return "", err
 		}
-		if !ok {
+		if b == nil {
 			break
 		}
-		if err := w.add(r); err != nil {
+		if err := w.addFrom(b, i); err != nil {
 			return "", err
 		}
 	}

@@ -48,10 +48,7 @@ func (o *filterOp) Next() *Batch {
 		out := NewBatch(b.Schema)
 		for i := 0; i < b.N; i++ {
 			if o.expr.Eval(b, i).Int() != 0 {
-				for c := range out.Cols {
-					out.Cols[c].AppendFrom(b.Cols[c], i)
-				}
-				out.N++
+				out.appendFrom(b.Cols, i)
 			}
 		}
 		if out.N > 0 {
@@ -153,11 +150,8 @@ func (o *limitOp) Next() *Batch {
 	}
 	out := NewBatch(b.Schema)
 	for i := 0; i < o.left; i++ {
-		for c := range out.Cols {
-			out.Cols[c].AppendFrom(b.Cols[c], i)
-		}
+		out.appendFrom(b.Cols, i)
 	}
-	out.N = o.left
 	o.left = 0
 	return out
 }
@@ -465,66 +459,30 @@ func (p *Plan) Run() []types.Row {
 // error is non-nil. A spill failure in a memory-governed plan returns nil
 // rows and the spill error: partial results never escape. Either way the
 // plan's memory accountants are finished — charges released, spill files
-// removed.
+// removed. The rows of each batch are cut from one datum slab.
 func (p *Plan) RunCtx(ctx context.Context) ([]types.Row, error) {
-	if p.err != nil {
-		return nil, p.err
-	}
-	defer p.FinishMem()
-	if p.prof != nil {
-		start := time.Now()
-		defer func() { p.prof.capture(p, time.Since(start)) }()
-	}
-	ctx = orBackground(ctx)
-	if parts := trySplit(p.src, p.par); parts != nil {
-		parallelPlans.Inc()
-		res := make([][]types.Row, len(parts))
-		tasks := make([]func(), len(parts))
-		for w := range parts {
-			w := w
-			tasks[w] = func() {
-				var rows []types.Row
-				for ctx.Err() == nil {
-					b := parts[w].Next()
-					if b == nil {
-						break
-					}
-					for i := 0; i < b.N; i++ {
-						rows = append(rows, b.Row(i))
-					}
-				}
-				res[w] = rows
+	parts, err := drainPlan(p, ctx, func(rows []types.Row, b *Batch) []types.Row {
+		w := len(b.Cols)
+		slab := make([]types.Datum, b.N*w)
+		for c, col := range b.Cols {
+			for i := 0; i < b.N; i++ {
+				slab[i*w+c] = col.Datum(i)
 			}
-		}
-		SharedPool().Run(tasks)
-		if err := p.MemErr(); err != nil {
-			return nil, err
-		}
-		var rows []types.Row
-		for _, r := range res {
-			rows = append(rows, r...)
-		}
-		return rows, ctx.Err()
-	}
-	var rows []types.Row
-	for {
-		if err := ctx.Err(); err != nil {
-			return rows, err
-		}
-		b := p.src.Next()
-		if b == nil {
-			if err := p.MemErr(); err != nil {
-				return nil, err
-			}
-			// A cancelled scan drains early and looks exhausted; report the
-			// cancellation rather than passing truncated rows off as a
-			// complete result.
-			return rows, ctx.Err()
 		}
 		for i := 0; i < b.N; i++ {
-			rows = append(rows, b.Row(i))
+			// Capped, so a caller's append cannot spill into the next row.
+			rows = append(rows, slab[i*w:(i+1)*w:(i+1)*w])
 		}
+		return rows
+	})
+	if parts == nil {
+		return nil, err
 	}
+	rows := parts[0]
+	for _, r := range parts[1:] {
+		rows = append(rows, r...)
+	}
+	return rows, err
 }
 
 // Count executes the plan, returning only the row count.
@@ -536,8 +494,26 @@ func (p *Plan) Count() int {
 // CountCtx executes the plan under ctx, returning the row count; the count
 // is partial whenever the returned error is non-nil.
 func (p *Plan) CountCtx(ctx context.Context) (int, error) {
+	parts, err := drainPlan(p, ctx, func(n int, b *Batch) int { return n + b.N })
+	n := 0
+	for _, c := range parts {
+		n += c
+	}
+	return n, err
+}
+
+// drainPlan is the one plan drain. It splits the plan's source for its
+// degree of parallelism (one part when the source cannot split or the
+// plan is sequential), folds each part's batches into the part's own
+// accumulator with add, and finishes the plan's accountants. Part order
+// is the sequential row order. It returns nil parts and the error when
+// the plan carries one or a spill failed, and otherwise the parts and
+// ctx's error: a cancelled scan drains early and looks exhausted, so the
+// cancellation is reported rather than truncated results passed off as
+// complete.
+func drainPlan[T any](p *Plan, ctx context.Context, add func(T, *Batch) T) ([]T, error) {
 	if p.err != nil {
-		return 0, p.err
+		return nil, p.err
 	}
 	defer p.FinishMem()
 	if p.prof != nil {
@@ -545,44 +521,34 @@ func (p *Plan) CountCtx(ctx context.Context) (int, error) {
 		defer func() { p.prof.capture(p, time.Since(start)) }()
 	}
 	ctx = orBackground(ctx)
-	if parts := trySplit(p.src, p.par); parts != nil {
+	parts := trySplit(p.src, p.par)
+	if parts == nil {
+		parts = []Source{p.src}
+	} else {
 		parallelPlans.Inc()
-		counts := make([]int, len(parts))
-		tasks := make([]func(), len(parts))
-		for w := range parts {
-			w := w
-			tasks[w] = func() {
-				for ctx.Err() == nil {
-					b := parts[w].Next()
-					if b == nil {
-						break
-					}
-					counts[w] += b.N
+	}
+	acc := make([]T, len(parts))
+	drain(ctx, parts, func(w int, b *Batch) { acc[w] = add(acc[w], b) })
+	if err := p.MemErr(); err != nil {
+		return nil, err
+	}
+	return acc, ctx.Err()
+}
+
+// drain runs every part on the shared pool until the part is exhausted or
+// ctx is done, handing each batch to sink with its part's index.
+func drain(ctx context.Context, parts []Source, sink func(part int, b *Batch)) {
+	tasks := make([]func(), len(parts))
+	for w, src := range parts {
+		tasks[w] = func() {
+			for ctx.Err() == nil {
+				b := src.Next()
+				if b == nil {
+					return
 				}
+				sink(w, b)
 			}
 		}
-		SharedPool().Run(tasks)
-		if err := p.MemErr(); err != nil {
-			return 0, err
-		}
-		n := 0
-		for _, c := range counts {
-			n += c
-		}
-		return n, ctx.Err()
 	}
-	n := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		b := p.src.Next()
-		if b == nil {
-			if err := p.MemErr(); err != nil {
-				return 0, err
-			}
-			return n, ctx.Err()
-		}
-		n += b.N
-	}
+	SharedPool().Run(tasks)
 }

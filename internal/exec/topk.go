@@ -9,95 +9,72 @@ import (
 // topKOp keeps only the k smallest rows under the sort keys, using a
 // bounded max-heap instead of materializing and sorting the whole input —
 // the standard optimization for the ORDER BY ... LIMIT k shape every "top
-// customers/items" CH query has.
+// customers/items" CH query has. The retained rows live in a k-row batch
+// of the operator's own; an evicted row's slot is overwritten in place, so
+// no input batch is held.
+//
+// Rows compare under a TOTAL order: the sort keys first, then every
+// column ascending. The tie-break matters for distributed pushdown: with
+// a keys-only comparator, which of two key-equal rows survives a shard's
+// local top-k depends on heap layout, so a pushed plan could retain a
+// different key-equal row than an unpushed one. Under a total order every
+// top-k over the same multiset retains the same rows, wherever the
+// k-boundary ties fall.
 type topKOp struct {
 	in   Source
 	keys []SortKey
 	k    int
 
 	done bool
-	rows []types.Row
-	pos  int
+	rows sortedRows
 }
 
-type rowHeap struct {
-	rows []types.Row
-	less func(a, b types.Row) bool // true when a orders before b
+// topKHeap is a heap of slots of kept. Less inverts the order: the root
+// is the WORST retained row, so it is the one a better candidate evicts.
+type topKHeap struct {
+	kept  *Batch
+	slots []int32
+	ord   rowOrder
 }
 
-func (h *rowHeap) Len() int { return len(h.rows) }
-
-// Less inverts the ordering: the heap root is the WORST retained row, so
-// it pops first when a better candidate arrives.
-func (h *rowHeap) Less(i, j int) bool { return h.less(h.rows[j], h.rows[i]) }
-func (h *rowHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
-
-func (h *rowHeap) Push(x any) { h.rows = append(h.rows, x.(types.Row)) }
-
-func (h *rowHeap) Pop() any {
-	last := h.rows[len(h.rows)-1]
-	h.rows = h.rows[:len(h.rows)-1]
-	return last
+func (h *topKHeap) Len() int { return len(h.slots) }
+func (h *topKHeap) Less(i, j int) bool {
+	return h.ord.compare(h.kept, int(h.slots[j]), h.kept, int(h.slots[i])) < 0
 }
+func (h *topKHeap) Swap(i, j int) { h.slots[i], h.slots[j] = h.slots[j], h.slots[i] }
+func (h *topKHeap) Push(any)      { panic("exec: topKHeap grows in place") }
+func (h *topKHeap) Pop() any      { panic("exec: topKHeap shrinks in place") }
 
 func (o *topKOp) Schema() []types.Column { return o.in.Schema() }
 
-// topKLess builds a TOTAL order over rows of schema: the sort keys
-// first, then every remaining column ascending. The tie-break matters
-// for distributed pushdown: with a keys-only comparator, which of two
-// key-equal rows survives a shard's local top-k depends on heap layout,
-// so a pushed plan could retain a different key-equal row than an
-// unpushed one. Under a total order every top-k over the same multiset
-// retains the same rows, wherever the k-boundary ties fall.
-func topKLess(schema []types.Column, keys []SortKey) func(a, b types.Row) bool {
-	idxs := make([]int, len(keys))
-	for i, k := range keys {
-		idxs[i] = colIndex(schema, k.Col)
-	}
-	return func(a, b types.Row) bool {
-		for ki, idx := range idxs {
-			c := a[idx].Compare(b[idx])
-			if c == 0 {
-				continue
-			}
-			if keys[ki].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		for i := range a {
-			if c := a[i].Compare(b[i]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	}
-}
-
 func (o *topKOp) run() {
-	less := topKLess(o.in.Schema(), o.keys)
-	h := &rowHeap{less: less}
-	for {
-		b := o.in.Next()
-		if b == nil {
-			break
-		}
+	h := &topKHeap{kept: NewBatch(o.in.Schema()), ord: newRowOrder(o.in.Schema(), o.keys, true)}
+	for b := o.in.Next(); b != nil; b = o.in.Next() {
 		for i := 0; i < b.N; i++ {
-			r := b.Row(i)
 			if h.Len() < o.k {
-				heap.Push(h, r)
-			} else if less(r, h.rows[0]) {
-				h.rows[0] = r
+				h.slots = append(h.slots, int32(h.kept.N))
+				h.kept.appendFrom(b.Cols, i)
+				heap.Fix(h, h.Len()-1)
+			} else if root := int(h.slots[0]); h.ord.compare(b, i, h.kept, root) < 0 {
+				for c, col := range h.kept.Cols {
+					col.setFrom(root, b.Cols[c], i)
+				}
 				heap.Fix(h, 0)
 			}
 		}
 	}
-	// Drain in reverse pop order to emit ascending.
-	out := make([]types.Row, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(types.Row)
+	// Pop the worst row to the end until the heap is empty: the slots end
+	// in ascending order.
+	all := h.slots
+	for n := len(all) - 1; n > 0; n-- {
+		h.Swap(0, n)
+		h.slots = all[:n]
+		heap.Fix(h, 0)
 	}
-	o.rows = out
+	o.rows = sortedRows{batches: []*Batch{h.kept}, perm: make([]rowRef, len(all))}
+	for i, slot := range all {
+		o.rows.perm[i] = rowRef{0, slot}
+	}
 	o.done = true
 }
 
@@ -105,15 +82,8 @@ func (o *topKOp) Next() *Batch {
 	if !o.done {
 		o.run()
 	}
-	if o.pos >= len(o.rows) {
-		return nil
-	}
-	b := NewBatch(o.Schema())
-	for o.pos < len(o.rows) && b.N < BatchSize {
-		b.AppendRow(o.rows[o.pos])
-		o.pos++
-	}
-	return b
+	out, _ := gatherRows(o.Schema(), 0, o.rows.next)
+	return out
 }
 
 // NewTopK wraps in with a bounded top-k operator — the shard-side half
