@@ -16,10 +16,8 @@ import (
 type ConfigA struct {
 	Schemas []*types.Schema
 	// SyncInterval enables a background synchronization loop; zero means
-	// sync only on explicit Sync() calls (or via the Threshold below).
+	// sync only on explicit Sync() calls.
 	SyncInterval time.Duration
-	// Threshold triggers merges from the background loop.
-	Threshold datasync.Threshold
 	// Parallelism is the degree of parallelism analytical queries run
 	// with; zero means GOMAXPROCS. SetParallelism overrides it at runtime.
 	Parallelism int
@@ -48,25 +46,8 @@ func NewEngineA(cfg ConfigA) *EngineA {
 		e.reps = append(e.reps, []*replica{{parts: []*colstore.Table{e.cols[i]}, delta: e.deltas[i]}})
 	}
 	e.serve(e, e.walDev.Stats, e.rowVersions)
-	e.every(cfg.SyncInterval, func() {
-		if e.shouldSync() {
-			e.Sync()
-		}
-	})
+	e.every(cfg.SyncInterval, e.Sync)
 	return e
-}
-
-func (e *EngineA) shouldSync() bool {
-	if e.cfg.Threshold == (datasync.Threshold{}) {
-		return true // interval-driven
-	}
-	cur := e.mgr.Oracle().Watermark()
-	for i, d := range e.deltas {
-		if e.cfg.Threshold.ShouldSync(d.Unmerged(), cur, e.cols[i].Applied()) {
-			return true
-		}
-	}
-	return false
 }
 
 // installWrites is architecture A's install step: new versions in the row

@@ -10,9 +10,6 @@
 //   - Rebuild covers "rebuild from primary row store" (SingleStore, Oracle):
 //     discard the column store and re-extract it from a row-store snapshot,
 //     which has a small steady-state memory footprint but a high load cost.
-//   - Threshold implements the threshold-based change propagation of
-//     §2.2(3): merge when the unmerged backlog or the freshness lag crosses
-//     a bound.
 //   - Layered implements SAP HANA's three-layer store (§2.1(d)): a row-wise
 //     L1-delta, a columnar L2-delta, and the Main store, with the
 //     dictionary-encoded sorting merge between layers.
@@ -153,26 +150,6 @@ func Rebuild(tbl *colstore.Table, rs *rowstore.Store, d delta.Store, ts uint64) 
 	res := Result{Inserted: len(rows), Duration: time.Since(start)}
 	mRebuild.note(res.Inserted, res.Duration)
 	return res
-}
-
-// Threshold is the threshold-based change-propagation policy of §2.2(3):
-// synchronize when the unmerged backlog exceeds MaxEntries or the watermark
-// lag exceeds MaxLag timestamps.
-type Threshold struct {
-	MaxEntries int
-	MaxLag     uint64
-}
-
-// ShouldSync reports whether the policy asks for a merge, given the delta
-// backlog and the current and applied watermarks.
-func (t Threshold) ShouldSync(unmerged int, current, applied uint64) bool {
-	if t.MaxEntries > 0 && unmerged >= t.MaxEntries {
-		return true
-	}
-	if t.MaxLag > 0 && current > applied && current-applied >= t.MaxLag {
-		return true
-	}
-	return false
 }
 
 // Layered is SAP HANA's delta-main hierarchy (§2.1(d)): "The L1-delta keeps

@@ -115,22 +115,6 @@ func TestRebuild(t *testing.T) {
 	}
 }
 
-func TestThresholdPolicy(t *testing.T) {
-	p := Threshold{MaxEntries: 10, MaxLag: 100}
-	if p.ShouldSync(9, 50, 0) {
-		t.Fatal("below both thresholds")
-	}
-	if !p.ShouldSync(10, 0, 0) {
-		t.Fatal("entry threshold ignored")
-	}
-	if !p.ShouldSync(0, 200, 100) {
-		t.Fatal("lag threshold ignored")
-	}
-	if (Threshold{}).ShouldSync(1000, 1000, 0) {
-		t.Fatal("zero-valued policy must never fire")
-	}
-}
-
 func TestLayeredPromotion(t *testing.T) {
 	l := NewLayered(schema, 4, 100)
 	l.Main.AppendRows([]types.Row{row(1, 10), row(2, 20)})

@@ -56,10 +56,9 @@ type hashAggOp struct {
 	tagIn   []types.Column
 	tagCols []int
 
-	done   bool
-	failed bool
-	out    []types.Row
-	pos    int
+	done bool
+	out  []types.Row
+	pos  int
 
 	st *OpStats // profiling; nil when disabled
 }
@@ -329,7 +328,7 @@ func (t *aggTable) merge(other *aggTable) {
 // fold merges one partial group — a part table's, or a shard's shipped
 // over the wire — into its group, created in first-seen order.
 func (t *aggTable) fold(key types.Row, states []aggState) {
-	g, created := t.lookup(key, hashRow(key))
+	g, created := t.lookup(key, key.Hash())
 	if created {
 		g.ord = t.ordSeq
 		t.ordSeq++
@@ -398,7 +397,7 @@ func (o *hashAggOp) spillPartitions(groups []*aggGroup, bytes int64, rows func()
 	var err error
 	for _, g := range groups {
 		r := append(types.Row{types.NewInt(g.ord)}, EncodePartial(&PartialGroup{Key: g.key, States: g.states}, o.aggs)...)
-		if err = sw[partOf(hashRow(g.key), depth)].add(r); err != nil {
+		if err = sw[partOf(g.key.Hash(), depth)].add(r); err != nil {
 			break
 		}
 	}
@@ -408,7 +407,7 @@ func (o *hashAggOp) spillPartitions(groups []*aggGroup, bytes int64, rows func()
 		if b, err = rows(); b == nil {
 			break
 		}
-		err = scatter(rw, b, o.tagCols, depth)
+		err = scatter(rw, o.tagCols, depth, b)
 	}
 	if err == nil {
 		err = closeAll(sw)
@@ -454,7 +453,7 @@ func (o *hashAggOp) aggPartition(stateFile, rowFile string, depth int) ([]*aggGr
 		if err != nil {
 			return nil, 0, sc.fail(fmt.Errorf("exec: corrupt agg spill record in %s: %w", stateFile, err))
 		}
-		g, _ := sub.lookup(pg.Key, hashRow(pg.Key))
+		g, _ := sub.lookup(pg.Key, pg.Key.Hash())
 		copy(g.states, pg.States)
 		g.ord = r[0].I
 	}
@@ -604,14 +603,12 @@ func (o *hashAggOp) render(order []*aggGroup) []types.Row {
 	return out
 }
 
+// run builds the table and renders its groups; after a spill failure it
+// renders none, so partial groups never escape.
 func (o *hashAggOp) run() {
-	t := o.buildTable()
-	if o.mem != nil && o.mem.Err() != nil {
-		o.failed = true
-		o.done = true
-		return
+	if t := o.buildTable(); o.mem.Err() == nil {
+		o.out = o.render(t.order)
 	}
-	o.out = o.render(t.order)
 	o.done = true
 }
 
@@ -619,13 +616,5 @@ func (o *hashAggOp) Next() *Batch {
 	if !o.done {
 		o.run()
 	}
-	if o.failed || o.pos >= len(o.out) {
-		return nil
-	}
-	b := NewBatch(o.schema)
-	for o.pos < len(o.out) && b.N < BatchSize {
-		b.AppendRow(o.out[o.pos])
-		o.pos++
-	}
-	return b
+	return nextRows(o.schema, o.out, &o.pos)
 }

@@ -30,7 +30,7 @@ func (s *repeatSource) Next() *Batch {
 // groups costs the same allocations.
 func TestHashAggAllocsIndependentOfRows(t *testing.T) {
 	schema := []types.Column{{Name: "k", Type: types.Int}, {Name: "q", Type: types.Int}, {Name: "v", Type: types.Float}}
-	b := NewBatch(schema)
+	b := NewBatch(schema, BatchSize)
 	for i := 0; i < BatchSize; i++ {
 		b.AppendRow(types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 10)), types.NewFloat(float64(i%1000) * 0.01)})
 	}

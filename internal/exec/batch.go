@@ -63,6 +63,18 @@ func (c *Col) AppendFrom(src *Col, i int) {
 	}
 }
 
+// appendN appends the first n rows of src.
+func (c *Col) appendN(src *Col, n int) {
+	switch c.Kind {
+	case types.Int:
+		c.Ints = append(c.Ints, src.Ints[:n]...)
+	case types.Float:
+		c.Floats = append(c.Floats, src.Floats[:n]...)
+	default:
+		c.Strs = append(c.Strs, src.Strs[:n]...)
+	}
+}
+
 // setFrom overwrites row i with row j of src.
 func (c *Col) setFrom(i int, src *Col, j int) {
 	switch c.Kind {
@@ -91,11 +103,22 @@ type Batch struct {
 	N      int
 }
 
-// NewBatch returns an empty batch with the given schema.
-func NewBatch(schema []types.Column) *Batch {
+// NewBatch returns an empty batch with the given schema whose columns
+// reserve room for n rows.
+func NewBatch(schema []types.Column, n int) *Batch {
 	b := &Batch{Schema: schema, Cols: make([]*Col, len(schema))}
+	cols := make([]Col, len(schema))
 	for i, c := range schema {
-		b.Cols[i] = &Col{Kind: c.Type}
+		cols[i].Kind = c.Type
+		switch c.Type {
+		case types.Int:
+			cols[i].Ints = make([]int64, 0, n)
+		case types.Float:
+			cols[i].Floats = make([]float64, 0, n)
+		default:
+			cols[i].Strs = make([]string, 0, n)
+		}
+		b.Cols[i] = &cols[i]
 	}
 	return b
 }
@@ -106,6 +129,19 @@ func (b *Batch) AppendRow(r types.Row) {
 		c.Append(r[i])
 	}
 	b.N++
+}
+
+// nextRows cuts the next batch of up to BatchSize rows of schema from
+// rows[*pos:], advancing *pos; nil when none are left.
+func nextRows(schema []types.Column, rows []types.Row, pos *int) *Batch {
+	if *pos >= len(rows) {
+		return nil
+	}
+	b := NewBatch(schema, min(len(rows)-*pos, BatchSize))
+	for ; *pos < len(rows) && b.N < BatchSize; *pos++ {
+		b.AppendRow(rows[*pos])
+	}
+	return b
 }
 
 // appendFrom appends row i of cols, which match b's column kinds.
@@ -120,7 +156,7 @@ func (b *Batch) appendFrom(cols []*Col, i int) {
 // schema, dropping each row's first skip columns; nil when next yields
 // none.
 func gatherRows(schema []types.Column, skip int, next func() (*Batch, int, error)) (*Batch, error) {
-	out := NewBatch(schema)
+	out := NewBatch(schema, BatchSize)
 	for out.N < BatchSize {
 		b, i, err := next()
 		if err != nil {

@@ -136,7 +136,7 @@ func TestErrorPlanShortCircuits(t *testing.T) {
 
 // salesBatch is one full batch of sale rows over few distinct keys.
 func salesBatch() *Batch {
-	b := NewBatch(salesSchema.Cols)
+	b := NewBatch(salesSchema.Cols, BatchSize)
 	for _, r := range manyRows(BatchSize) {
 		b.AppendRow(r)
 	}
@@ -158,6 +158,25 @@ func TestSortAllocsIndependentOfRows(t *testing.T) {
 	small, large := perBatch(64<<10), perBatch(512<<10)
 	if math.Abs(large-small) > 1 || large > BatchSize/8 {
 		t.Fatalf("sort allocates per row: %.1f allocations per batch at 64Ki rows, %.1f at 512Ki", small, large)
+	}
+}
+
+// TestProjectAllocsPerBatch: a projection's output batch reserves its
+// input's row count up front, so its columns never grow by append.
+func TestProjectAllocsPerBatch(t *testing.T) {
+	b := salesBatch()
+	const n = 256
+	perBatch := testing.AllocsPerRun(1, func() {
+		From(&repeatSource{b: b, n: n}).Project(
+			NamedExpr{"id", ColName("id")},
+			NamedExpr{"double", Arith(Mul, ColName("amount"), ConstFloat(2))},
+			NamedExpr{"next", Arith(Add, ColName("region"), ConstInt(1))},
+			NamedExpr{"item", ColName("item")},
+		).Count()
+	}) / n
+	t.Logf("%.2f allocations per batch", perBatch)
+	if perBatch > 14 {
+		t.Fatalf("a 4-column projection makes %.1f allocations per batch", perBatch)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"htap/internal/types"
 )
@@ -88,22 +87,12 @@ func newHashJoin(typ JoinType, left, right Source, leftCols, rightCols []string,
 
 func (o *hashJoinOp) Schema() []types.Column { return o.schema }
 
-// hashKeys hashes the key columns of batch row i: the batch form of the
-// one key hash (hashRow is the row form), an FNV chain over the datums.
+// hashKeys hashes the key columns of batch row i with the FNV chain of
+// types.Row.Hash, so a key hashes alike as batch row or types.Row.
 func hashKeys(b *Batch, i int, keys []int) uint64 {
 	h := uint64(1469598103934665603)
 	for _, k := range keys {
 		h = b.Cols[k].Datum(i).Hash(h)
-	}
-	return h
-}
-
-// hashRow hashes every datum of a materialized row (an aggregate's group
-// key) with the same chain, so a key hashes alike in either form.
-func hashRow(r types.Row) uint64 {
-	h := uint64(1469598103934665603)
-	for _, d := range r {
-		h = d.Hash(h)
 	}
 	return h
 }
@@ -117,82 +106,77 @@ func keysEqual(lb *Batch, li int, lk []int, rb *Batch, ri int, rk []int) bool {
 	return true
 }
 
-// joinTable is a hash join's build side: the build rows in one columnar
-// batch and, per key hash, their positions in build order. The in-memory
-// build and every grace partition build one.
+// joinTable is a hash join's build side; the in-memory build and every
+// grace partition build one. add holds the build batches as they arrive
+// (relying, as the sort does, on no operator reusing a batch it returned);
+// seal, run once when the build input ends, concatenates them into rows
+// and chains rows by key hash: head[h] is the first row + 1, next[r] row
+// r's successor + 1, and 0 ends a chain.
 type joinTable struct {
-	rows    *Batch
-	buckets map[uint64][]int
+	held []*Batch
+	n    int // rows held
+	rows *Batch
+	head map[uint64]int32
+	next []int32
 }
 
-func newJoinTable(schema []types.Column) *joinTable {
-	return &joinTable{rows: NewBatch(schema), buckets: make(map[uint64][]int)}
+func (t *joinTable) add(b *Batch) {
+	t.held = append(t.held, b)
+	t.n += b.N
 }
 
-// add appends b's rows, bucketed by the hash of their key columns.
-func (t *joinTable) add(b *Batch, keys []int) {
-	for i := 0; i < b.N; i++ {
-		idx := t.rows.N
-		t.rows.appendFrom(b.Cols, i)
-		h := hashKeys(b, i, keys)
-		t.buckets[h] = append(t.buckets[h], idx)
+// seal fills next back to front, so each chain is in build order: the
+// order multi-match probe output follows.
+func (t *joinTable) seal(schema []types.Column, keys []int) {
+	t.rows = NewBatch(schema, t.n)
+	for _, b := range t.held {
+		for c, col := range t.rows.Cols {
+			col.appendN(b.Cols[c], b.N)
+		}
+	}
+	t.rows.N, t.held = t.n, nil
+	t.head = make(map[uint64]int32)
+	t.next = make([]int32, t.n)
+	for r := t.n - 1; r >= 0; r-- {
+		h := hashKeys(t.rows, r, keys)
+		t.next[r] = t.head[h]
+		t.head[h] = int32(r + 1)
 	}
 }
 
-// build materializes the right side into the join table. With par > 1 and
-// a splittable build source, workers materialize and hash disjoint
-// partitions in parallel; the partitions are then merged into one table
-// sequentially in part order, so bucket entry order — and with it the
-// order of multi-match probe output — is identical to a sequential build.
-// Every build loop polls ctx per batch, so a cancelled query abandons the
-// build promptly instead of materializing the whole right side first.
-// Memory-governed builds (mem != nil) run sequentially and convert to a
-// grace (partitioned, spilled) build when they go over budget.
+// build materializes the right side into the join table. The ungoverned
+// build drains the build source's parts (one part when it cannot split),
+// each holding its batches; in part order they are the sequential build
+// order. Every build loop polls ctx per batch, so a cancelled query
+// abandons the build promptly. Memory-governed builds (mem != nil) run
+// sequentially and turn into a grace (partitioned, spilled) build when
+// they go over budget.
 func (o *hashJoinOp) build() {
-	o.tbl = newJoinTable(o.buildSrc.Schema())
+	o.tbl = &joinTable{}
 	if o.mem != nil {
 		o.buildGoverned()
 		return
 	}
 	parts := trySplit(o.buildSrc, o.par)
 	if parts == nil {
-		drain(o.ctx, []Source{o.buildSrc}, func(_ int, b *Batch) { o.tbl.add(b, o.rightKeys) })
-		return
+		parts = []Source{o.buildSrc}
 	}
-	type buildPart struct {
-		rows   *Batch
-		hashes []uint64
-	}
-	res := make([]buildPart, len(parts))
-	for w := range res {
-		res[w].rows = NewBatch(o.buildSrc.Schema())
-	}
-	drain(o.ctx, parts, func(w int, b *Batch) {
-		for i := 0; i < b.N; i++ {
-			res[w].rows.appendFrom(b.Cols, i)
-			res[w].hashes = append(res[w].hashes, hashKeys(b, i, o.rightKeys))
-		}
-	})
-	start := time.Now()
-	t := o.tbl
-	for _, bp := range res {
-		for i := 0; i < bp.rows.N; i++ {
-			idx := t.rows.N
-			t.rows.appendFrom(bp.rows.Cols, i)
-			t.buckets[bp.hashes[i]] = append(t.buckets[bp.hashes[i]], idx)
+	held := make([][]*Batch, len(parts))
+	drain(o.ctx, parts, func(w int, b *Batch) { held[w] = append(held[w], b) })
+	for _, bs := range held {
+		for _, b := range bs {
+			o.tbl.add(b)
 		}
 	}
-	mergeNS.Add(time.Since(start).Nanoseconds())
+	o.tbl.seal(o.buildSrc.Schema(), o.rightKeys)
 }
 
 // buildGoverned drains the build side sequentially under the memory
-// accountant. The sequential choice is deliberate: a parallel build's
-// transient per-part tables would dodge the moment-of-overflow accounting,
-// and the part-order merge makes its final table identical to a sequential
-// build anyway, so correctness is unaffected — a governed build trades the
-// build-side speedup for an accurately enforced budget. On overflow the
-// buffered rows scatter to hash partitions on disk (toGrace) and the
-// remainder of the stream follows them.
+// accountant, so the accountant sees the build grow batch by batch and
+// the overflow lands at the batch that crosses the budget; a governed
+// build trades the build-side speedup for an accurately enforced budget.
+// On overflow the held batches scatter to hash partitions on disk
+// (toGrace) and the remainder of the stream follows them.
 func (o *hashJoinOp) buildGoverned() {
 	for {
 		if o.ctx.Err() != nil || o.mem.Err() != nil {
@@ -203,29 +187,30 @@ func (o *hashJoinOp) buildGoverned() {
 			break
 		}
 		if o.grace {
-			_ = scatter(o.buildW, b, o.rightKeys, 0)
-			coopYield()
-			continue
-		}
-		o.tbl.add(b, o.rightKeys)
-		sz := batchAppendBytes(b)
-		o.mem.Grow(sz)
-		o.buildBytes += sz
-		if o.mem.Over() && o.tbl.rows.N > 0 {
-			o.toGrace()
+			_ = scatter(o.buildW, o.rightKeys, 0, b)
+		} else {
+			o.tbl.add(b)
+			sz := batchAppendBytes(b)
+			o.mem.Grow(sz)
+			o.buildBytes += sz
+			if o.mem.Over() && o.tbl.n > 0 {
+				o.toGrace()
+			}
 		}
 		coopYield()
 	}
 	if o.grace {
 		_ = closeAll(o.buildW)
+	} else {
+		o.tbl.seal(o.buildSrc.Schema(), o.rightKeys)
 	}
 }
 
-// toGrace converts the in-memory build table into spillFanout disk
-// partitions. Rows scatter in table order, so each partition file holds
+// toGrace converts the held build batches into spillFanout disk
+// partitions. Rows scatter in build order, so each partition file holds
 // its rows in global build order — reloading a partition reproduces the
-// bucket insertion order of an in-memory build restricted to it, which
-// keeps multi-match probe output order bit-identical.
+// chain order of an in-memory build restricted to it, which keeps
+// multi-match probe output order bit-identical.
 func (o *hashJoinOp) toGrace() {
 	o.grace = true
 	o.mem.noteSpill(spillsJoin, spillFanout)
@@ -235,7 +220,7 @@ func (o *hashJoinOp) toGrace() {
 		o.tagKeys = append(o.tagKeys, k+1)
 	}
 	o.buildW = newSpillWriters(o.mem, "join-build", 0)
-	_ = scatter(o.buildW, o.tbl.rows, o.rightKeys, 0)
+	_ = scatter(o.buildW, o.rightKeys, 0, o.tbl.held...)
 	o.mem.Shrink(o.buildBytes)
 	o.buildBytes = 0
 	o.tbl = nil
@@ -245,13 +230,13 @@ func (o *hashJoinOp) toGrace() {
 // b's columns, then the build columns for an inner join. The grace path
 // probes tagged batches through it, so its inner output is [tag, left…,
 // right…] and its semi/anti output the tagged probe rows. Safe for
-// concurrent use once t is built: it only reads the table.
+// concurrent use once t is sealed: it only reads the table.
 func (o *hashJoinOp) probe(t *joinTable, schema []types.Column, b *Batch, lk []int) *Batch {
-	out := NewBatch(schema)
+	out := NewBatch(schema, b.N)
 	for i := 0; i < b.N; i++ {
-		h := hashKeys(b, i, lk)
 		matched := false
-		for _, ri := range t.buckets[h] {
+		for next := t.head[hashKeys(b, i, lk)]; next != 0; next = t.next[next-1] {
+			ri := int(next - 1)
 			if !keysEqual(b, i, lk, t.rows, ri, o.rightKeys) {
 				continue
 			}
@@ -362,7 +347,7 @@ func (o *hashJoinOp) graceMerge(left Source) (*sortMerge, error) {
 		if b == nil {
 			break
 		}
-		if err := scatter(pw, tagged(o.tagLeft, b, tag), o.tagKeys, 0); err != nil {
+		if err := scatter(pw, o.tagKeys, 0, tagged(o.tagLeft, b, tag)); err != nil {
 			return nil, err
 		}
 		tag += int64(b.N)
@@ -407,7 +392,7 @@ func (o *hashJoinOp) joinPartitions(bw, pw []*spillWriter, depth int, ownBuild b
 // spill file is tracked by the accountant.
 func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (string, error) {
 	qm := o.mem
-	tbl := newJoinTable(o.buildSrc.Schema())
+	tbl := &joinTable{}
 	var charged int64
 	bc := newSpillCursor(qm, bf)
 	for {
@@ -418,7 +403,7 @@ func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (stri
 		if b == nil {
 			break
 		}
-		tbl.add(b, o.rightKeys)
+		tbl.add(b)
 		// Charged as materialized rows, not as columns: the smaller
 		// partitions this yields bound the probe work between yields,
 		// which is what keeps concurrent TP latency within the memory
@@ -426,11 +411,12 @@ func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (stri
 		sz := rowsBytes(b)
 		qm.Grow(sz)
 		charged += sz
-		if qm.Over() && depth < spillMaxDepth && tbl.rows.N > 1 {
-			return o.repartition(bf, pf, bc, tbl.rows, charged, depth, ownBuild)
+		if qm.Over() && depth < spillMaxDepth && tbl.n > 1 {
+			return o.repartition(bf, pf, bc, tbl.held, charged, depth, ownBuild)
 		}
 		coopYield()
 	}
+	tbl.seal(o.buildSrc.Schema(), o.rightKeys)
 	defer qm.Shrink(charged)
 	if qm.Over() {
 		// Depth cap (or a partition of indivisible duplicates): degrade to
@@ -470,16 +456,16 @@ func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (stri
 
 // repartition re-scatters one oversized partition pair under the next
 // depth's hash salt, recurses per sub-partition, and merges the tagged
-// sub-outputs into a single output run. rows holds the build rows loaded
-// so far (written out first, in order, so build order is preserved); bc is
-// the partly-consumed build cursor.
-func (o *hashJoinOp) repartition(bf, pf string, bc *spillCursor, rows *Batch, charged int64, depth int, ownBuild bool) (string, error) {
+// sub-outputs into a single output run. held holds the build batches
+// loaded so far (written out first, in order, so build order is
+// preserved); bc is the partly-consumed build cursor.
+func (o *hashJoinOp) repartition(bf, pf string, bc *spillCursor, held []*Batch, charged int64, depth int, ownBuild bool) (string, error) {
 	qm := o.mem
 	qm.noteSpill(spillsJoin, spillFanout)
 	o.st.addSpillParts(spillFanout)
 	bw := newSpillWriters(qm, "join-build", depth+1)
 	pw := newSpillWriters(qm, "join-probe", depth+1)
-	err := scatter(bw, rows, o.rightKeys, depth+1)
+	err := scatter(bw, o.rightKeys, depth+1, held...)
 	qm.Shrink(charged)
 	if err == nil {
 		err = bc.scatterRest(bw, o.buildSrc.Schema(), o.rightKeys, depth+1)

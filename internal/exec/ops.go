@@ -45,7 +45,7 @@ func (o *filterOp) Next() *Batch {
 		if b == nil {
 			return nil
 		}
-		out := NewBatch(b.Schema)
+		out := NewBatch(b.Schema, 0)
 		for i := 0; i < b.N; i++ {
 			if o.expr.Eval(b, i).Int() != 0 {
 				out.appendFrom(b.Cols, i)
@@ -103,7 +103,7 @@ func (o *projectOp) Next() *Batch {
 	if b == nil {
 		return nil
 	}
-	out := NewBatch(o.schema)
+	out := NewBatch(o.schema, b.N)
 	for i := 0; i < b.N; i++ {
 		for c, e := range o.exprs {
 			out.Cols[c].Append(e.Eval(b, i))
@@ -148,7 +148,7 @@ func (o *limitOp) Next() *Batch {
 		o.left -= b.N
 		return b
 	}
-	out := NewBatch(b.Schema)
+	out := NewBatch(b.Schema, o.left)
 	for i := 0; i < o.left; i++ {
 		out.appendFrom(b.Cols, i)
 	}

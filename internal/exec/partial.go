@@ -157,15 +157,7 @@ func (c *combineAggOp) Next() *Batch {
 	if !c.done {
 		c.run()
 	}
-	if c.pos >= len(c.out) {
-		return nil
-	}
-	b := NewBatch(c.o.schema)
-	for c.pos < len(c.out) && b.N < BatchSize {
-		b.AppendRow(c.out[c.pos])
-		c.pos++
-	}
-	return b
+	return nextRows(c.o.schema, c.out, &c.pos)
 }
 
 // EncodePartial serializes one partial group for the wire: [key...,

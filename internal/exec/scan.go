@@ -28,17 +28,7 @@ func NewMemSource(schema []types.Column, rows []types.Row) Source {
 
 func (s *memSource) Schema() []types.Column { return s.schema }
 
-func (s *memSource) Next() *Batch {
-	if s.pos >= len(s.rows) {
-		return nil
-	}
-	b := NewBatch(s.schema)
-	for s.pos < len(s.rows) && b.N < BatchSize {
-		b.AppendRow(s.rows[s.pos])
-		s.pos++
-	}
-	return b
-}
+func (s *memSource) Next() *Batch { return nextRows(s.schema, s.rows, &s.pos) }
 
 // Split partitions the remaining rows into contiguous ranges sharing the
 // backing slice; part-order concatenation reproduces the sequential scan.
@@ -205,7 +195,7 @@ func (s *colScan) Next() *Batch {
 		s.done = true
 		return nil
 	}
-	b := NewBatch(s.schema)
+	b := NewBatch(s.schema, BatchSize)
 	for b.N < BatchSize && len(s.morsels) > 0 {
 		m := s.morsels[0]
 		if s.row < 0 {

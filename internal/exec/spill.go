@@ -188,7 +188,7 @@ func (c *spillCursor) fail(err error) error {
 // nextBatch reads up to BatchSize rows into a batch of schema; nil at end
 // of file.
 func (c *spillCursor) nextBatch(schema []types.Column) (*Batch, error) {
-	b := NewBatch(schema)
+	b := NewBatch(schema, BatchSize)
 	for b.N < BatchSize {
 		r, ok, err := c.next()
 		if err != nil {
@@ -213,7 +213,7 @@ func (c *spillCursor) scatterRest(ws []*spillWriter, schema []types.Column, keys
 		if b == nil || err != nil {
 			return err
 		}
-		if err := scatter(ws, b, keys, depth); err != nil {
+		if err := scatter(ws, keys, depth, b); err != nil {
 			return err
 		}
 	}
@@ -277,12 +277,14 @@ func newSpillWriters(qm *QueryMem, kind string, depth int) []*spillWriter {
 	return ws
 }
 
-// scatter writes each row of b to the writer its key hash selects at
-// depth.
-func scatter(ws []*spillWriter, b *Batch, keys []int, depth int) error {
-	for i := 0; i < b.N; i++ {
-		if err := ws[partOf(hashKeys(b, i, keys), depth)].addFrom(b, i); err != nil {
-			return err
+// scatter writes each row of bs, in order, to the writer its key hash
+// selects at depth.
+func scatter(ws []*spillWriter, keys []int, depth int, bs ...*Batch) error {
+	for _, b := range bs {
+		for i := 0; i < b.N; i++ {
+			if err := ws[partOf(hashKeys(b, i, keys), depth)].addFrom(b, i); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

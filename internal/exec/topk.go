@@ -48,7 +48,7 @@ func (h *topKHeap) Pop() any      { panic("exec: topKHeap shrinks in place") }
 func (o *topKOp) Schema() []types.Column { return o.in.Schema() }
 
 func (o *topKOp) run() {
-	h := &topKHeap{kept: NewBatch(o.in.Schema()), ord: newRowOrder(o.in.Schema(), o.keys, true)}
+	h := &topKHeap{kept: NewBatch(o.in.Schema(), 0), ord: newRowOrder(o.in.Schema(), o.keys, true)}
 	for b := o.in.Next(); b != nil; b = o.in.Next() {
 		for i := 0; i < b.N; i++ {
 			if h.Len() < o.k {
