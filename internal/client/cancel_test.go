@@ -28,6 +28,7 @@ func TestCanceledReplyFollowsCallerContext(t *testing.T) {
 	}{
 		{"done-by-deadline", deadline, context.DeadlineExceeded},
 		{"done-by-cancel", canceled, context.Canceled},
+		{"deadline-passed-timer-pending", pastDeadline{context.Background()}, context.DeadlineExceeded},
 		{"not-done", context.Background(), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,3 +51,10 @@ func TestCanceledReplyFollowsCallerContext(t *testing.T) {
 		})
 	}
 }
+
+// pastDeadline is a context whose deadline has passed by the clock but
+// whose timer has not fired yet: Err is still nil. A server that noticed
+// the deadline first replies CodeCanceled into exactly this window.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }

@@ -347,15 +347,26 @@ func ctxOrTransport(ctx context.Context, err error) error {
 }
 
 // requestErr is the error a server's error reply reports to a caller
-// whose request ran under ctx. The server answers a cancelled request and
-// one past its deadline alike (CodeCanceled), so once ctx is done the
-// reply becomes ctx.Err(): errors.Is then sees context.Canceled or
-// context.DeadlineExceeded whichever side noticed first. While ctx is not
-// done the reply stays the wire error.
+// whose request ran under ctx. The existence rule's codes become the core
+// sentinels, as a local engine returns them. The server answers a
+// cancelled request and one past its deadline alike (CodeCanceled), so
+// once ctx is done the reply becomes ctx.Err(): errors.Is then sees
+// context.Canceled or context.DeadlineExceeded whichever side noticed
+// first. A deadline the clock has passed counts as done even before ctx's
+// own timer has fired. While ctx is not done the reply stays the wire
+// error.
 func requestErr(ctx context.Context, we *wire.Error) error {
-	if we.Code == wire.CodeCanceled {
+	switch we.Code {
+	case wire.CodeNotFound:
+		return core.ErrNotFound
+	case wire.CodeDuplicate:
+		return core.ErrDuplicate
+	case wire.CodeCanceled:
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			return context.DeadlineExceeded
 		}
 	}
 	return we
@@ -808,11 +819,7 @@ func (t *remoteTx) Get(table string, key int64) (types.Row, error) {
 		}
 		return b.Rows[0], nil
 	case wire.MsgError:
-		we := wire.DecodeError(payload)
-		if we.Code == wire.CodeNotFound {
-			return nil, core.ErrNotFound
-		}
-		return nil, requestErr(t.ctx, we)
+		return nil, requestErr(t.ctx, wire.DecodeError(payload))
 	default:
 		return nil, fmt.Errorf("client: unexpected frame %d", typ)
 	}

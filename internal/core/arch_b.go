@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -104,21 +103,16 @@ func (l *learnerStorage) ApplyMutations(commitTS uint64, writes []txn.Write) {
 // replication plus merge lag.
 type EngineB struct {
 	engineBase
-	oracle *txn.Oracle
-	c      *cluster.Cluster
-	coord  *twopc.Coordinator
-	cfg    ConfigB
+	c     *cluster.Cluster
+	coord *twopc.Coordinator
+	cfg   ConfigB
 
 	voters   map[int]map[int]*voterStorage // pid -> nodeID
 	learners map[int]map[int]*learnerStorage
 	parts    map[int]map[int]*twopc.Participant
 
-	// commits and aborts are this engine's Stats(): the archMetrics series
-	// are shared by every engine of the architecture.
-	commits atomic.Int64
-	aborts  atomic.Int64
-	// read is the highest read point handed out (see readPoint).
-	read atomic.Uint64
+	// lastRead is the highest read point handed out (see readPoint).
+	lastRead atomic.Uint64
 	// serving is each partition's learner that answers queries.
 	serving []int
 }
@@ -135,14 +129,12 @@ func NewEngineB(cfg ConfigB) *EngineB {
 		cfg.LearnersPer = 1
 	}
 	e := &EngineB{
-		oracle:   &txn.Oracle{},
 		cfg:      cfg,
 		voters:   make(map[int]map[int]*voterStorage),
 		learners: make(map[int]map[int]*learnerStorage),
 		parts:    make(map[int]map[int]*twopc.Participant),
 	}
 	e.init(ArchB, "dist-row+col-replica", cfg.Schemas, cfg.Parallelism)
-	e.pins = txn.NewPins(e.oracle.Watermark)
 	e.serving = make([]int, cfg.Partitions)
 	for pid := 0; pid < cfg.Partitions; pid++ {
 		e.voters[pid] = make(map[int]*voterStorage)
@@ -180,7 +172,7 @@ func NewEngineB(cfg ConfigB) *EngineB {
 	if err := e.c.WaitReady(10 * time.Second); err != nil {
 		panic(err)
 	}
-	e.coord = twopc.NewCoordinator(e.c, e.oracle, func(part int) *twopc.Participant {
+	e.coord = twopc.NewCoordinator(e.c, e.mgr.Oracle(), func(part int) *twopc.Participant {
 		l := e.c.Partitions[part].Leader()
 		if l == nil {
 			return e.parts[part][0]
@@ -192,150 +184,38 @@ func NewEngineB(cfg ConfigB) *EngineB {
 	return e
 }
 
-// leaderStorage returns the row stores of a partition's current leader.
-func (e *EngineB) leaderStorage(pid int) *voterStorage {
-	l := e.c.Partitions[pid].Leader()
-	if l == nil {
-		return e.voters[pid][0]
+// leaderRows returns the row store of table at the current leader of the
+// partition that owns key.
+func (e *EngineB) leaderRows(table uint32, key int64) *rowstore.Store {
+	pid := e.c.Route(table, key).ID
+	vs := e.voters[pid][0]
+	if l := e.c.Partitions[pid].Leader(); l != nil {
+		vs = e.voters[pid][l.Status().ID]
 	}
-	return e.voters[pid][l.Status().ID]
+	return vs.rows[table]
 }
 
-// txB is a distributed transaction: reads go to partition leaders at the
-// snapshot, writes buffer locally and commit through 2PC.
-type txB struct {
-	e      *EngineB
-	ctx    context.Context
-	readTS uint64
-	muts   []txn.Write
-	idx    map[[2]int64]int // (table, key) -> muts index
-	done   bool
+// Lookup implements txn.Reader: transactions read partition leaders at
+// their snapshot.
+func (e *EngineB) Lookup(table uint32, key int64, ts uint64) (types.Row, bool, uint64) {
+	return e.leaderRows(table, key).Lookup(table, key, ts)
 }
 
-// Begin implements Engine. The read timestamp stays pinned until the
-// transaction commits or aborts.
-func (e *EngineB) Begin(ctx context.Context) Tx {
-	e.om.begins.Inc()
-	return &txB{e: e, ctx: ctxOrBackground(ctx), readTS: e.pins.Pin(e.oracle.Watermark), idx: make(map[[2]int64]int)}
+// read implements txStore.
+func (e *EngineB) read(table uint32, key int64, ts uint64) (types.Row, bool) {
+	row, live, _ := e.Lookup(table, key, ts)
+	return row, live
 }
 
-func (t *txB) key(table uint32, key int64) [2]int64 { return [2]int64{int64(table), key} }
-
-func (t *txB) ownWrite(table uint32, key int64) (txn.Write, bool) {
-	if i, ok := t.idx[t.key(table, key)]; ok {
-		return t.muts[i], true
-	}
-	return txn.Write{}, false
-}
-
-func (t *txB) Get(table string, key int64) (types.Row, error) {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return nil, err
-	}
-	if m, ok := t.ownWrite(id, key); ok {
-		if m.Op == txn.OpDelete {
-			return nil, ErrNotFound
-		}
-		return m.Row, nil
-	}
-	pid := t.e.c.Route(id, key).ID
-	r, err := t.e.leaderStorage(pid).rows[id].GetAt(t.readTS, key)
-	if errors.Is(err, rowstore.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return r, err
-}
-
-func (t *txB) buffer(id uint32, key int64, op txn.Op, row types.Row) {
-	k := t.key(id, key)
-	if i, ok := t.idx[k]; ok {
-		t.muts[i].Op = op
-		t.muts[i].Row = row
-		return
-	}
-	t.idx[k] = len(t.muts)
-	t.muts = append(t.muts, txn.Write{Table: id, Key: key, Op: op, Row: row})
-}
-
-func (t *txB) Insert(table string, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	if err := t.e.ts.schemas[id].Validate(row); err != nil {
-		return err
-	}
-	key := t.e.ts.schemas[id].Key(row)
-	if _, err := t.Get(table, key); err == nil {
-		return errors.Join(errRetry, errors.New("core: duplicate key"))
-	}
-	t.buffer(id, key, txn.OpInsert, row)
-	return nil
-}
-
-func (t *txB) Update(table string, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	if err := t.e.ts.schemas[id].Validate(row); err != nil {
-		return err
-	}
-	key := t.e.ts.schemas[id].Key(row)
-	if _, err := t.Get(table, key); err != nil {
-		return err
-	}
-	t.buffer(id, key, txn.OpUpdate, row)
-	return nil
-}
-
-func (t *txB) Delete(table string, key int64) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	if _, err := t.Get(table, key); err != nil {
-		return err
-	}
-	t.buffer(id, key, txn.OpDelete, nil)
-	return nil
-}
-
-// Commit runs the write set through the 2PC coordinator — one Raft round on
-// one partition, prepare and commit rounds across several — and shares the
-// epilogue of the WAL engines. An error matching twopc.ErrIndeterminate
-// means some partitions may have committed: it must not be retried.
-func (t *txB) Commit() error {
-	if t.done {
-		return txn.ErrFinished
-	}
-	e := t.e
-	if err := t.ctx.Err(); err != nil {
-		t.Abort()
-		return err
-	}
-	t.done = true
-	start := time.Now()
-	ts, err := e.coord.Commit(t.ctx, t.readTS, t.muts)
-	e.pins.Release(t.readTS)
-	if err != nil {
-		e.aborts.Add(1)
-		e.om.aborts.Inc()
-		return err
-	}
-	e.commits.Add(1)
-	e.committed(start, ts, len(t.muts) > 0)
-	return nil
-}
-
-func (t *txB) Abort() {
-	if !t.done {
-		t.done = true
-		t.e.pins.Release(t.readTS)
-		t.e.aborts.Add(1)
-		t.e.om.aborts.Inc()
-	}
+// commit implements txStore: the write set commits through the 2PC
+// coordinator — one Raft round on one partition, prepare and commit rounds
+// across several — which draws the commit timestamp from the engine's
+// oracle itself. An error matching twopc.ErrIndeterminate means some
+// partitions may have committed: it must not be retried.
+func (e *EngineB) commit(ctx context.Context, tx *txn.Txn) (uint64, error) {
+	return tx.CommitWith(func(readTS uint64, writes []txn.Write) (uint64, error) {
+		return e.coord.Commit(ctx, readTS, writes)
+	})
 }
 
 // Load implements Engine: rows are installed directly on every replica of
@@ -388,18 +268,18 @@ func (e *EngineB) Sync() {
 // So a cross-partition commit is read on every partition or on none. The
 // minimum is the read point, and it never moves back.
 func (e *EngineB) readPoint() uint64 {
-	r := e.oracle.Watermark()
+	r := e.mgr.Oracle().Watermark()
 	for pid := 0; pid < e.cfg.Partitions; pid++ {
 		if safe := e.parts[pid][e.serving[pid]].SafeTS(); safe < e.coord.LastCommit(pid) {
 			r = min(r, safe)
 		}
 	}
 	for {
-		cur := e.read.Load()
+		cur := e.lastRead.Load()
 		if r <= cur {
 			return cur
 		}
-		if e.read.CompareAndSwap(cur, r) {
+		if e.lastRead.CompareAndSwap(cur, r) {
 			return r
 		}
 	}
@@ -432,7 +312,7 @@ func (e *EngineB) rowVersions() int64 {
 
 // Stats implements Engine.
 func (e *EngineB) Stats() Stats {
-	st := Stats{Commits: e.commits.Load(), Aborts: e.aborts.Load()}
+	st := e.txnStats()
 	for pid := 0; pid < e.cfg.Partitions; pid++ {
 		for _, ls := range e.learners[pid] {
 			d := ls.dev.Stats()

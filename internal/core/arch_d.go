@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"htap/internal/colstore"
@@ -100,109 +99,28 @@ func (e *EngineD) read(id uint32, key int64, ts uint64) (row types.Row, ok bool)
 	}
 }
 
-func (e *EngineD) latestVersion(id uint32, key int64) uint64 {
+// Lookup implements txn.Reader: the layered read, and the version map for
+// the key's newest version.
+func (e *EngineD) Lookup(table uint32, key int64, ts uint64) (types.Row, bool, uint64) {
+	row, live := e.read(table, key, ts)
 	e.verMu.RLock()
 	defer e.verMu.RUnlock()
-	return e.versions[id][key]
+	return row, live, e.versions[table][key]
 }
 
-// txD is the architecture-D transaction.
-type txD struct {
-	e   *EngineD
-	ctx context.Context
-	tx  *txn.Txn
-}
-
-// Begin implements Engine.
-func (e *EngineD) Begin(ctx context.Context) Tx {
-	e.om.begins.Inc()
-	return &txD{e: e, ctx: ctxOrBackground(ctx), tx: e.mgr.Begin()}
-}
-
-func (t *txD) Get(table string, key int64) (types.Row, error) {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return nil, err
-	}
-	if w, ok := t.tx.GetWrite(id, key); ok {
-		if w.Op == txn.OpDelete {
-			return nil, ErrNotFound
-		}
-		return w.Row, nil
-	}
-	if r, ok := t.e.read(id, key, t.tx.ReadTS); ok {
-		return r, nil
-	}
-	return nil, ErrNotFound
-}
-
-func (t *txD) write(table string, key int64, op txn.Op, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	if row != nil {
-		if err := t.e.ts.schemas[id].Validate(row); err != nil {
-			return err
-		}
-	}
-	if err := t.tx.Lock(id, key); err != nil {
-		return err
-	}
-	_, exists := t.e.read(id, key, t.tx.ReadTS)
-	if w, ok := t.tx.GetWrite(id, key); ok {
-		exists = w.Op != txn.OpDelete
-	}
-	switch op {
-	case txn.OpInsert:
-		if exists {
-			return errors.Join(errRetry, errors.New("core: duplicate key"))
-		}
-	case txn.OpUpdate, txn.OpDelete:
-		if !exists {
-			return ErrNotFound
-		}
-	}
-	return t.tx.Write(id, key, op, row, t.e.latestVersion(id, key))
-}
-
-func (t *txD) Insert(table string, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	return t.write(table, t.e.ts.schemas[id].Key(row), txn.OpInsert, row)
-}
-
-func (t *txD) Update(table string, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	return t.write(table, t.e.ts.schemas[id].Key(row), txn.OpUpdate, row)
-}
-
-func (t *txD) Delete(table string, key int64) error {
-	return t.write(table, key, txn.OpDelete, nil)
-}
-
-func (t *txD) Commit() error {
-	e := t.e
-	ts, err := e.commit(t.ctx, t.tx)
-	if err != nil || t.tx.Pending() == 0 {
-		return err
-	}
-	// Layer maintenance happens on the commit path, which is precisely
-	// why the paper scores this architecture's OLTP scalability low.
-	// Promotions serialize on Sync's lock; a commit that finds one running
-	// leaves the work to it.
-	if !e.syncMu.TryLock() {
-		return nil
+// commit implements txStore: walEngine.commit, then layer maintenance,
+// which happens on the commit path — precisely why the paper scores this
+// architecture's OLTP scalability low. Promotions serialize on Sync's
+// lock; a commit that finds one running leaves the work to it.
+func (e *EngineD) commit(ctx context.Context, tx *txn.Txn) (uint64, error) {
+	ts, err := e.walEngine.commit(ctx, tx)
+	if err != nil || tx.Pending() == 0 || !e.syncMu.TryLock() {
+		return ts, err
 	}
 	defer e.syncMu.Unlock()
 	touched := map[uint32]struct{}{}
 	minApplied := uint64(0)
-	for _, w := range t.tx.Writes() {
+	for _, w := range tx.Writes() {
 		if _, done := touched[w.Table]; done {
 			continue
 		}
@@ -215,10 +133,8 @@ func (t *txD) Commit() error {
 	if minApplied > 0 {
 		e.tracker.Applied(minApplied)
 	}
-	return nil
+	return ts, nil
 }
-
-func (t *txD) Abort() { t.e.abort(t.tx) }
 
 // Load implements Engine.
 func (e *EngineD) Load(table string, row types.Row) error {

@@ -32,6 +32,9 @@ type engineBase struct {
 	par     atomic.Int32
 	om      archMetrics
 	obsFns  []*obs.FuncHandle
+	// mgr is the transaction manager: the timestamp oracle, the lock table
+	// and the write sets of every architecture's transactions.
+	mgr *txn.Manager
 	// pins holds the read timestamps of open transactions and snapshots;
 	// row stores prune behind its horizon.
 	pins *txn.Pins
@@ -39,6 +42,8 @@ type engineBase struct {
 	// are its replicas by table id when they are fixed at construction.
 	col  columnar
 	reps [][]*replica
+	// store is the finished engine's transactional side (tx.go).
+	store txStore
 
 	syncMu   sync.Mutex
 	stop     chan struct{}
@@ -54,15 +59,19 @@ func (b *engineBase) init(a Arch, name string, schemas []*types.Schema, parallel
 	b.fb = planner.NewFeedback(0)
 	b.tracker = freshness.NewTracker()
 	b.om = newArchMetrics(a)
+	b.mgr = txn.NewManager()
+	b.pins = b.mgr.Pins()
 	b.stop = make(chan struct{})
 	b.mode.Store(uint32(sched.Shared))
 	b.par.Store(int32(parallelism))
 }
 
 // serve publishes the finished engine e: the scrape-time gauges read its
-// Freshness, dev and row versions, and snapshots read through its replicas.
+// Freshness, dev and row versions, snapshots read through its replicas and
+// transactions through its txStore.
 func (b *engineBase) serve(e Engine, dev func() disk.Stats, versions func() int64) {
 	b.col = e.(columnar)
+	b.store = e.(txStore)
 	b.obsFns = registerEngineFuncs(b.arch, e.Freshness, dev, b.pins, versions)
 }
 
@@ -147,6 +156,12 @@ func (b *engineBase) committed(start time.Time, commitTS uint64, wrote bool) {
 	if wrote {
 		b.tracker.Committed(commitTS)
 	}
+}
+
+// txnStats is the transaction-manager part of Engine.Stats.
+func (b *engineBase) txnStats() Stats {
+	ts := b.mgr.Stats()
+	return Stats{Commits: ts.Commits, Aborts: ts.Aborts, Conflicts: ts.Conflicts}
 }
 
 // Close implements Engine: it stops the background cadence and releases the

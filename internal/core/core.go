@@ -63,8 +63,13 @@ func (a Arch) String() string {
 	}
 }
 
-// ErrNotFound is returned by point reads of absent keys.
-var ErrNotFound = errors.New("core: key not found")
+// The existence rule's errors, on every architecture: ErrNotFound for a
+// read, update or delete of a key that is not live, ErrDuplicate for an
+// insert of one that is. Neither is retryable.
+var (
+	ErrNotFound  = txn.ErrNotFound
+	ErrDuplicate = txn.ErrDuplicate
+)
 
 // ErrNoTable reports an unregistered table.
 var ErrNoTable = errors.New("core: no such table")
@@ -208,14 +213,10 @@ func retryable(err error) bool {
 	if errors.As(err, &r) {
 		return r.Retryable()
 	}
-	return errors.Is(err, errRetry) ||
-		errors.Is(err, txn.ErrConflict) ||
+	return errors.Is(err, txn.ErrConflict) ||
 		errors.Is(err, txn.ErrReadStale) ||
 		errors.Is(err, twopc.ErrConflict)
 }
-
-// errRetry is wrapped around engine-internal transient failures.
-var errRetry = errors.New("core: transient conflict")
 
 // ctxOrBackground guards engine entry points against nil contexts.
 func ctxOrBackground(ctx context.Context) context.Context {

@@ -139,20 +139,6 @@ func TestReadYourOwnWrites(t *testing.T) {
 	})
 }
 
-func TestDuplicateInsertRejected(t *testing.T) {
-	forAll(t, func(t *testing.T, e Engine) {
-		if err := Exec(context.Background(), e, func(tx Tx) error { return tx.Insert("acct", acct(1, 1, 1)) }); err != nil {
-			t.Fatal(err)
-		}
-		tx := e.Begin(context.Background())
-		err := tx.Insert("acct", acct(1, 1, 2))
-		tx.Abort()
-		if err == nil {
-			t.Fatal("duplicate insert accepted")
-		}
-	})
-}
-
 func TestAnalyticalScanSeesCommits(t *testing.T) {
 	forAll(t, func(t *testing.T, e Engine) {
 		for i := int64(0); i < 50; i++ {

@@ -1,19 +1,16 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"htap/internal/rowstore"
-	"htap/internal/txn"
 	"htap/internal/types"
 )
 
 // rowEngine is a walEngine whose primary copy is an MVCC row store per table
-// — architectures A (memory-optimized) and C (disk-backed). Transactions,
-// bulk load, secondary indexes and version pruning are the same on both;
+// — architectures A (memory-optimized) and C (disk-backed). Transaction
+// reads, bulk load, secondary indexes and version pruning are the same on both;
 // only the column side, which the embedding engine adds, differs.
 type rowEngine struct {
 	walEngine
@@ -23,65 +20,16 @@ type rowEngine struct {
 	secondary map[string]*rowstore.SecondaryIndex
 }
 
-// rowTx is the row-store-primary transaction of architectures A and C.
-type rowTx struct {
-	e   *rowEngine
-	ctx context.Context
-	tx  *txn.Txn
+// Lookup implements txn.Reader over table's row store.
+func (e *rowEngine) Lookup(table uint32, key int64, ts uint64) (types.Row, bool, uint64) {
+	return e.rows[table].Lookup(table, key, ts)
 }
 
-// Begin implements Engine.
-func (e *rowEngine) Begin(ctx context.Context) Tx {
-	e.om.begins.Inc()
-	return &rowTx{e: e, ctx: ctxOrBackground(ctx), tx: e.mgr.Begin()}
+// read implements txStore: a disk-backed (C) store charges the read.
+func (e *rowEngine) read(table uint32, key int64, ts uint64) (types.Row, bool) {
+	r, err := e.rows[table].GetAt(ts, key)
+	return r, err == nil
 }
-
-func (t *rowTx) Get(table string, key int64) (types.Row, error) {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return nil, err
-	}
-	r, err := t.e.rows[id].Get(t.tx, key)
-	if errors.Is(err, rowstore.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return r, err
-}
-
-func (t *rowTx) Insert(table string, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	return t.e.rows[id].Insert(t.tx, row)
-}
-
-func (t *rowTx) Update(table string, row types.Row) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	return t.e.rows[id].Update(t.tx, row)
-}
-
-func (t *rowTx) Delete(table string, key int64) error {
-	id, err := t.e.ts.id(table)
-	if err != nil {
-		return err
-	}
-	err = t.e.rows[id].Delete(t.tx, key)
-	if errors.Is(err, rowstore.ErrNotFound) {
-		return ErrNotFound
-	}
-	return err
-}
-
-func (t *rowTx) Commit() error {
-	_, err := t.e.commit(t.ctx, t.tx)
-	return err
-}
-
-func (t *rowTx) Abort() { t.e.abort(t.tx) }
 
 // Load implements Engine for the row side: the row becomes visible to every
 // snapshot, bypassing transactions and the WAL.

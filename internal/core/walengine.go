@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"htap/internal/disk"
 	"htap/internal/freshness"
@@ -24,7 +22,6 @@ import (
 //	an architecture = install + replicas + Sync
 type walEngine struct {
 	engineBase
-	mgr    *txn.Manager
 	walDev *disk.Device
 	wal    *wal.Log
 	// install lands one committed transaction in the architecture's stores
@@ -36,8 +33,6 @@ type walEngine struct {
 
 func (e *walEngine) init(a Arch, name string, schemas []*types.Schema, parallelism int, install func(uint64, []txn.Write)) {
 	e.engineBase.init(a, name, schemas, parallelism)
-	e.mgr = txn.NewManager()
-	e.pins = e.mgr.Pins()
 	e.walDev = disk.New(disk.DefaultConfig())
 	e.wal = wal.New(e.walDev, e.walName())
 	e.install = install
@@ -49,20 +44,15 @@ func (e *walEngine) walName() string { return "wal-" + strings.ToLower(e.arch.La
 // crash-restart cycle (tests, chaos harness, examples).
 func (e *walEngine) WALDevice() *disk.Device { return e.walDev }
 
-// commit is the one commit sequence: redo records in table-id order, the
-// COMMIT record (whose flush makes the transaction durable), the
-// architecture's install, then the metrics epilogue. Write-ahead for real:
-// a WAL failure — an injected fault, a crashed device — aborts the
+// commit is the one commit sequence of A, C and D (the txStore hook):
+// redo records in table-id order, the COMMIT record (whose flush makes the
+// transaction durable), then the architecture's install. Write-ahead for
+// real: a WAL failure — an injected fault, a crashed device — aborts the
 // transaction before anything is installed. The record order must be
 // deterministic so a seeded fault plan tears the log at the same record
 // boundary on every run. It returns the commit timestamp.
-func (e *walEngine) commit(ctx context.Context, tx *txn.Txn) (uint64, error) {
-	if err := ctx.Err(); err != nil {
-		e.abort(tx)
-		return 0, err
-	}
-	start := time.Now()
-	ts, err := tx.Commit(func(commitTS uint64, writes []txn.Write) error {
+func (e *walEngine) commit(_ context.Context, tx *txn.Txn) (uint64, error) {
+	return tx.Commit(func(commitTS uint64, writes []txn.Write) error {
 		writes = tableOrdered(writes)
 		for _, w := range writes {
 			if _, err := e.wal.Append(wal.Record{Txn: tx.ID, Type: wal.RecType(w.Op), Table: w.Table, Key: w.Key, Row: w.Row}); err != nil {
@@ -75,22 +65,6 @@ func (e *walEngine) commit(ctx context.Context, tx *txn.Txn) (uint64, error) {
 		e.install(commitTS, writes)
 		return nil
 	})
-	if err != nil {
-		if !errors.Is(err, txn.ErrFinished) {
-			e.om.aborts.Inc()
-		}
-		return 0, err
-	}
-	e.committed(start, ts, tx.Pending() > 0)
-	return ts, nil
-}
-
-// abort discards tx. Only a transaction that was still open counts as an
-// abort: `defer tx.Abort()` after a successful Commit is the repo's idiom.
-func (e *walEngine) abort(tx *txn.Txn) {
-	if tx.Abort() {
-		e.om.aborts.Inc()
-	}
 }
 
 // tableOrdered returns writes ordered by table id, keeping each table's
@@ -135,10 +109,4 @@ func (e *walEngine) Freshness() freshness.Snapshot {
 		return e.tracker.ReadWithApplied(e.mgr.Oracle().Watermark())
 	}
 	return e.tracker.Read()
-}
-
-// txnStats is the transaction-manager part of Engine.Stats.
-func (e *walEngine) txnStats() Stats {
-	ts := e.mgr.Stats()
-	return Stats{Commits: ts.Commits, Aborts: ts.Aborts, Conflicts: ts.Conflicts}
 }

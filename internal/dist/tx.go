@@ -248,9 +248,10 @@ type txBranch struct {
 func (b txBranch) Name() string { return b.name }
 
 // Prepare implements twopc.TxParticipant. Remote transactions expose a
-// wire-level prepare vote; in-process engine transactions acquired every
-// lock and passed every snapshot check as the writes were buffered (see
-// internal/txn), so an open local branch is implicitly prepared.
+// wire-level prepare vote. An in-process engine transaction, on any of the
+// four architectures, acquired every lock and passed every snapshot check
+// as its writes were buffered (txn.Txn.Put), so an open local branch is
+// implicitly prepared.
 func (b txBranch) Prepare(context.Context) error {
 	if p, ok := b.tx.(interface{ Prepare() error }); ok {
 		return p.Prepare()

@@ -14,7 +14,6 @@
 package rowstore
 
 import (
-	"errors"
 	"sync"
 
 	"htap/internal/btree"
@@ -23,10 +22,11 @@ import (
 	"htap/internal/types"
 )
 
-// Errors returned by transactional operations.
+// Errors returned by transactional operations: the existence rule's,
+// which txn.Txn.Put applies.
 var (
-	ErrDuplicate = errors.New("rowstore: duplicate primary key")
-	ErrNotFound  = errors.New("rowstore: key not found")
+	ErrDuplicate = txn.ErrDuplicate
+	ErrNotFound  = txn.ErrNotFound
 )
 
 type version struct {
@@ -129,23 +129,27 @@ func (s *Store) chargeWrite(r types.Row) {
 	}
 }
 
-// latest returns the chain and the commit TS of its newest version.
-func (s *Store) latest(key int64) (*chain, uint64) {
+// Lookup implements txn.Reader for the store's own table: it charges no
+// I/O, so the existence rule costs a disk-backed store nothing.
+func (s *Store) Lookup(_ uint32, key int64, ts uint64) (row types.Row, live bool, latest uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	c, ok := s.idx.Get(key)
 	if !ok || c.head == nil {
-		return c, 0
+		return nil, false, 0
 	}
-	return c, c.head.begin
+	if v := c.visible(ts); v != nil && !v.deleted {
+		row, live = v.row, true
+	}
+	return row, live, c.head.begin
 }
 
 // LatestVersion returns the commit timestamp of the newest version of key
 // (including tombstones), or 0 if the key was never written. Distributed
 // prepare validation uses it.
 func (s *Store) LatestVersion(key int64) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ts := s.latest(key)
-	return ts
+	_, _, latest := s.Lookup(s.ID, key, 0)
+	return latest
 }
 
 // Get returns the row visible to tx (honoring its own writes), or
@@ -176,77 +180,26 @@ func (s *Store) GetAt(ts uint64, key int64) (types.Row, error) {
 	return v.row, nil
 }
 
-// Insert buffers an insert in tx. It fails with ErrDuplicate if a live row
-// is visible at the transaction snapshot (or buffered by the transaction).
+// Insert buffers an insert in tx under the existence rule (txn.Txn.Put).
 func (s *Store) Insert(tx *txn.Txn, row types.Row) error {
-	if err := s.Schema.Validate(row); err != nil {
-		return err
-	}
-	key := s.Schema.Key(row)
-	if w, ok := tx.GetWrite(s.ID, key); ok {
-		if w.Op != txn.OpDelete {
-			return ErrDuplicate
-		}
-		// The transaction deleted this key itself; re-inserting replaces it.
-		return tx.Write(s.ID, key, txn.OpInsert, row, 0)
-	}
-	if err := tx.Lock(s.ID, key); err != nil {
-		return err
-	}
-	s.mu.RLock()
-	c, latestTS := s.latest(key)
-	live := c != nil && func() bool { v := c.visible(tx.ReadTS); return v != nil && !v.deleted }()
-	s.mu.RUnlock()
-	if live {
-		return ErrDuplicate
-	}
-	return tx.Write(s.ID, key, txn.OpInsert, row, latestTS)
+	return s.put(tx, txn.OpInsert, row)
 }
 
 // Update buffers an update of the full row image in tx.
 func (s *Store) Update(tx *txn.Txn, row types.Row) error {
-	if err := s.Schema.Validate(row); err != nil {
-		return err
-	}
-	key := s.Schema.Key(row)
-	if w, ok := tx.GetWrite(s.ID, key); ok {
-		if w.Op == txn.OpDelete {
-			return ErrNotFound
-		}
-		return tx.Write(s.ID, key, txn.OpUpdate, row, 0)
-	}
-	if err := tx.Lock(s.ID, key); err != nil {
-		return err
-	}
-	s.mu.RLock()
-	c, latestTS := s.latest(key)
-	live := c != nil && func() bool { v := c.visible(tx.ReadTS); return v != nil && !v.deleted }()
-	s.mu.RUnlock()
-	if !live {
-		return ErrNotFound
-	}
-	return tx.Write(s.ID, key, txn.OpUpdate, row, latestTS)
+	return s.put(tx, txn.OpUpdate, row)
 }
 
 // Delete buffers a delete in tx.
 func (s *Store) Delete(tx *txn.Txn, key int64) error {
-	if w, ok := tx.GetWrite(s.ID, key); ok {
-		if w.Op == txn.OpDelete {
-			return ErrNotFound
-		}
-		return tx.Write(s.ID, key, txn.OpDelete, nil, 0)
-	}
-	if err := tx.Lock(s.ID, key); err != nil {
+	return tx.Put(s, s.ID, key, txn.OpDelete, nil)
+}
+
+func (s *Store) put(tx *txn.Txn, op txn.Op, row types.Row) error {
+	if err := s.Schema.Validate(row); err != nil {
 		return err
 	}
-	s.mu.RLock()
-	c, latestTS := s.latest(key)
-	live := c != nil && func() bool { v := c.visible(tx.ReadTS); return v != nil && !v.deleted }()
-	s.mu.RUnlock()
-	if !live {
-		return ErrNotFound
-	}
-	return tx.Write(s.ID, key, txn.OpDelete, nil, latestTS)
+	return tx.Put(s, s.ID, s.Schema.Key(row), op, row)
 }
 
 // Apply installs the subset of writes belonging to this table at commitTS,

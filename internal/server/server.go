@@ -315,6 +315,8 @@ func toWireError(err error) *wire.Error {
 		return &wire.Error{Code: wire.CodeCanceled, Msg: err.Error()}
 	case errors.Is(err, core.ErrNotFound):
 		return &wire.Error{Code: wire.CodeNotFound, Msg: err.Error()}
+	case errors.Is(err, core.ErrDuplicate):
+		return &wire.Error{Code: wire.CodeDuplicate, Msg: err.Error()}
 	}
 	var r interface{ Retryable() bool }
 	if errors.As(err, &r) && r.Retryable() {

@@ -327,12 +327,14 @@ func TestOLAPShedDoesNotBlockOLTP(t *testing.T) {
 	_ = srv
 }
 
+// TestDeadlinePropagation: a query past its deadline fails with
+// context.DeadlineExceeded whichever side notices first. The scan is held
+// at its first batch until the server-side context ends, so the query
+// cannot finish inside the deadline however fast Q1 runs.
 func TestDeadlinePropagation(t *testing.T) {
-	scale := ch.SmallScale(2) // bigger table so Q1 takes > 1ms
-	scale.Customers = 200
-	scale.Orders = 200
-	e, _ := newEngine(t, scale)
-	_, r := startServer(t, Config{Engine: e})
+	e, _ := newEngine(t, smallScale())
+	held := &cancelAtFirstBatch{Engine: e, t: t, cancel: func() {}, released: make(chan struct{})}
+	_, r := startServer(t, Config{Engine: held})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := r.RunCH(ctx, 1)
@@ -345,9 +347,10 @@ func TestDeadlinePropagation(t *testing.T) {
 }
 
 // cancelAtFirstBatch wraps an engine so that the first batch any of its
-// scans produces cancels the client's request and then holds the scan
-// until the server-side context the scan was handed is done: the query can
-// only get past its first batch by the server noticing the client left.
+// scans produces calls cancel (cancelling the client's request) and then
+// holds the scan until the server-side context the scan was handed is
+// done: the query can only get past its first batch by the server noticing
+// the client left or its deadline passed.
 type cancelAtFirstBatch struct {
 	core.Engine
 	t        *testing.T

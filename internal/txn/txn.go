@@ -85,12 +85,24 @@ func DecodeWrite(b []byte) (Write, int, error) {
 	return w, pos, nil
 }
 
-// Common transaction errors.
+// Common transaction errors. ErrDuplicate and ErrNotFound are the
+// existence rule's (see Put); neither is a conflict, so neither is worth a
+// retry.
 var (
 	ErrConflict  = errors.New("txn: write-write conflict")
 	ErrFinished  = errors.New("txn: transaction already finished")
 	ErrReadStale = errors.New("txn: key modified after snapshot")
+	ErrDuplicate = errors.New("txn: duplicate key")
+	ErrNotFound  = errors.New("txn: key not found")
 )
+
+// Reader is a store's committed state as the existence rule reads it.
+type Reader interface {
+	// Lookup returns the image of key visible at ts, whether it is live
+	// there, and the commit timestamp of the key's newest version (0 if
+	// none), under one lock and one index probe. It charges no I/O.
+	Lookup(table uint32, key int64, ts uint64) (row types.Row, live bool, latest uint64)
+}
 
 const lockShards = 64
 
@@ -246,37 +258,76 @@ func (m *Manager) unlockAll(tx *Txn) {
 	tx.locked = nil
 }
 
-// Lock acquires the write lock on (table, key) ahead of Write. A store calls
-// it before it reads the key's latest version: while tx holds the lock no
-// other transaction can commit a newer one, so the version handed to Write
-// is still the latest when Write compares it to the snapshot. Without it a
-// commit landing between the read and Write's own lock is a lost update.
-func (tx *Txn) Lock(table uint32, key int64) error {
+// Put buffers op on (table, key) under the existence rule, written once
+// for every architecture: inserting a key that is live — in tx's own write
+// set, else at its snapshot in r — fails with ErrDuplicate; updating or
+// deleting one that is not fails with ErrNotFound. Put takes the key's
+// write lock before it reads r: while tx holds it no other transaction can
+// commit a newer version, so the latest version r reports is still the
+// latest when it is compared to the snapshot. A newer one than the
+// snapshot is a conflict (ErrReadStale), checked before the rule, since
+// existence at a stale snapshot decides nothing.
+func (tx *Txn) Put(r Reader, table uint32, key int64, op Op, row types.Row) error {
 	if tx.done {
 		return ErrFinished
 	}
-	return tx.mgr.lock(tx, lockKey{table, key})
+	k := lockKey{table, key}
+	var live bool
+	var latest uint64
+	if i, ok := tx.writeIdx[k]; ok {
+		live = tx.writes[i].Op != OpDelete
+	} else {
+		if err := tx.mgr.lock(tx, k); err != nil {
+			return err
+		}
+		_, live, latest = r.Lookup(table, key, tx.ReadTS)
+	}
+	if err := tx.stale(latest); err != nil {
+		return err
+	}
+	switch {
+	case op == OpInsert && live:
+		return ErrDuplicate
+	case op != OpInsert && !live:
+		return ErrNotFound
+	}
+	tx.buffer(k, op, row)
+	return nil
 }
 
-// Write buffers a mutation, acquiring its write lock. latestVersion is the
-// commit timestamp of the newest committed version the caller observed for
-// the key (0 if none); a version newer than the snapshot aborts the
-// transaction with ErrReadStale (first-committer-wins snapshot isolation).
+// Write buffers a mutation, acquiring its write lock, without the
+// existence rule. latestVersion is the commit timestamp of the newest
+// committed version the caller observed for the key (0 if none); a version
+// newer than the snapshot aborts the transaction with ErrReadStale
+// (first-committer-wins snapshot isolation).
 func (tx *Txn) Write(table uint32, key int64, op Op, row types.Row, latestVersion uint64) error {
 	if tx.done {
 		return ErrFinished
 	}
-	if latestVersion > tx.ReadTS {
-		tx.mgr.conflicts.Add(1)
-		return ErrReadStale
+	if err := tx.stale(latestVersion); err != nil {
+		return err
 	}
 	k := lockKey{table, key}
 	if err := tx.mgr.lock(tx, k); err != nil {
 		return err
 	}
+	tx.buffer(k, op, row)
+	return nil
+}
+
+func (tx *Txn) stale(latestVersion uint64) error {
+	if latestVersion > tx.ReadTS {
+		tx.mgr.conflicts.Add(1)
+		return ErrReadStale
+	}
+	return nil
+}
+
+// buffer adds a write to the write set. Repeated writes to the same key
+// collapse, keeping first-op semantics: INSERT then UPDATE stays an INSERT
+// of the new image.
+func (tx *Txn) buffer(k lockKey, op Op, row types.Row) {
 	if i, ok := tx.writeIdx[k]; ok {
-		// Collapse repeated writes to the same key, keeping first-op semantics:
-		// INSERT then UPDATE stays an INSERT of the new image.
 		prev := tx.writes[i].Op
 		tx.writes[i].Row = row
 		if prev == OpInsert && op != OpDelete {
@@ -284,11 +335,10 @@ func (tx *Txn) Write(table uint32, key int64, op Op, row types.Row, latestVersio
 		} else {
 			tx.writes[i].Op = op
 		}
-		return nil
+		return
 	}
 	tx.writeIdx[k] = len(tx.writes)
-	tx.writes = append(tx.writes, Write{Table: table, Key: key, Op: op, Row: row})
-	return nil
+	tx.writes = append(tx.writes, Write{Table: k.table, Key: k.key, Op: op, Row: row})
 }
 
 // GetWrite returns the transaction's own buffered write for (table, key),
@@ -313,32 +363,47 @@ func (tx *Txn) Pending() int { return len(tx.writes) }
 //
 // Commits serialize on a short critical section. This models the single
 // timestamp authority of the centralized engines (architectures A/C/D); the
-// distributed engine (B) pays 2PC+Raft instead and bypasses this path.
+// distributed engine (B) pays 2PC+Raft instead and commits through
+// CommitWith.
 func (tx *Txn) Commit(apply func(commitTS uint64, writes []Write) error) (uint64, error) {
+	m := tx.mgr
+	return tx.CommitWith(func(readTS uint64, writes []Write) (uint64, error) {
+		if len(writes) == 0 {
+			return readTS, nil
+		}
+		m.commitMu.Lock()
+		defer m.commitMu.Unlock()
+		commitTS := m.oracle.Next()
+		if apply != nil {
+			if err := apply(commitTS, writes); err != nil {
+				return 0, err
+			}
+		}
+		m.oracle.Advance(commitTS)
+		return commitTS, nil
+	})
+}
+
+// CommitWith ends tx with a commit that draws its timestamp elsewhere:
+// architecture B's 2PC coordinator takes it from the manager's oracle and
+// advances the watermark itself. commit runs once, with the read timestamp
+// and the write set, and returns the commit timestamp; tx's locks and its
+// read pin are released after it returns, and tx counts as a commit, or as
+// an abort when commit fails.
+func (tx *Txn) CommitWith(commit func(readTS uint64, writes []Write) (uint64, error)) (uint64, error) {
 	if tx.done {
 		return 0, ErrFinished
 	}
 	tx.done = true
 	defer tx.mgr.unlockAll(tx)
 	defer tx.mgr.pins.Release(tx.ReadTS)
-	if len(tx.writes) == 0 {
-		tx.mgr.commits.Add(1)
-		return tx.ReadTS, nil
+	ts, err := commit(tx.ReadTS, tx.writes)
+	if err != nil {
+		tx.mgr.aborts.Add(1)
+		return 0, err
 	}
-	m := tx.mgr
-	m.commitMu.Lock()
-	commitTS := m.oracle.Next()
-	if apply != nil {
-		if err := apply(commitTS, tx.writes); err != nil {
-			m.commitMu.Unlock()
-			m.aborts.Add(1)
-			return 0, err
-		}
-	}
-	m.oracle.Advance(commitTS)
-	m.commitMu.Unlock()
-	m.commits.Add(1)
-	return commitTS, nil
+	tx.mgr.commits.Add(1)
+	return ts, nil
 }
 
 // Abort releases the transaction's locks and discards its writes. It reports

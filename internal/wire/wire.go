@@ -129,11 +129,12 @@ const (
 const (
 	CodeInternal   uint8 = 1 // non-retryable server failure
 	CodeBadRequest uint8 = 2 // malformed or out-of-order frame
-	CodeNotFound   uint8 = 3 // point read of an absent key
+	CodeNotFound   uint8 = 3 // read, update or delete of an absent key
 	CodeConflict   uint8 = 4 // transaction conflict; retry with backoff
 	CodeOverloaded uint8 = 5 // admission control shed the request
 	CodeShutdown   uint8 = 6 // server is draining
 	CodeCanceled   uint8 = 7 // context cancelled or deadline exceeded
+	CodeDuplicate  uint8 = 8 // insert of a live key
 )
 
 // Error is the protocol's typed error. It crosses the wire as an Error

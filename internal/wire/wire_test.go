@@ -192,6 +192,7 @@ func TestErrorRoundTripAndRetryability(t *testing.T) {
 		{CodeOverloaded, true},
 		{CodeShutdown, true},
 		{CodeCanceled, false},
+		{CodeDuplicate, false},
 	} {
 		in := &Error{Code: tc.code, Msg: "m"}
 		got := DecodeError(EncodeError(nil, in))
