@@ -23,7 +23,6 @@ import (
 
 	"htap/internal/core"
 	"htap/internal/exec"
-	"htap/internal/freshness"
 	"htap/internal/obs"
 	"htap/internal/types"
 	"htap/internal/wire"
@@ -712,8 +711,8 @@ func (r *Remote) Sync() {
 }
 
 // Freshness reports the server's OLTP-vs-OLAP watermark gap.
-func (r *Remote) Freshness() freshness.Snapshot {
-	var snap freshness.Snapshot
+func (r *Remote) Freshness() core.Freshness {
+	var snap core.Freshness
 	_ = r.do(context.Background(), wire.ClassOLAP, func(c *conn, _ *obs.Span) error {
 		typ, payload, err := c.roundTrip(context.Background(), wire.MsgFreshness, nil)
 		if err != nil {
@@ -729,7 +728,7 @@ func (r *Remote) Freshness() freshness.Snapshot {
 		if err != nil {
 			return err
 		}
-		snap = freshness.Snapshot{
+		snap = core.Freshness{
 			CommitTS: f.CommitTS, AppliedTS: f.AppliedTS,
 			LagTS: f.LagTS, LagTime: time.Duration(f.LagNS),
 		}

@@ -39,7 +39,7 @@ func NewEngineA(cfg ConfigA) *EngineA {
 	e := &EngineA{cfg: cfg}
 	e.init(ArchA, "primary-row+inmem-col", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	for i, s := range cfg.Schemas {
-		e.addRows(rowstore.New(uint32(i), s))
+		e.addRows(rowstore.New(uint32(i), s), e.pins)
 		e.cols = append(e.cols, colstore.NewTable(s))
 		observeSelectivity(e.fb, ArchA, e.cols[i])
 		e.deltas = append(e.deltas, delta.NewMem())
@@ -70,17 +70,14 @@ func (e *EngineA) Load(table string, row types.Row) error {
 }
 
 // Sync implements Engine: merge every delta into its column table up to
-// upTo, which stays pinned for the round.
+// the round's merge point.
 func (e *EngineA) Sync() {
-	e.syncRound(func(sp *obs.Span) uint64 {
-		upTo := e.pins.Pin(e.readPoint)
-		defer e.pins.Release(upTo)
+	e.syncRound(func(sp *obs.Span, upTo uint64) {
 		for i := range e.cols {
 			child := sp.Child("merge").AttrInt("table", int64(i))
 			datasync.MergeDelta(e.cols[i], e.deltas[i], upTo)
 			child.End()
 		}
-		return upTo
 	})
 }
 

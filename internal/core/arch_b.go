@@ -11,7 +11,6 @@ import (
 	"htap/internal/datasync"
 	"htap/internal/delta"
 	"htap/internal/disk"
-	"htap/internal/freshness"
 	"htap/internal/obs"
 	"htap/internal/rowstore"
 	"htap/internal/twopc"
@@ -245,8 +244,7 @@ func (e *EngineB) Load(table string, row types.Row) error {
 // into its column store, up to the read point — never past it, so no
 // snapshot finds a column version newer than what it reads.
 func (e *EngineB) Sync() {
-	e.syncRound(func(sp *obs.Span) uint64 {
-		upTo := e.readPoint()
+	e.syncRound(func(sp *obs.Span, upTo uint64) {
 		for pid := 0; pid < e.cfg.Partitions; pid++ {
 			for n, ls := range e.learners[pid] {
 				child := sp.Child("learner").AttrInt("partition", int64(pid)).AttrInt("node", int64(n))
@@ -256,7 +254,6 @@ func (e *EngineB) Sync() {
 				child.End()
 			}
 		}
-		return upTo
 	})
 }
 
@@ -283,18 +280,6 @@ func (e *EngineB) readPoint() uint64 {
 			return r
 		}
 	}
-}
-
-// Freshness implements Engine. Even in Shared mode the analytical view is
-// only as fresh as what replication has delivered to the learners; in
-// Isolated mode it is further bounded by the last log-delta merge. This is
-// the paper's "the data freshness is low since newly-updated data may have
-// not been merged to the column store".
-func (e *EngineB) Freshness() freshness.Snapshot {
-	if e.shared() {
-		return e.tracker.ReadWithApplied(e.readPoint())
-	}
-	return e.tracker.Read()
 }
 
 // rowVersions is the number of row versions every voter's stores hold.

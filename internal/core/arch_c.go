@@ -95,7 +95,7 @@ func NewEngineC(cfg ConfigC) *EngineC {
 	e.init(ArchC, "disk-row+dist-col", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	e.imcs = make([]atomic.Pointer[imcsTable], len(cfg.Schemas))
 	for i, s := range cfg.Schemas {
-		e.addRows(rowstore.NewDiskBacked(uint32(i), s, e.rowDev))
+		e.addRows(rowstore.NewDiskBacked(uint32(i), s, e.rowDev), rowFloor{&e.engineBase})
 	}
 	// The analytical cost model charges the row device; export it (the WAL
 	// device is already covered by htap_wal_* series).
@@ -114,6 +114,14 @@ func (e *EngineC) installWrites(commitTS uint64, writes []txn.Write) {
 		}
 	})
 }
+
+// rowFloor is the horizon C's row stores prune behind: the older of the
+// pins' horizon and the merge target, at which Isolated snapshots read the
+// row store. The target is read first (see mergePoint).
+type rowFloor struct{ b *engineBase }
+
+// Horizon implements rowstore.Horizon.
+func (f rowFloor) Horizon() uint64 { return min(f.b.target.Load(), f.b.pins.Horizon()) }
 
 // project maps writes' full rows onto the IMCS projection.
 func (it *imcsTable) project(ws []txn.Write) []txn.Write {
@@ -175,7 +183,8 @@ func (e *EngineC) LoadColumns(table string, cols []string) {
 		it.parts = append(it.parts, sh)
 		builders[i] = sh.NewBuilder()
 	}
-	snap := e.pins.Pin(e.readPoint)
+	// The load publishes shards at snap: a merge like any other.
+	snap := e.mergePoint(e.readPoint)
 	defer e.pins.Release(snap)
 	e.rows[id].Scan(snap, func(key int64, r types.Row) bool {
 		builders[shardFor(key, len(builders))].Add(it.projectRow(r))
@@ -336,8 +345,7 @@ func (e *EngineC) PlannerFeedback() *planner.Feedback { return e.fb }
 
 // Sync implements Engine: merge each loaded table's delta into its shards.
 func (e *EngineC) Sync() {
-	e.syncRound(func(sp *obs.Span) uint64 {
-		upTo := e.mgr.Oracle().Watermark()
+	e.syncRound(func(sp *obs.Span, upTo uint64) {
 		for id := range e.imcs {
 			it := e.imcs[id].Load()
 			if it == nil {
@@ -348,7 +356,6 @@ func (e *EngineC) Sync() {
 			datasync.MergeShards(it.parts, func(k int64) int { return shardFor(k, n) }, it.delta, upTo)
 			child.End()
 		}
-		return upTo
 	})
 }
 

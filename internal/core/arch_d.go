@@ -110,29 +110,19 @@ func (e *EngineD) Lookup(table uint32, key int64, ts uint64) (types.Row, bool, u
 
 // commit implements txStore: walEngine.commit, then layer maintenance,
 // which happens on the commit path — precisely why the paper scores this
-// architecture's OLTP scalability low. Promotions serialize on Sync's
-// lock; a commit that finds one running leaves the work to it.
+// architecture's OLTP scalability low. The merge target rises to ts before
+// L1 promotes up to it; MergeL2 moves rows L2 already holds. Promotions
+// serialize on Sync's lock; a commit that finds one running leaves the
+// work to it.
 func (e *EngineD) commit(ctx context.Context, tx *txn.Txn) (uint64, error) {
 	ts, err := e.walEngine.commit(ctx, tx)
 	if err != nil || tx.Pending() == 0 || !e.syncMu.TryLock() {
 		return ts, err
 	}
 	defer e.syncMu.Unlock()
-	touched := map[uint32]struct{}{}
-	minApplied := uint64(0)
-	for _, w := range tx.Writes() {
-		if _, done := touched[w.Table]; done {
-			continue
-		}
-		touched[w.Table] = struct{}{}
-		e.layers[w.Table].Maintain(ts)
-		if a := e.layers[w.Table].Applied(); minApplied == 0 || a < minApplied {
-			minApplied = a
-		}
-	}
-	if minApplied > 0 {
-		e.tracker.Applied(minApplied)
-	}
+	eachTable(tableOrdered(tx.Writes()), func(id uint32, _ []txn.Write) {
+		e.layers[id].Maintain(ts, func() { e.pins.Release(e.mergePoint(func() uint64 { return ts })) })
+	})
 	return ts, nil
 }
 
@@ -152,8 +142,7 @@ func (e *EngineD) Load(table string, row types.Row) error {
 // Sync implements Engine: promote every L1 and merge every L2 down to
 // Main, making Main current.
 func (e *EngineD) Sync() {
-	e.syncRound(func(sp *obs.Span) uint64 {
-		upTo := e.mgr.Oracle().Watermark()
+	e.syncRound(func(sp *obs.Span, upTo uint64) {
 		for i, l := range e.layers {
 			child := sp.Child("promote_l1").AttrInt("table", int64(i))
 			l.PromoteL1(upTo)
@@ -162,7 +151,6 @@ func (e *EngineD) Sync() {
 			l.MergeL2()
 			child.End()
 		}
-		return upTo
 	})
 }
 

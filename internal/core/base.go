@@ -8,7 +8,6 @@ import (
 
 	"htap/internal/disk"
 	"htap/internal/exec"
-	"htap/internal/freshness"
 	"htap/internal/obs"
 	"htap/internal/planner"
 	"htap/internal/sched"
@@ -23,15 +22,20 @@ import (
 // storage layout.
 type engineBase struct {
 	memGoverned
-	arch    Arch
-	name    string
-	ts      *tableSet
-	fb      *planner.Feedback
-	tracker *freshness.Tracker
-	mode    atomic.Uint32
-	par     atomic.Int32
-	om      archMetrics
-	obsFns  []*obs.FuncHandle
+	arch   Arch
+	name   string
+	ts     *tableSet
+	fb     *planner.Feedback
+	mode   atomic.Uint32
+	par    atomic.Int32
+	om     archMetrics
+	obsFns []*obs.FuncHandle
+	// target is the merge target, the read point of Isolated snapshots:
+	// every merge raises it to the point it merges to before publishing
+	// (mergePoint), and it never moves back.
+	target atomic.Uint64
+	// commitAt remembers when the newest writing commits committed.
+	commitAt commitRing
 	// mgr is the transaction manager: the timestamp oracle, the lock table
 	// and the write sets of every architecture's transactions.
 	mgr *txn.Manager
@@ -57,7 +61,6 @@ func (b *engineBase) init(a Arch, name string, schemas []*types.Schema, parallel
 	b.arch, b.name = a, name
 	b.ts = newTableSet(schemas)
 	b.fb = planner.NewFeedback(0)
-	b.tracker = freshness.NewTracker()
 	b.om = newArchMetrics(a)
 	b.mgr = txn.NewManager()
 	b.pins = b.mgr.Pins()
@@ -116,8 +119,41 @@ func (b *engineBase) Schema(table string) *types.Schema { return b.ts.schema(tab
 // SetMode implements Engine.
 func (b *engineBase) SetMode(m sched.Mode) { b.mode.Store(uint32(m)) }
 
-// shared reports whether analytical reads scan the live delta.
-func (b *engineBase) shared() bool { return sched.Mode(b.mode.Load()) == sched.Shared }
+// snapPoint is the read point a snapshot opened now pins: the
+// architecture's read point in Shared mode, the merge target in Isolated
+// mode.
+func (b *engineBase) snapPoint() uint64 {
+	if sched.Mode(b.mode.Load()) == sched.Shared {
+		return b.col.readPoint()
+	}
+	return b.target.Load()
+}
+
+// mergePoint pins the timestamp point returns and raises the merge target
+// to it inside the pin set's guard, so a snapshot that read the old target
+// has published its pin before the target moves (rowFloor). The caller
+// merges up to the returned point, then releases it.
+func (b *engineBase) mergePoint(point func() uint64) uint64 {
+	return b.pins.Pin(func() uint64 {
+		ts := point()
+		if ts > b.target.Load() {
+			b.target.Store(ts) // raises serialize on the guard
+		}
+		return ts
+	})
+}
+
+// Freshness implements Engine: how far the read point a snapshot opened
+// now would pin trails the newest commit.
+func (b *engineBase) Freshness() Freshness {
+	f := Freshness{AppliedTS: b.snapPoint()}
+	f.CommitTS = b.mgr.Oracle().Watermark() // after the read point: never below it
+	if f.CommitTS > f.AppliedTS {
+		f.LagTS = f.CommitTS - f.AppliedTS
+		f.LagTime = b.commitAt.age(f.AppliedTS, f.CommitTS)
+	}
+	return f
+}
 
 // SetParallelism implements Paralleler.
 func (b *engineBase) SetParallelism(n int) { b.par.Store(int32(n)) }
@@ -133,15 +169,18 @@ func (b *engineBase) Query(ctx context.Context, table string, cols []string, pre
 }
 
 // syncRound runs one synchronization round under the sync lock, span and
-// metrics every architecture shares. round does the architecture's merging,
-// hanging one child span per unit of work under sp, and returns the commit
-// timestamp the analytical side has now applied.
-func (b *engineBase) syncRound(round func(sp *obs.Span) uint64) {
+// metrics every architecture shares. Its merge point, the architecture's
+// read point, stays pinned for the round and is the merge target before
+// anything publishes. round does the architecture's merging up to it,
+// hanging one child span per unit of work under sp.
+func (b *engineBase) syncRound(round func(sp *obs.Span, upTo uint64)) {
 	b.syncMu.Lock()
 	defer b.syncMu.Unlock()
 	start := time.Now()
 	sp := obs.Trace.Start("sync").Attr("arch", b.arch.Label())
-	b.tracker.Applied(round(sp))
+	upTo := b.mergePoint(b.col.readPoint)
+	round(sp, upTo)
+	b.pins.Release(upTo)
 	sp.End()
 	b.om.syncs.Inc()
 	b.om.syncLat.Since(start)
@@ -149,13 +188,41 @@ func (b *engineBase) syncRound(round func(sp *obs.Span) uint64) {
 
 // committed is the epilogue of a successful commit on every architecture.
 // Read-only commits count and are timed like any other; only a commit that
-// wrote moves the freshness tracker's OLTP watermark.
+// wrote has a timestamp of its own for Freshness to age.
 func (b *engineBase) committed(start time.Time, commitTS uint64, wrote bool) {
+	now := time.Now()
 	b.om.commits.Inc()
-	b.om.commitLat.Since(start)
+	b.om.commitLat.ObserveDuration(now.Sub(start))
 	if wrote {
-		b.tracker.Committed(commitTS)
+		b.commitAt.note(commitTS, now)
 	}
+}
+
+// commitRing holds the wall time of recent commits, one slot per commit
+// timestamp modulo its size, and takes no lock. An age is exact while no
+// more than the ring's size of timestamps lie above the read point; beyond
+// that it is the oldest remembered one's (or, read mid-overwrite, newer).
+type commitRing [8192]struct{ ts, at atomic.Uint64 }
+
+func (r *commitRing) note(ts uint64, at time.Time) {
+	s := &r[ts%uint64(len(r))]
+	s.at.Store(uint64(at.UnixNano()))
+	s.ts.Store(ts)
+}
+
+// age is how long ago the oldest remembered commit in (applied, commit]
+// committed, or 0 when none is remembered.
+func (r *commitRing) age(applied, commit uint64) time.Duration {
+	from := applied + 1
+	if n := uint64(len(r)); commit-applied > n {
+		from = commit - n + 1
+	}
+	for ts := from; ts <= commit; ts++ {
+		if s := &r[ts%uint64(len(r))]; s.ts.Load() == ts {
+			return time.Since(time.Unix(0, int64(s.at.Load())))
+		}
+	}
+	return 0
 }
 
 // txnStats is the transaction-manager part of Engine.Stats.

@@ -29,7 +29,6 @@ import (
 
 	"htap/internal/disk"
 	"htap/internal/exec"
-	"htap/internal/freshness"
 	"htap/internal/sched"
 	"htap/internal/twopc"
 	"htap/internal/txn"
@@ -96,6 +95,19 @@ type Stats struct {
 	Disk      disk.Stats
 }
 
+// Freshness is one reading of how stale analytical reads are, in commit
+// timestamps and in wall time (Bouzeghoub's currency, which the paper
+// cites [9]): CommitTS is the watermark, AppliedTS the read point a
+// snapshot opened now pins, LagTS the commits between them, and LagTime
+// how long ago the oldest of those committed.
+type Freshness struct {
+	CommitTS, AppliedTS, LagTS uint64
+	LagTime                    time.Duration
+}
+
+// Fresh reports whether a snapshot opened now would see every commit.
+func (f Freshness) Fresh() bool { return f.LagTS == 0 }
+
 // Beginner is the transactional entry point shared by local engines and
 // the network client's remote engine: anything that can start an OLTP
 // transaction under a context. Exec and the CH driver depend only on this.
@@ -131,12 +143,15 @@ type Engine interface {
 
 	// Sync forces one data-synchronization round (delta merge / rebuild).
 	Sync()
-	// SetMode switches analytical reads between Shared (scan the live
-	// delta: fresh, interfering) and Isolated (merged data only: stale,
-	// isolated).
+	// SetMode picks the read point of the snapshots opened from now on:
+	// Shared reads at the newest commit the analytical side can serve
+	// (fresh; scans overlay the live delta), Isolated at the point the
+	// last merge ran to (stale; scans overlay only what that merge has yet
+	// to publish). Both read one committed state.
 	SetMode(m sched.Mode)
-	// Freshness reports the OLTP-vs-OLAP watermark gap.
-	Freshness() freshness.Snapshot
+	// Freshness reports how far the read point a snapshot opened now
+	// would pin trails the newest commit.
+	Freshness() Freshness
 	Stats() Stats
 	Close()
 }

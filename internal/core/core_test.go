@@ -204,8 +204,8 @@ func TestUpdatesAndDeletesReachColumnStore(t *testing.T) {
 func TestIsolatedModeIsStale(t *testing.T) {
 	forAll(t, func(t *testing.T, e Engine) {
 		e.Load("acct", acct(1, 1, 1))
-		// C answers from the always-fresh disk row store until the IMCS is
-		// loaded; staleness only exists on its columnar path.
+		// C's row path reads at the merge target too, so C is stale whichever
+		// path the planner picks; load the IMCS so both are in play.
 		if c, ok := e.(*EngineC); ok {
 			c.LoadColumns("acct", []string{"region", "bal"})
 		}
@@ -260,6 +260,103 @@ func TestFreshnessTracksSync(t *testing.T) {
 			return e.Freshness().LagTS == 0
 		})
 	})
+}
+
+// Freshness is read off the read point a snapshot opened now would pin:
+// in Shared mode every commit (on B, once replication delivered it), in
+// Isolated mode the point the last merge ran to. LagTime ages the oldest
+// commit above that point.
+
+// insertAccts commits one acct row for each key in [from, to).
+func insertAccts(t *testing.T, e Engine, from, to int64) {
+	for k := from; k < to; k++ {
+		mustExec(t, e, func(tx Tx) error { return tx.Insert("acct", acct(k, 0, 0)) })
+	}
+}
+
+// drainLag syncs until the engine reports no lag; B's learners apply
+// asynchronously, so one Sync may not be enough there.
+func drainLag(t *testing.T, e Engine) {
+	waitFor(t, 5*time.Second, func() bool {
+		e.Sync()
+		return e.Freshness().LagTS == 0
+	})
+}
+
+func TestFreshWhenCaughtUp(t *testing.T) {
+	forAll(t, func(t *testing.T, e Engine) {
+		for k := int64(0); k < 5; k++ {
+			insertAccts(t, e, k, k+1)
+			if f := e.Freshness(); e.Arch() != ArchB && (f.LagTS != 0 || f.LagTime != 0 || f.AppliedTS != f.CommitTS) {
+				t.Fatalf("Shared, after commit %d: %+v, want no lag", k, f)
+			}
+		}
+		drainLag(t, e)
+		e.SetMode(sched.Isolated)
+		insertAccts(t, e, 5, 10)
+		drainLag(t, e)
+		if f := e.Freshness(); f.LagTime != 0 || f.AppliedTS != f.CommitTS {
+			t.Fatalf("Isolated, after Sync: %+v, want no lag", f)
+		}
+	})
+}
+
+func TestLagCountsCommits(t *testing.T) {
+	forAll(t, func(t *testing.T, e Engine) {
+		insertAccts(t, e, 0, 5)
+		drainLag(t, e)
+		e.SetMode(sched.Isolated)
+		insertAccts(t, e, 5, 10)
+		f := e.Freshness()
+		if f.LagTS == 0 || f.LagTS != f.CommitTS-f.AppliedTS {
+			t.Fatalf("Isolated, 5 commits after the last sync: %+v", f)
+		}
+		s := e.Snapshot(context.Background())
+		if s.ReadTS() != f.AppliedTS {
+			t.Fatalf("a snapshot reads at %d, Freshness reports %d", s.ReadTS(), f.AppliedTS)
+		}
+		s.Close()
+	})
+}
+
+func TestLagTimeGrows(t *testing.T) {
+	forAll(t, func(t *testing.T, e Engine) {
+		insertAccts(t, e, 0, 5)
+		drainLag(t, e)
+		e.SetMode(sched.Isolated)
+		const slept = 10 * time.Millisecond
+		insertAccts(t, e, 5, 10)
+		time.Sleep(slept)
+		if f := e.Freshness(); f.LagTime < slept {
+			t.Fatalf("Isolated: LagTime %v, want at least the %v slept since the commits", f.LagTime, slept)
+		}
+		drainLag(t, e)
+		if f := e.Freshness(); f.LagTime != 0 {
+			t.Fatalf("Isolated, after Sync: LagTime %v, want 0", f.LagTime)
+		}
+	})
+}
+
+// The commit ring ages the oldest commit above a read point exactly while
+// no more than its size of timestamps lie above it, and the oldest one it
+// remembers beyond that.
+func TestCommitRingAgesOldestMissedCommit(t *testing.T) {
+	var r commitRing
+	n := uint64(len(r))
+	base := time.Now().Add(-time.Hour)
+	at := func(ts uint64) time.Time { return base.Add(time.Duration(ts) * time.Millisecond) }
+	for ts := uint64(1); ts <= n+10; ts++ {
+		r.note(ts, at(ts))
+	}
+	for _, c := range []struct{ applied, oldest uint64 }{{n, n + 1}, {20, 21}, {0, 11}} {
+		want := time.Since(at(c.oldest))
+		if got := r.age(c.applied, n+10); got < want || got > want+time.Minute {
+			t.Fatalf("age(%d) = %v, want the age of commit %d, %v", c.applied, got, c.oldest, want)
+		}
+	}
+	if got := r.age(n+10, n+10); got != 0 {
+		t.Fatalf("age with nothing above the read point = %v", got)
+	}
 }
 
 func TestWriteConflictRetriedByExec(t *testing.T) {

@@ -8,7 +8,6 @@ package core
 import (
 	"htap/internal/colstore"
 	"htap/internal/disk"
-	"htap/internal/freshness"
 	"htap/internal/obs"
 	"htap/internal/planner"
 	"htap/internal/txn"
@@ -63,7 +62,7 @@ func newArchMetrics(a Arch) archMetrics {
 // architecture.
 // Rebuilding an engine of the same architecture transfers series ownership
 // to the newest instance; Close unregisters only what it still owns.
-func registerEngineFuncs(a Arch, fresh func() freshness.Snapshot, dev func() disk.Stats, pins *txn.Pins, versions func() int64) []*obs.FuncHandle {
+func registerEngineFuncs(a Arch, fresh func() Freshness, dev func() disk.Stats, pins *txn.Pins, versions func() int64) []*obs.FuncHandle {
 	l := obs.L("arch", a.Label())
 	hs := []*obs.FuncHandle{
 		obs.Default.RegisterFunc("htap_freshness_lag_ts", l, obs.KindGauge, func() float64 {

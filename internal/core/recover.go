@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"htap/internal/disk"
 	"htap/internal/txn"
@@ -41,7 +42,7 @@ func (e *walEngine) replayTxn(writes []txn.Write) error {
 	commitTS := e.mgr.Oracle().Next()
 	e.install(commitTS, tableOrdered(writes))
 	e.mgr.Oracle().Advance(commitTS)
-	e.tracker.Committed(commitTS)
+	e.commitAt.note(commitTS, time.Now())
 	return nil
 }
 

@@ -65,21 +65,21 @@ type snapshot struct {
 	b      *engineBase
 	ctx    context.Context
 	readTS uint64
-	shared bool
 	reps   [][]replicaSnap // by table id
 	closed atomic.Bool
 }
 
-// Snapshot implements Engine. The read point is fixed first, then every
-// replica is captured; a merge that publishes past the read point before a
-// replica is captured forces a fresh one, so no captured version holds a
-// commit after readTS and every view holds every unmerged entry up to it.
-// In Isolated mode scans read the merged versions only. The read point
-// stays pinned until Close.
+// Snapshot implements Engine. The read point is fixed first — the
+// architecture's read point in Shared mode, the merge target in Isolated
+// mode (snapPoint) — then every replica is captured; a merge that
+// publishes past the read point before a replica is captured forces a
+// fresh one, so no captured version holds a commit after readTS and every
+// view holds every unmerged entry up to it. The read point stays pinned
+// until Close.
 func (b *engineBase) Snapshot(ctx context.Context) Snapshot { return b.open(ctx) }
 
 func (b *engineBase) open(ctx context.Context) *snapshot {
-	s := &snapshot{b: b, ctx: ctxOrBackground(ctx), shared: b.shared(), reps: make([][]replicaSnap, len(b.ts.schemas))}
+	s := &snapshot{b: b, ctx: ctxOrBackground(ctx), reps: make([][]replicaSnap, len(b.ts.schemas))}
 	for !s.capture() {
 	}
 	return s
@@ -87,15 +87,17 @@ func (b *engineBase) open(ctx context.Context) *snapshot {
 
 // capture fixes and pins the read point, then captures every replica. It
 // reports false, with the pin released, when a merge published past the
-// read point meanwhile.
+// read point meanwhile. A merge raises the merge target before it
+// publishes, so an Isolated retry reads the raised target and does not
+// spin.
 func (s *snapshot) capture() bool {
-	s.readTS = s.b.pins.Pin(s.b.col.readPoint)
+	s.readTS = s.b.pins.Pin(s.b.snapPoint)
 	for id := range s.reps {
 		s.reps[id] = s.reps[id][:0]
 		for _, r := range s.b.col.replicas(id) {
 			rs := r.snapshot()
 			for _, v := range rs.vers {
-				if s.shared && v.Applied > s.readTS {
+				if v.Applied > s.readTS {
 					s.b.pins.Release(s.readTS)
 					return false
 				}
@@ -137,20 +139,15 @@ func (s *snapshot) Source(table string, cols []string, pred *exec.ScanPred) exec
 }
 
 // scan reads table id's replicas: a column scan of every version, under
-// the delta's net effect up to readTS in Shared mode, which masks every
-// part of its replica and contributes its rows once.
+// the delta's net effect up to readTS, which masks every part of its
+// replica and contributes its rows once.
 func (s *snapshot) scan(id int, cols []string, pred *exec.ScanPred) exec.Source {
 	var srcs []exec.Source
 	for _, r := range s.reps[id] {
-		var o *delta.Overlay
-		if s.shared {
-			o = r.view.Overlay(s.readTS)
-		}
+		o := r.view.Overlay(s.readTS)
 		for _, v := range r.vers {
 			srcs = append(srcs, exec.NewColScan(s.ctx, v, cols, pred, o))
-			if o != nil {
-				o = o.MaskOnly()
-			}
+			o = o.MaskOnly()
 		}
 	}
 	if len(srcs) == 1 {

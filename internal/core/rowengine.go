@@ -41,9 +41,9 @@ func (e *rowEngine) Load(table string, row types.Row) error {
 	return e.rows[id].Load(row)
 }
 
-// addRows adds table s's row store: it prunes behind the engine's pins.
-func (e *rowEngine) addRows(s *rowstore.Store) {
-	s.SetPins(e.pins)
+// addRows adds table s's row store, which prunes behind h.
+func (e *rowEngine) addRows(s *rowstore.Store, h rowstore.Horizon) {
+	s.SetPins(h)
 	e.rows = append(e.rows, s)
 }
 

@@ -9,8 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"htap/internal/datasync"
 	"htap/internal/disk"
 	"htap/internal/exec"
+	"htap/internal/obs"
+	"htap/internal/planner"
+	"htap/internal/sched"
 	"htap/internal/types"
 )
 
@@ -45,21 +49,31 @@ func snapCases() []snapCase {
 	}
 }
 
+// forSnapCases runs fn on every snapCase, loaded with accounts of balance
+// 100 and synced, in Shared mode and then in Isolated mode, where a case's
+// name gets an "-isolated" suffix.
 func forSnapCases(t *testing.T, accounts int, fn func(t *testing.T, c snapCase)) {
-	for _, c := range snapCases() {
-		t.Run(c.name, func(t *testing.T) {
-			defer c.e.Close()
-			for i := int64(0); i < int64(accounts); i++ {
-				if err := c.e.Load("acct", acct(i, i%4, 100)); err != nil {
-					t.Fatal(err)
+	for _, m := range []sched.Mode{sched.Shared, sched.Isolated} {
+		for _, c := range snapCases() {
+			name := c.name
+			if m == sched.Isolated {
+				name += "-isolated"
+			}
+			t.Run(name, func(t *testing.T) {
+				defer c.e.Close()
+				for i := int64(0); i < int64(accounts); i++ {
+					if err := c.e.Load("acct", acct(i, i%4, 100)); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			if c.setup != nil {
-				c.setup()
-			}
-			c.e.Sync()
-			fn(t, c)
-		})
+				if c.setup != nil {
+					c.setup()
+				}
+				c.e.Sync()
+				c.e.SetMode(m)
+				fn(t, c)
+			})
+		}
 	}
 }
 
@@ -165,8 +179,8 @@ func underLoad(t *testing.T, e Engine, n, budget int, work func(rng *rand.Rand) 
 }
 
 // Scans read one committed state while transfers commit and merges run
-// beside them: every SUM(bal), COUNT(*) over 64 accounts of 100 is
-// (6 400, 64). In the two-table variant each transaction debits one
+// beside them, in either mode: every SUM(bal), COUNT(*) over 64 accounts
+// of 100 is (6 400, 64). In the two-table variant each transaction debits one
 // account and logs one row, and one snapshot must see both sides of every
 // transaction: 6 400 − SUM(bal) = COUNT(log).
 func TestScanSnapshotUnderLoad(t *testing.T) {
@@ -182,7 +196,9 @@ func TestScanSnapshotUnderLoad(t *testing.T) {
 			underLoad(t, c.e, 2000, 1<<30,
 				func(rng *rand.Rand) error { return transfer(ctx, c.e, rng, accounts) },
 				func() error {
-					if sum, n := total(c, c.e.Snapshot(ctx)); sum != 100*accounts || n != accounts {
+					s := c.e.Snapshot(ctx)
+					defer s.Close()
+					if sum, n := total(c, s); sum != 100*accounts || n != accounts {
 						return fmt.Errorf("SUM(bal), COUNT(*) = %v, %d", sum, n)
 					}
 					return nil
@@ -208,6 +224,7 @@ func TestScanSnapshotUnderLoad(t *testing.T) {
 				},
 				func() error {
 					s := c.e.Snapshot(ctx)
+					defer s.Close()
 					sum, _ := total(c, s)
 					logs := c.scan(s, "log", []string{"id"}).Count()
 					if 100*accounts-sum != float64(logs) {
@@ -216,5 +233,89 @@ func TestScanSnapshotUnderLoad(t *testing.T) {
 					return nil
 				})
 		})
+	})
+}
+
+// One transaction debits account 1 and logs a row; an Isolated snapshot
+// sees both writes or neither, however its scans reach the two tables: on
+// C through the IMCS and the disk row store, on A between the merges of
+// one sync round.
+func TestIsolatedSnapshotReadsOneState(t *testing.T) {
+	ctx := context.Background()
+	// start loads 8 accounts, runs loaded, then commits the transaction in
+	// Isolated mode.
+	start := func(t *testing.T, e Engine, loaded func()) {
+		for i := int64(0); i < 8; i++ {
+			if err := e.Load("acct", acct(i, 0, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loaded()
+		e.SetMode(sched.Isolated)
+		mustExec(t, e, func(tx Tx) error {
+			if err := tx.Update("acct", acct(1, 0, 99)); err != nil {
+				return err
+			}
+			return tx.Insert("log", types.Row{types.NewInt(1), types.NewString("debit")})
+		})
+	}
+	// seen fails t unless s sees the debit and its log row together, and
+	// reports whether it saw them.
+	seen := func(t *testing.T, s Snapshot) bool {
+		t.Helper()
+		rows := s.Query("acct", []string{"id", "bal"}, nil).
+			Filter(exec.Cmp(exec.EQ, exec.ColName("id"), exec.ConstInt(1))).Run()
+		debited, logged := rows[0][1].Float() == 99, s.Query("log", nil, nil).Count() == 1
+		if debited != logged {
+			t.Fatalf("snapshot at %d: debit seen %v, its log row seen %v", s.ReadTS(), debited, logged)
+		}
+		return debited
+	}
+	// synced checks a snapshot opened after the last merge: it sees the
+	// transaction, and its read point is the one Freshness reports.
+	synced := func(t *testing.T, e Engine) {
+		t.Helper()
+		s := e.Snapshot(ctx)
+		defer s.Close()
+		if !seen(t, s) {
+			t.Fatal("a snapshot after Sync misses the transaction")
+		}
+		if f := e.Freshness(); s.ReadTS() != f.AppliedTS || !f.Fresh() {
+			t.Fatalf("snapshot reads at %d, Freshness = %+v", s.ReadTS(), f)
+		}
+	}
+
+	t.Run("C", func(t *testing.T) {
+		// Column cells cost nothing: a covered scan takes the IMCS.
+		e := NewEngineC(ConfigC{Schemas: testSchemas(), Shards: 2, Disk: disk.MemConfig(),
+			Cost: planner.CostParams{RowPerRow: 1, RowDiskMult: 1}})
+		defer e.Close()
+		start(t, e, func() { e.LoadColumns("acct", []string{"bal"}) }) // log stays on the row path
+		s := e.Snapshot(ctx)
+		seen(t, s)
+		s.Close()
+		if pd, fb := e.PushdownStats(); pd != 1 || fb != 1 {
+			t.Fatalf("%d IMCS and %d row-store scans, want one of each", pd, fb)
+		}
+		e.Sync()
+		synced(t, e)
+	})
+
+	t.Run("A", func(t *testing.T) {
+		e := NewEngineA(ConfigA{Schemas: testSchemas()})
+		defer e.Close()
+		start(t, e, e.Sync)
+		// One sync round, held after acct's merge has published and
+		// before log's.
+		e.syncRound(func(_ *obs.Span, upTo uint64) {
+			datasync.MergeDelta(e.cols[0], e.deltas[0], upTo)
+			s := e.Snapshot(ctx)
+			defer s.Close()
+			if !seen(t, s) {
+				t.Fatal("a snapshot inside the round misses a commit the round merges")
+			}
+			datasync.MergeDelta(e.cols[1], e.deltas[1], upTo)
+		})
+		synced(t, e)
 	})
 }

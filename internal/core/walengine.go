@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"htap/internal/disk"
-	"htap/internal/freshness"
 	"htap/internal/txn"
 	"htap/internal/types"
 	"htap/internal/wal"
@@ -99,14 +98,3 @@ func eachTable(writes []txn.Write, fn func(table uint32, ws []txn.Write)) {
 // readPoint implements columnar: commits serialize and install before the
 // watermark passes them, so every commit at or below it is in the stores.
 func (e *walEngine) readPoint() uint64 { return e.mgr.Oracle().Watermark() }
-
-// Freshness implements Engine. In Shared mode analytical scans overlay the
-// live delta and therefore see every commit (§2.2(2)(i): "the data
-// freshness is high"); in Isolated mode staleness is bounded by the last
-// synchronization round.
-func (e *walEngine) Freshness() freshness.Snapshot {
-	if e.shared() {
-		return e.tracker.ReadWithApplied(e.mgr.Oracle().Watermark())
-	}
-	return e.tracker.Read()
-}

@@ -189,9 +189,13 @@ func (l *Layered) Append(commitTS uint64, ws []txn.Write) {
 }
 
 // Maintain promotes L1 to L2 and L2 to Main when thresholds are exceeded;
-// engines call it after commits or from a background loop.
-func (l *Layered) Maintain(current uint64) {
+// engines call it after commits or from a background loop. promoting, if
+// not nil, runs just before L1 promotes up to current.
+func (l *Layered) Maintain(current uint64, promoting func()) {
 	if l.L1.Unmerged() >= l.L1Rows {
+		if promoting != nil {
+			promoting()
+		}
 		l.PromoteL1(current)
 	}
 	if l.L2.LiveRows() >= l.L2Rows {

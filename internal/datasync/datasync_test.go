@@ -123,13 +123,13 @@ func TestLayeredPromotion(t *testing.T) {
 	l.Append(5, []txn.Write{wr(1, txn.OpUpdate, 11)})
 	l.Append(6, []txn.Write{wr(3, txn.OpInsert, 30)})
 	l.Append(7, []txn.Write{wr(2, txn.OpDelete, 0)})
-	l.Maintain(7)
+	l.Maintain(7, nil)
 	if l.L1.Unmerged() != 3 {
 		t.Fatalf("L1 promoted early: %d", l.L1.Unmerged())
 	}
 
 	l.Append(8, []txn.Write{wr(4, txn.OpInsert, 40)})
-	l.Maintain(8)
+	l.Maintain(8, nil)
 	if l.L1.Unmerged() != 0 {
 		t.Fatalf("L1 not drained: %d", l.L1.Unmerged())
 	}

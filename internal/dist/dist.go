@@ -10,7 +10,6 @@ import (
 	"htap/internal/client"
 	"htap/internal/core"
 	"htap/internal/exec"
-	"htap/internal/freshness"
 	"htap/internal/sched"
 	"htap/internal/twopc"
 	"htap/internal/types"
@@ -221,21 +220,21 @@ func (d *Engine) SetMode(m sched.Mode) {
 }
 
 // Freshness implements core.Engine: the coordinator is as stale as its
-// most lagging shard.
-func (d *Engine) Freshness() freshness.Snapshot {
-	var worst freshness.Snapshot
+// most lagging shard, whose reading it returns whole. Shards draw their
+// timestamps from oracles of their own, so the readings of two shards are
+// not comparable and none is summed or mixed with another's (one
+// cluster-wide timestamp is roadmap item 3).
+func (d *Engine) Freshness() core.Freshness {
+	var worst core.Freshness
 	for _, s := range d.shards {
-		var f freshness.Snapshot
+		var f core.Freshness
 		if s.local != nil {
 			f = s.local.Freshness()
 		} else {
 			f = s.remote.Freshness()
 		}
-		if f.LagTS > worst.LagTS {
-			worst.LagTS = f.LagTS
-		}
-		if f.LagTime > worst.LagTime {
-			worst.LagTime = f.LagTime
+		if f.LagTS > worst.LagTS || f.LagTS == worst.LagTS && f.LagTime > worst.LagTime {
+			worst = f
 		}
 	}
 	return worst

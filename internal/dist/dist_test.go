@@ -7,6 +7,7 @@ import (
 
 	"htap/internal/ch"
 	"htap/internal/core"
+	"htap/internal/sched"
 	"htap/internal/types"
 )
 
@@ -99,6 +100,40 @@ func TestSingleShardTxnCommitsDirectly(t *testing.T) {
 	}
 	if got := crossShardTxns.Value() - cross0; got != 0 {
 		t.Fatalf("cross-shard counter moved by %d, want 0", got)
+	}
+}
+
+// TestFreshnessIsTheMostLaggingShard: the coordinator's Freshness is its most
+// lagging shard's reading, whole — its timestamps with its lag.
+func TestFreshnessIsTheMostLaggingShard(t *testing.T) {
+	d, shards := newDistA(t, 2, 2)
+	defer d.Close()
+	ctx := context.Background()
+	d.SetMode(sched.Isolated)
+	for w := int64(1); w <= 2; w++ {
+		for i := 0; i < 3; i++ {
+			if err := core.Exec(ctx, d, func(tx core.Tx) error {
+				r, err := tx.Get(ch.TDistrict, ch.DistrictKey(w, 1))
+				if err != nil {
+					return err
+				}
+				r = r.Clone()
+				r[6] = types.NewInt(r[6].Int() + 1)
+				return tx.Update(ch.TDistrict, r)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	shards[0].Sync()
+	if f := shards[0].Freshness(); !f.Fresh() {
+		t.Fatalf("synced shard: %+v", f)
+	}
+	want := shards[1].Freshness()
+	got := d.Freshness()
+	if want.LagTS == 0 || got.CommitTS != want.CommitTS || got.AppliedTS != want.AppliedTS ||
+		got.LagTS != want.LagTS || got.LagTime < want.LagTime {
+		t.Fatalf("coordinator reads %+v, want the unsynced shard's %+v", got, want)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"htap/internal/ch"
 	"htap/internal/core"
 	"htap/internal/exec"
-	"htap/internal/freshness"
 	"htap/internal/obs"
 	"htap/internal/types"
 )
@@ -42,7 +41,7 @@ type Engine interface {
 	Arch() core.Arch
 	Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan
 	Sync()
-	Freshness() freshness.Snapshot
+	Freshness() core.Freshness
 }
 
 // CHRunner is an optional Engine refinement: execute CH query n where the

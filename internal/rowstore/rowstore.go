@@ -78,11 +78,15 @@ type Store struct {
 
 	indexes  []*SecondaryIndex
 	versions int64
-	// pins holds the read timestamps of the store's readers; Apply prunes
+	// pins bounds the read timestamps of the store's readers; Apply prunes
 	// behind its horizon. A store without one keeps every version, since
 	// its readers may read at any timestamp.
-	pins *txn.Pins
+	pins Horizon
 }
+
+// Horizon is what a store prunes behind: no reader reads below it.
+// *txn.Pins is one.
+type Horizon interface{ Horizon() uint64 }
 
 // New returns a memory-resident store.
 func New(id uint32, schema *types.Schema) *Store {
@@ -98,7 +102,7 @@ func NewDiskBacked(id uint32, schema *types.Schema, dev *disk.Device) *Store {
 
 // SetPins names the pin set that holds the read timestamps of every reader
 // of the store. Call it before the first Apply.
-func (s *Store) SetPins(p *txn.Pins) { s.pins = p }
+func (s *Store) SetPins(p Horizon) { s.pins = p }
 
 // horizon is the timestamp Apply prunes behind.
 func (s *Store) horizon() uint64 {

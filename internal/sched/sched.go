@@ -31,9 +31,12 @@ import (
 // Mode is the execution mode of the OLAP side.
 type Mode uint8
 
-// Execution modes. In Isolated mode analytical queries read only merged
-// column data (no interference with the delta path, stale reads); in
-// Shared mode they overlay the live delta (fresh reads, interference).
+// Execution modes: the read point of an engine's analytical snapshots. In
+// Isolated mode a snapshot reads at the point the last merge ran to (stale
+// reads that leave the newest delta entries alone); in Shared mode at the
+// newest commit the analytical side can serve, overlaying the live delta
+// (fresh reads, interference). Either way one snapshot reads one committed
+// state.
 const (
 	Isolated Mode = iota + 1
 	Shared
@@ -134,7 +137,7 @@ func (f FreshnessDriven) Decide(s Signals, prev Decision) Decision {
 		d.APWorkers = f.Total - d.TPWorkers
 	}
 	if s.LagTS >= f.MaxLag {
-		d.Mode = Shared // read through the delta for freshness
+		d.Mode = Shared // read at the newest commit for freshness
 		d.SyncNow = true
 	} else {
 		d.Mode = Isolated

@@ -945,7 +945,9 @@ func DecodeEOS(b []byte) (EOS, error) {
 	return m, d.err
 }
 
-// Freshness mirrors freshness.Snapshot across the wire.
+// Freshness mirrors core.Freshness across the wire: an engine's reading
+// of how far the read point of a snapshot opened now trails its newest
+// commit.
 type Freshness struct {
 	CommitTS  uint64
 	AppliedTS uint64
