@@ -143,6 +143,7 @@ type aggTable struct {
 	ordSeq   int64                // next ordinal (groups and spilled rows share it)
 	bytes    int64                // bytes charged to the accountant
 	newBytes int64                // bytes added since the last charge
+	hs       []uint64             // the consumed batch's key hashes
 
 	// The slab chunks groups, their states and their key datums are cut
 	// from. A chunk is never moved, so pointers into it stay valid.
@@ -204,16 +205,16 @@ next:
 	return g, true
 }
 
-// find is lookup for row i of b, probing from the key columns in place:
-// the key is materialized only when the group is created.
-func (t *aggTable) find(b *Batch, i int) (*aggGroup, bool) {
+// find is lookup for row i of b, whose key hash is h, probing from the
+// key columns in place: the key is materialized only when the group is
+// created.
+func (t *aggTable) find(b *Batch, i int, h uint64) (*aggGroup, bool) {
 	keys := t.o.keyCols
-	h := hashKeys(b, i, keys)
 	var last *aggGroup
 next:
 	for g := t.index[h]; g != nil; g = g.next {
 		for gi, k := range keys {
-			if !g.key[gi].Equal(b.Cols[k].Datum(i)) {
+			if !keyEqual(g.key[gi], b.Cols[k], i) {
 				last = g
 				continue next
 			}
@@ -226,6 +227,19 @@ next:
 	}
 	t.created(g)
 	return g, true
+}
+
+// keyEqual reports whether group key datum d equals row i of c, as
+// types.Datum.Equal does; an Int or String key meets a column of its own
+// kind without building a datum.
+func keyEqual(d types.Datum, c *Col, i int) bool {
+	switch {
+	case d.Kind == types.Int && c.Kind == types.Int:
+		return d.I == c.Ints[i]
+	case d.Kind == types.String && c.Kind == types.String:
+		return d.S == c.Strs[i]
+	}
+	return d.Equal(c.Datum(i))
 }
 
 // accumulate folds row i of b into g. Shared by first-pass consumption and
@@ -262,8 +276,9 @@ func (t *aggTable) accumulate(g *aggGroup, b *Batch, i int) {
 }
 
 func (t *aggTable) consume(b *Batch) {
-	for i := 0; i < b.N; i++ {
-		g, created := t.find(b, i)
+	t.hs = hashBatch(b, t.o.keyCols, t.hs[:0])
+	for i, h := range t.hs {
+		g, created := t.find(b, i, h)
 		if created {
 			g.ord = t.ordSeq
 			t.ordSeq++
@@ -372,8 +387,9 @@ func (t *aggTable) spillRest(src Source) {
 // their original ordinals. A group created during replay takes its
 // creating row's tag as its ord.
 func (t *aggTable) consumeTagged(b *Batch, tags []int64) {
-	for i := 0; i < b.N; i++ {
-		g, created := t.find(b, i)
+	t.hs = hashBatch(b, t.o.keyCols, t.hs[:0])
+	for i, h := range t.hs {
+		g, created := t.find(b, i, h)
 		if created {
 			g.ord = tags[i]
 		}

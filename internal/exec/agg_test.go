@@ -243,3 +243,95 @@ func TestExactSumRebaseAndPromote(t *testing.T) {
 	}
 	sameSum(t, "rebase then promote", &s, &w)
 }
+
+// FuzzHashAggMatchesOracle: a group-by over one or two key columns, each
+// Int, integral Float (−0 among them) or String, drawn from a small
+// domain so keys repeat, emits at DOP 1 and 4 exactly the groups of a
+// map oracle: in first-seen order, each keyed by its first-seen datum,
+// with its count, integer sum, minimum and maximum.
+func FuzzHashAggMatchesOracle(f *testing.F) {
+	f.Add(uint8(0), uint16(40), []byte{1, 2, 3, 2, 1, 0})
+	f.Add(uint8(4), uint16(2500), []byte{7, 0, 16, 255, 3, 8})
+	f.Add(uint8(10), uint16(3100), []byte{8, 24, 8, 9, 40, 16, 0})
+	f.Add(uint8(17), uint16(700), []byte("abcabd"))
+	f.Fuzz(func(t *testing.T, shape uint8, nRows uint16, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		kinds := []types.ColType{types.Int, types.Float, types.String}
+		keyKinds := []types.ColType{kinds[shape%3]}
+		if shape/3%2 == 1 {
+			keyKinds = append(keyKinds, kinds[shape/6%3])
+		}
+		pos := 0
+		key := func(kind types.ColType) types.Datum {
+			c := data[pos%len(data)]
+			pos++
+			v := int64(c%16) - 8
+			switch kind {
+			case types.Int:
+				return types.NewInt(v)
+			case types.Float:
+				if v == 0 && c&16 != 0 {
+					return types.NewFloat(math.Copysign(0, -1))
+				}
+				return types.NewFloat(float64(v))
+			default:
+				return types.NewString(fmt.Sprintf("k%d", v))
+			}
+		}
+		var schema []types.Column
+		var groupBy []string
+		for j, k := range keyKinds {
+			name := fmt.Sprintf("k%d", j)
+			schema = append(schema, types.Column{Name: name, Type: k})
+			groupBy = append(groupBy, name)
+		}
+		schema = append(schema, types.Column{Name: "v", Type: types.Int})
+		n := int(nRows) % 4000
+		rows := make([]types.Row, n)
+		for i := range rows {
+			for _, k := range keyKinds {
+				rows[i] = append(rows[i], key(k))
+			}
+			rows[i] = append(rows[i], types.NewInt(int64(i%97)-40))
+		}
+
+		// The oracle keys groups by value: −0 and 0 are one key.
+		var want []types.Row
+		at := map[string]int{}
+		for _, r := range rows {
+			id := ""
+			for _, d := range r[:len(keyKinds)] {
+				if d.Kind == types.Float {
+					id += fmt.Sprintf("f%v|", d.Float()+0)
+				} else {
+					id += d.String() + "|"
+				}
+			}
+			v := r[len(keyKinds)]
+			g, ok := at[id]
+			if !ok {
+				g = len(want)
+				at[id] = g
+				want = append(want, append(append(types.Row{}, r[:len(keyKinds)]...), types.NewInt(0), types.NewInt(0), v, v))
+			}
+			w := want[g][len(keyKinds):]
+			w[0].I++
+			w[1].I += v.I
+			if v.I < w[2].I {
+				w[2] = v
+			}
+			if v.I > w[3].I {
+				w[3] = v
+			}
+		}
+		aggs := []Agg{{Count, nil, "n"}, {Sum, ColName("v"), "s"}, {Min, ColName("v"), "lo"}, {Max, ColName("v"), "hi"}}
+		for _, par := range []int{1, 4} {
+			got := From(NewMemSource(schema, rows)).Parallel(par).Agg(groupBy, aggs...).Run()
+			if !rowsIdentical(got, want) {
+				t.Fatalf("keys %v at DOP %d: %d groups, want %d (or groups differ)", keyKinds, par, len(got), len(want))
+			}
+		}
+	})
+}

@@ -12,6 +12,7 @@ package exec
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"htap/internal/types"
 )
@@ -96,6 +97,76 @@ func (c *Col) compare(i int, d *Col, j int) int {
 	return c.Datum(i).Compare(d.Datum(j))
 }
 
+// equal reports whether row i of c equals row j of d, as
+// types.Datum.Equal does their datums: Int–Int and String–String compare
+// typed, every other pairing (mixed Int/Float, Float −0 and NaN) through
+// the datums.
+func (c *Col) equal(i int, d *Col, j int) bool {
+	switch {
+	case c.Kind == types.Int && d.Kind == types.Int:
+		return c.Ints[i] == d.Ints[j]
+	case c.Kind == types.String && d.Kind == types.String:
+		return c.Strs[i] == d.Strs[j]
+	}
+	return c.Datum(i).Equal(d.Datum(j))
+}
+
+// gather sets c to the rows idx of src, in idx order, in one typed copy
+// of exact length.
+func (c *Col) gather(src *Col, idx []int32) {
+	c.Kind = src.Kind
+	switch src.Kind {
+	case types.Int:
+		v := make([]int64, len(idx))
+		for j, i := range idx {
+			v[j] = src.Ints[i]
+		}
+		c.Ints = v
+	case types.Float:
+		v := make([]float64, len(idx))
+		for j, i := range idx {
+			v[j] = src.Floats[i]
+		}
+		c.Floats = v
+	default:
+		v := make([]string, len(idx))
+		for j, i := range idx {
+			v[j] = src.Strs[i]
+		}
+		c.Strs = v
+	}
+}
+
+// hashBatch appends to hs the key hash of every row of b: the FNV chain
+// of types.Row.Hash over the key columns, one pass per key column, so a
+// key hashes alike as batch row or types.Row.
+func hashBatch(b *Batch, keys []int, hs []uint64) []uint64 {
+	n := len(hs)
+	hs = slices.Grow(hs, b.N)[:n+b.N]
+	out := hs[n:]
+	for i := range out {
+		out[i] = types.HashSeed
+	}
+	for _, k := range keys {
+		c := b.Cols[k]
+		switch c.Kind {
+		case types.Int:
+			for i, v := range c.Ints[:b.N] {
+				out[i] = types.HashUint64(out[i], uint64(v))
+			}
+		case types.Float:
+			for i, f := range c.Floats[:b.N] {
+				out[i] = types.HashUint64(out[i], types.FloatHashBits(f))
+			}
+		default:
+			for i, s := range c.Strs[:b.N] {
+				out[i] = types.HashString(out[i], s)
+			}
+		}
+	}
+	return hs
+}
+
 // Batch is a columnar chunk of rows with named columns.
 type Batch struct {
 	Schema []types.Column
@@ -121,6 +192,27 @@ func NewBatch(schema []types.Column, n int) *Batch {
 		b.Cols[i] = &cols[i]
 	}
 	return b
+}
+
+// gathered returns an n-row batch of schema whose columns the caller
+// sets: by Col.gather, or by sharing a column of another batch. Sharing
+// is safe because no operator writes into a batch it received.
+func gathered(schema []types.Column, n int) *Batch {
+	b := &Batch{Schema: schema, Cols: make([]*Col, len(schema)), N: n}
+	cols := make([]Col, len(schema))
+	for i := range b.Cols {
+		b.Cols[i] = &cols[i]
+	}
+	return b
+}
+
+// gatherBatch returns the rows sel of b, in sel order.
+func gatherBatch(b *Batch, sel []int32) *Batch {
+	out := gathered(b.Schema, len(sel))
+	for c, col := range b.Cols {
+		out.Cols[c].gather(col, sel)
+	}
+	return out
 }
 
 // AppendRow appends a types.Row matching the batch schema.

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"htap/internal/types"
@@ -87,19 +88,9 @@ func newHashJoin(typ JoinType, left, right Source, leftCols, rightCols []string,
 
 func (o *hashJoinOp) Schema() []types.Column { return o.schema }
 
-// hashKeys hashes the key columns of batch row i with the FNV chain of
-// types.Row.Hash, so a key hashes alike as batch row or types.Row.
-func hashKeys(b *Batch, i int, keys []int) uint64 {
-	h := uint64(1469598103934665603)
-	for _, k := range keys {
-		h = b.Cols[k].Datum(i).Hash(h)
-	}
-	return h
-}
-
 func keysEqual(lb *Batch, li int, lk []int, rb *Batch, ri int, rk []int) bool {
 	for i := range lk {
-		if !lb.Cols[lk[i]].Datum(li).Equal(rb.Cols[rk[i]].Datum(ri)) {
+		if !lb.Cols[lk[i]].equal(li, rb.Cols[rk[i]], ri) {
 			return false
 		}
 	}
@@ -108,26 +99,47 @@ func keysEqual(lb *Batch, li int, lk []int, rb *Batch, ri int, rk []int) bool {
 
 // joinTable is a hash join's build side; the in-memory build and every
 // grace partition build one. add holds the build batches as they arrive
-// (relying, as the sort does, on no operator reusing a batch it returned);
-// seal, run once when the build input ends, concatenates them into rows
-// and chains rows by key hash: head[h] is the first row + 1, next[r] row
-// r's successor + 1, and 0 ends a chain.
+// (relying, as the sort does, on no operator reusing a batch it returned)
+// with their key hashes; seal, run once when the build input ends,
+// concatenates both and chains rows by bucket: head[b] is the first row
+// + 1 of bucket b (of a power-of-two array indexed by the folded key
+// hash), next[r] row r's successor + 1, and 0 ends a chain.
 type joinTable struct {
 	held []*Batch
-	n    int // rows held
+	n    int      // rows held
+	hash []uint64 // the key hash of each row
 	rows *Batch
-	head map[uint64]int32
+	head []int32
 	next []int32
+	mask uint64
 }
 
-func (t *joinTable) add(b *Batch) {
+// add holds b and appends its key hashes. The hashes double their room
+// when they run out of it, so a large build copies them O(1) times per
+// row, not the 1.25× steps of append.
+func (t *joinTable) add(b *Batch, keys []int) {
 	t.held = append(t.held, b)
+	if cap(t.hash)-len(t.hash) < b.N {
+		t.hash = slices.Grow(t.hash, max(b.N, len(t.hash)))
+	}
+	t.hash = hashBatch(b, keys, t.hash)
 	t.n += b.N
 }
 
+// absorb holds p's batches and hashes behind t's.
+func (t *joinTable) absorb(p *joinTable) {
+	t.held = append(t.held, p.held...)
+	t.hash = append(t.hash, p.hash...)
+	t.n += p.n
+}
+
+// bucket folds the hash's high half into the bits the mask keeps: the
+// low k bits of a key hash depend only on the low k bits of each key byte.
+func (t *joinTable) bucket(h uint64) uint64 { return (h ^ h>>32) & t.mask }
+
 // seal fills next back to front, so each chain is in build order: the
 // order multi-match probe output follows.
-func (t *joinTable) seal(schema []types.Column, keys []int) {
+func (t *joinTable) seal(schema []types.Column) {
 	t.rows = NewBatch(schema, t.n)
 	for _, b := range t.held {
 		for c, col := range t.rows.Cols {
@@ -135,25 +147,31 @@ func (t *joinTable) seal(schema []types.Column, keys []int) {
 		}
 	}
 	t.rows.N, t.held = t.n, nil
-	t.head = make(map[uint64]int32)
+	size := 1
+	for size < t.n {
+		size <<= 1
+	}
+	t.head = make([]int32, size)
+	t.mask = uint64(size - 1)
 	t.next = make([]int32, t.n)
 	for r := t.n - 1; r >= 0; r-- {
-		h := hashKeys(t.rows, r, keys)
-		t.next[r] = t.head[h]
-		t.head[h] = int32(r + 1)
+		bk := t.bucket(t.hash[r])
+		t.next[r] = t.head[bk]
+		t.head[bk] = int32(r + 1)
 	}
 }
 
 // build materializes the right side into the join table. The ungoverned
 // build drains the build source's parts (one part when it cannot split),
-// each holding its batches; in part order they are the sequential build
-// order. Every build loop polls ctx per batch, so a cancelled query
-// abandons the build promptly. Memory-governed builds (mem != nil) run
+// each holding and hashing its batches on its own worker; in part order
+// they are the sequential build order, and seal only concatenates. Every
+// build loop polls ctx per batch, so a cancelled query abandons the build
+// promptly. Memory-governed builds (mem != nil) run
 // sequentially and turn into a grace (partitioned, spilled) build when
 // they go over budget.
 func (o *hashJoinOp) build() {
-	o.tbl = &joinTable{}
 	if o.mem != nil {
+		o.tbl = &joinTable{}
 		o.buildGoverned()
 		return
 	}
@@ -161,14 +179,13 @@ func (o *hashJoinOp) build() {
 	if parts == nil {
 		parts = []Source{o.buildSrc}
 	}
-	held := make([][]*Batch, len(parts))
-	drain(o.ctx, parts, func(w int, b *Batch) { held[w] = append(held[w], b) })
-	for _, bs := range held {
-		for _, b := range bs {
-			o.tbl.add(b)
-		}
+	held := make([]joinTable, len(parts))
+	drain(o.ctx, parts, func(w int, b *Batch) { held[w].add(b, o.rightKeys) })
+	o.tbl = &held[0]
+	for w := 1; w < len(held); w++ {
+		o.tbl.absorb(&held[w])
 	}
-	o.tbl.seal(o.buildSrc.Schema(), o.rightKeys)
+	o.tbl.seal(o.buildSrc.Schema())
 }
 
 // buildGoverned drains the build side sequentially under the memory
@@ -189,7 +206,7 @@ func (o *hashJoinOp) buildGoverned() {
 		if o.grace {
 			_ = scatter(o.buildW, o.rightKeys, 0, b)
 		} else {
-			o.tbl.add(b)
+			o.tbl.add(b, o.rightKeys)
 			sz := batchAppendBytes(b)
 			o.mem.Grow(sz)
 			o.buildBytes += sz
@@ -202,7 +219,7 @@ func (o *hashJoinOp) buildGoverned() {
 	if o.grace {
 		_ = closeAll(o.buildW)
 	} else {
-		o.tbl.seal(o.buildSrc.Schema(), o.rightKeys)
+		o.tbl.seal(o.buildSrc.Schema())
 	}
 }
 
@@ -226,38 +243,72 @@ func (o *hashJoinOp) toGrace() {
 	o.tbl = nil
 }
 
+// probeScratch is one probe stream's reused buffers: the probe batch's
+// key hashes and the matched (probe row, build row) index pairs. Each
+// stream owns one, since split parts probe concurrently.
+type probeScratch struct {
+	hs     []uint64
+	li, ri []int32
+}
+
 // probe matches batch b, keyed by lk, against t into a batch of schema:
-// b's columns, then the build columns for an inner join. The grace path
-// probes tagged batches through it, so its inner output is [tag, left…,
-// right…] and its semi/anti output the tagged probe rows. Safe for
-// concurrent use once t is sealed: it only reads the table.
-func (o *hashJoinOp) probe(t *joinTable, schema []types.Column, b *Batch, lk []int) *Batch {
-	out := NewBatch(schema, b.N)
-	for i := 0; i < b.N; i++ {
+// b's columns, then the build columns for an inner join; nil when no row
+// of b is output. The grace path probes tagged batches through it, so its
+// inner output is [tag, left…, right…] and its semi/anti output the
+// tagged probe rows. The matches are collected as index pairs first, then
+// each output column is gathered once; when the output is b's rows in
+// order, each once, it shares b's columns. Safe for concurrent use once t
+// is sealed: it only reads the table.
+func (o *hashJoinOp) probe(t *joinTable, schema []types.Column, b *Batch, lk []int, sc *probeScratch) *Batch {
+	sc.hs = hashBatch(b, lk, sc.hs[:0])
+	li, ri := sc.li[:0], sc.ri[:0]
+	inner := o.typ == InnerJoin
+	for i, h := range sc.hs {
 		matched := false
-		for next := t.head[hashKeys(b, i, lk)]; next != 0; next = t.next[next-1] {
-			ri := int(next - 1)
-			if !keysEqual(b, i, lk, t.rows, ri, o.rightKeys) {
+		for next := t.head[t.bucket(h)]; next != 0; next = t.next[next-1] {
+			r := next - 1
+			if t.hash[r] != h || !keysEqual(b, i, lk, t.rows, int(r), o.rightKeys) {
 				continue
 			}
 			matched = true
-			if o.typ != InnerJoin {
+			if !inner {
 				break
 			}
-			nl := len(b.Cols)
-			for c := range b.Cols {
-				out.Cols[c].AppendFrom(b.Cols[c], i)
-			}
-			for c := range t.rows.Cols {
-				out.Cols[nl+c].AppendFrom(t.rows.Cols[c], ri)
-			}
-			out.N++
+			li, ri = append(li, int32(i)), append(ri, r)
 		}
-		if (o.typ == LeftSemiJoin && matched) || (o.typ == LeftAntiJoin && !matched) {
-			out.appendFrom(b.Cols, i)
+		if !inner && matched == (o.typ == LeftSemiJoin) {
+			li = append(li, int32(i))
+		}
+	}
+	sc.li, sc.ri = li, ri
+	if len(li) == 0 {
+		return nil
+	}
+	out := gathered(schema, len(li))
+	if isIdentity(li) {
+		copy(out.Cols, b.Cols)
+	} else {
+		for c, col := range b.Cols {
+			out.Cols[c].gather(col, li)
+		}
+	}
+	if inner {
+		nl := len(b.Cols)
+		for c, col := range t.rows.Cols {
+			out.Cols[nl+c].gather(col, ri)
 		}
 	}
 	return out
+}
+
+// isIdentity reports whether idx is 0, 1, …, len(idx)-1.
+func isIdentity(idx []int32) bool {
+	for j, i := range idx {
+		if int(i) != j {
+			return false
+		}
+	}
+	return true
 }
 
 func (o *hashJoinOp) Next() *Batch {
@@ -293,6 +344,7 @@ type hashJoinProbe struct {
 	left   Source
 	merge  *sortMerge // grace: the partitions' tagged outputs in probe order
 	failed bool
+	sc     probeScratch
 }
 
 func (p *hashJoinProbe) Schema() []types.Column { return p.op.schema }
@@ -309,7 +361,7 @@ func (p *hashJoinProbe) Next() *Batch {
 			if b == nil {
 				return nil
 			}
-			if out := o.probe(o.tbl, o.schema, b, o.leftKeys); out.N > 0 {
+			if out := o.probe(o.tbl, o.schema, b, o.leftKeys, &p.sc); out != nil {
 				return out
 			}
 		}
@@ -403,7 +455,7 @@ func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (stri
 		if b == nil {
 			break
 		}
-		tbl.add(b)
+		tbl.add(b, o.rightKeys)
 		// Charged as materialized rows, not as columns: the smaller
 		// partitions this yields bound the probe work between yields,
 		// which is what keeps concurrent TP latency within the memory
@@ -416,7 +468,7 @@ func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (stri
 		}
 		coopYield()
 	}
-	tbl.seal(o.buildSrc.Schema(), o.rightKeys)
+	tbl.seal(o.buildSrc.Schema())
 	defer qm.Shrink(charged)
 	if qm.Over() {
 		// Depth cap (or a partition of indivisible duplicates): degrade to
@@ -425,6 +477,7 @@ func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (stri
 	}
 	w := newSpillWriter(qm, "join-out")
 	pc := newSpillCursor(qm, pf)
+	var sc probeScratch
 	for {
 		if err := o.ctx.Err(); err != nil {
 			return "", err
@@ -436,8 +489,8 @@ func (o *hashJoinOp) partitionOut(bf, pf string, depth int, ownBuild bool) (stri
 		if b == nil {
 			break
 		}
-		out := o.probe(tbl, o.tagOut, b, o.tagKeys)
-		for i := 0; i < out.N; i++ {
+		out := o.probe(tbl, o.tagOut, b, o.tagKeys, &sc)
+		for i := 0; out != nil && i < out.N; i++ {
 			if err := w.addFrom(out, i); err != nil {
 				return "", err
 			}

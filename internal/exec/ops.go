@@ -35,6 +35,7 @@ type ScanPred struct {
 type filterOp struct {
 	in   Source
 	expr Expr
+	sel  []int32 // the passing rows of the current batch
 }
 
 func (o *filterOp) Schema() []types.Column { return o.in.Schema() }
@@ -45,14 +46,19 @@ func (o *filterOp) Next() *Batch {
 		if b == nil {
 			return nil
 		}
-		out := NewBatch(b.Schema, 0)
+		sel := o.sel[:0]
 		for i := 0; i < b.N; i++ {
 			if o.expr.Eval(b, i).Int() != 0 {
-				out.appendFrom(b.Cols, i)
+				sel = append(sel, int32(i))
 			}
 		}
-		if out.N > 0 {
-			return out
+		o.sel = sel
+		switch len(sel) {
+		case 0: // nothing passed: on to the next batch
+		case b.N:
+			return b
+		default:
+			return gatherBatch(b, sel)
 		}
 	}
 }

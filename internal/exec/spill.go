@@ -280,9 +280,11 @@ func newSpillWriters(qm *QueryMem, kind string, depth int) []*spillWriter {
 // scatter writes each row of bs, in order, to the writer its key hash
 // selects at depth.
 func scatter(ws []*spillWriter, keys []int, depth int, bs ...*Batch) error {
+	var hs []uint64
 	for _, b := range bs {
-		for i := 0; i < b.N; i++ {
-			if err := ws[partOf(hashKeys(b, i, keys), depth)].addFrom(b, i); err != nil {
+		hs = hashBatch(b, keys, hs[:0])
+		for i, h := range hs {
+			if err := ws[partOf(h, depth)].addFrom(b, i); err != nil {
 				return err
 			}
 		}

@@ -139,28 +139,49 @@ func (d Datum) Equal(o Datum) bool { return d.Compare(o) == 0 }
 // equal value hash equally regardless of kind so that join keys may mix
 // Int and Float columns.
 func (d Datum) Hash(h uint64) uint64 {
-	const prime = 1099511628211
-	if d.IsNull() {
-		return (h ^ 0x9e) * prime
+	switch d.Kind {
+	case 0:
+		return (h ^ 0x9e) * hashPrime
+	case String:
+		return HashString(h, d.S)
+	case Float:
+		return HashUint64(h, FloatHashBits(d.Float()))
+	default:
+		return HashUint64(h, uint64(d.I))
 	}
-	if d.Kind == String {
-		for i := 0; i < len(d.S); i++ {
-			h = (h ^ uint64(d.S[i])) * prime
-		}
-		return h
-	}
-	v := uint64(d.I)
-	if d.Kind == Float {
-		f := d.Float()
-		if f == math.Trunc(f) && !math.IsInf(f, 0) {
-			v = uint64(int64(f)) // canonicalize integral floats
-		}
-	}
+}
+
+// HashSeed is the FNV offset basis a key hash starts from (Row.Hash).
+const HashSeed uint64 = 1469598103934665603
+
+const hashPrime = 1099511628211
+
+// HashUint64 folds the eight bytes of v, low byte first, into h: the step
+// Datum.Hash takes for an Int, and for a Float by FloatHashBits.
+func HashUint64(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * prime
+		h = (h ^ (v & 0xff)) * hashPrime
 		v >>= 8
 	}
 	return h
+}
+
+// HashString folds the bytes of s into h, as Datum.Hash does a String.
+func HashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * hashPrime
+	}
+	return h
+}
+
+// FloatHashBits is what a Float hashes by: an integral finite value as the
+// int64 it equals (so 2.0 hashes like Int 2, and -0 like 0), any other
+// value by its bits.
+func FloatHashBits(f float64) uint64 {
+	if f == math.Trunc(f) && !math.IsInf(f, 0) {
+		return uint64(int64(f))
+	}
+	return math.Float64bits(f)
 }
 
 // Row is a flat tuple laid out in schema column order.
@@ -175,7 +196,7 @@ func (r Row) Clone() Row {
 
 // Hash returns a hash of the whole row, used by tests and hash operators.
 func (r Row) Hash() uint64 {
-	h := uint64(1469598103934665603)
+	h := HashSeed
 	for _, d := range r {
 		h = d.Hash(h)
 	}
