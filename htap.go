@@ -94,7 +94,11 @@ var (
 // the packed primary key.
 var NewSchema = types.NewSchema
 
-// Query surface (relational-algebra builder).
+// Query surface (relational-algebra builder). Engine.Query(ctx, table,
+// cols, filter) starts a plan; filter is an Expr built from the
+// constructors below, or nil for every row. The engine pushes it into the
+// scan and its access path reads it (a key range becomes an index scan on
+// architecture C), so a plan states its filter once.
 type (
 	// Plan is a composable analytical query.
 	Plan = exec.Plan
@@ -106,9 +110,6 @@ type (
 	NamedExpr = exec.NamedExpr
 	// SortKey orders plan output.
 	SortKey = exec.SortKey
-	// ScanPred is an advisory scan range used for pruning and access-path
-	// costing.
-	ScanPred = exec.ScanPred
 )
 
 // Expression constructors, re-exported from the execution engine.

@@ -26,9 +26,10 @@ type Engine interface {
 // including those run mid-body at a phase barrier — reads the same
 // snapshot and inherits its context, which is how cancellation reaches
 // column scans deep inside a multi-join plan. It also records the first
-// engine-level scan failure (a plan carrying an error, exec.FromError) so
-// RunQuery can report it instead of returning rows assembled from
-// silently-empty scans.
+// engine-level scan failure — a plan carrying an error (exec.FromError), or
+// one a scan reported to its plan's error sink while running (a remote
+// fragment) — so RunQuery can report it instead of returning rows
+// assembled from silently-empty scans.
 //
 // When the engine runs under a memory governor, every Query call starts a
 // fresh per-query accountant — but one CH query builds several plans that
@@ -37,13 +38,15 @@ type Engine interface {
 // so the whole CH query is charged against one budget and cleaned up as
 // one unit.
 type boundQueryer struct {
-	snap core.Snapshot
-	err  error
-	qm   *exec.QueryMem
+	snap  core.Snapshot
+	err   error
+	qm    *exec.QueryMem
+	plans []*exec.Plan   // every scan plan handed out, for their error sinks
+	buf   [16]*exec.Plan // backs plans: a CH query plans fewer scans
 }
 
-func (b *boundQueryer) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	p := b.snap.Query(table, cols, pred)
+func (b *boundQueryer) Query(table string, cols []string, filter exec.Expr) *exec.Plan {
+	p := b.snap.Query(table, cols, filter)
 	if qm := p.Mem(); qm != nil {
 		if b.qm == nil {
 			b.qm = qm
@@ -55,6 +58,10 @@ func (b *boundQueryer) Query(table string, cols []string, pred *exec.ScanPred) *
 	if err := p.Err(); err != nil && b.err == nil {
 		b.err = err
 	}
+	if b.plans == nil {
+		b.plans = b.buf[:0]
+	}
+	b.plans = append(b.plans, p)
 	return p
 }
 
@@ -92,6 +99,11 @@ func RunQuery(ctx context.Context, e Engine, n int) ([]types.Row, error) {
 	bq := &boundQueryer{snap: e.Snapshot(ctx)}
 	defer bq.Close()
 	rows := q(bq)
+	for _, p := range bq.plans {
+		if err := p.MemErr(); err != nil && bq.err == nil {
+			bq.err = err
+		}
+	}
 	if bq.qm != nil {
 		// The executed plan's deferred FinishMem already drained the shared
 		// accountant; this defensive Finish covers plans a query built but

@@ -1,7 +1,6 @@
 package ch
 
 import (
-	"fmt"
 	"sort"
 
 	"htap/internal/exec"
@@ -11,7 +10,7 @@ import (
 // Queryer is the analytical surface the queries run against; core.Engine
 // satisfies it.
 type Queryer interface {
-	Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan
+	Query(table string, cols []string, filter exec.Expr) *exec.Plan
 }
 
 // QueryFunc executes one CH query and returns its result rows.
@@ -518,13 +517,4 @@ func Q22(e Queryer) []types.Row {
 			exec.Agg{Kind: exec.Sum, Expr: c("c_balance"), Name: "totacctbal"},
 		).
 		Sort(exec.SortKey{Col: "country"}).Run()
-}
-
-// Names returns human-readable query labels.
-func Names() map[int]string {
-	out := make(map[int]string, 22)
-	for i := 1; i <= 22; i++ {
-		out[i] = fmt.Sprintf("CH-Q%02d", i)
-	}
-	return out
 }

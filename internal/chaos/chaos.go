@@ -375,7 +375,7 @@ func (m *model) verify(e core.Engine, inflight int64) error {
 	// the distributed columnar path explicitly.
 	if cl, ok := e.(colLoader); ok {
 		cl.LoadColumns("hist", []string{"id", "acct", "delta"})
-		if got := exec.From(cl.ColSource("hist", []string{"id"}, nil)).Count(); got != len(m.acked) {
+		if got := cl.ColSource(context.Background(), "hist", []string{"id"}, nil).Count(); got != len(m.acked) {
 			return fmt.Errorf("IMCS hist count = %d, want %d acked", got, len(m.acked))
 		}
 	}
@@ -385,5 +385,5 @@ func (m *model) verify(e core.Engine, inflight int64) error {
 // colLoader is the extract-and-push-down surface of architecture C.
 type colLoader interface {
 	LoadColumns(table string, cols []string)
-	ColSource(table string, cols []string, pred *exec.ScanPred) exec.Source
+	ColSource(ctx context.Context, table string, cols []string, filter exec.Expr) *exec.Plan
 }

@@ -32,7 +32,7 @@ func TestCanceledReplyFollowsCallerContext(t *testing.T) {
 		{"not-done", context.Background(), nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, _, streamErr := readStream(tc.ctx, &conn{}, wire.MsgError, reply)
+			_, _, streamErr := readStream(tc.ctx, &conn{}, wire.MsgError, reply)
 			for _, err := range []error{streamErr, expectOK(tc.ctx, wire.MsgError, reply)} {
 				if tc.want != nil {
 					if !errors.Is(err, tc.want) {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,8 +126,9 @@ type Remote struct {
 	out    map[*conn]struct{} // handed out by get, not yet put back
 	closed bool
 
-	arch core.Arch
-	meta map[string]int64
+	arch   core.Arch
+	meta   map[string]int64
+	tables []*types.Schema // the served catalog, from the handshake
 
 	mReq     map[string]*obs.Counter
 	mRetries map[string]*obs.Counter
@@ -162,6 +164,7 @@ func Connect(ctx context.Context, addr string, opt Options) (*Remote, error) {
 	}
 	r.arch = core.Arch(c.hello.Arch)
 	r.meta = c.hello.Meta
+	r.tables = c.hello.Tables
 	r.put(c)
 	return r, nil
 }
@@ -476,26 +479,25 @@ func expectOK(ctx context.Context, typ byte, payload []byte) error {
 // it would feed the stale frames to the next request. Server-sent
 // MsgError frames terminate the stream cleanly and leave the connection
 // reusable.
-func readStream(ctx context.Context, c *conn, typ byte, payload []byte) ([]types.Column, []types.Row, wire.EOS, error) {
-	fail := func(err error) ([]types.Column, []types.Row, wire.EOS, error) {
+func readStream(ctx context.Context, c *conn, typ byte, payload []byte) ([]types.Row, wire.EOS, error) {
+	fail := func(err error) ([]types.Row, wire.EOS, error) {
 		c.broken.Store(true)
-		return nil, nil, wire.EOS{}, err
+		return nil, wire.EOS{}, err
 	}
 	if typ == wire.MsgError {
-		return nil, nil, wire.EOS{}, requestErr(ctx, wire.DecodeError(payload))
+		return nil, wire.EOS{}, requestErr(ctx, wire.DecodeError(payload))
 	}
 	if typ != wire.MsgSchema {
 		return fail(fmt.Errorf("client: expected schema frame, got %d", typ))
 	}
-	sch, err := wire.DecodeSchema(payload)
-	if err != nil {
+	if _, err := wire.DecodeSchema(payload); err != nil {
 		return fail(err)
 	}
 	var rows []types.Row
 	for {
 		typ, payload, err := c.readFrame(ctx)
 		if err != nil {
-			return nil, nil, wire.EOS{}, err // readFrame already marked the conn broken
+			return nil, wire.EOS{}, err // readFrame already marked the conn broken
 		}
 		switch typ {
 		case wire.MsgBatch:
@@ -512,9 +514,9 @@ func readStream(ctx context.Context, c *conn, typ byte, payload []byte) ([]types
 			if int64(len(rows)) != eos.Rows {
 				return fail(fmt.Errorf("client: stream lost rows: got %d, server sent %d", len(rows), eos.Rows))
 			}
-			return sch.Cols, rows, eos, nil
+			return rows, eos, nil
 		case wire.MsgError:
-			return nil, nil, wire.EOS{}, requestErr(ctx, wire.DecodeError(payload))
+			return nil, wire.EOS{}, requestErr(ctx, wire.DecodeError(payload))
 		default:
 			return fail(fmt.Errorf("client: unexpected stream frame %d", typ))
 		}
@@ -608,11 +610,11 @@ func adoptRemoteProfile(ctx context.Context, eos wire.EOS) {
 }
 
 // stream sends one analytical request and materializes the batch stream
-// that answers it — the round trip behind Query, RunCH and a
-// FragmentSource's fetch. encode builds the payload around the attempt's
-// trace context (zeros when untraced). Retries ride do()'s normal loop:
-// every such request is read-only and idempotent.
-func (r *Remote) stream(ctx context.Context, typ byte, encode func(traceID, spanID uint64) []byte) (sch []types.Column, rows []types.Row, err error) {
+// that answers it — the round trip behind RunCH and a FragmentSource's
+// fetch. encode builds the payload around the attempt's trace context
+// (zeros when untraced). Retries ride do()'s normal loop: every such
+// request is read-only and idempotent.
+func (r *Remote) stream(ctx context.Context, typ byte, encode func(traceID, spanID uint64) []byte) (rows []types.Row, err error) {
 	err = r.do(ctx, wire.ClassOLAP, func(c *conn, sp *obs.Span) error {
 		var traceID, spanID uint64
 		if sp != nil {
@@ -623,46 +625,32 @@ func (r *Remote) stream(ctx context.Context, typ byte, encode func(traceID, span
 			return err
 		}
 		var eos wire.EOS
-		sch, rows, eos, err = readStream(ctx, c, typ, payload)
+		rows, eos, err = readStream(ctx, c, typ, payload)
 		if err == nil {
 			adoptRemoteProfile(ctx, eos)
 		}
 		return err
 	})
-	return sch, rows, err
+	return rows, err
 }
 
-// scan runs fragment m on the server and materializes its rows.
-func (r *Remote) scan(ctx context.Context, m *wire.Fragment) ([]types.Column, []types.Row, error) {
-	return r.stream(ctx, wire.MsgFragment, func(traceID, spanID uint64) []byte {
-		m.TraceID, m.SpanID = traceID, spanID
-		return m.Encode(nil)
-	})
-}
-
-// newFragment is the plain table scan every fragment starts as. pred is the
-// advisory zone-map range, exactly as on the local Query path.
-func newFragment(ctx context.Context, table string, cols []string, pred *exec.ScanPred) wire.Fragment {
-	m := wire.Fragment{Deadline: deadlineOf(ctx), Table: table, Cols: cols, Profile: exec.ProfileFrom(ctx) != nil}
-	if pred != nil {
-		m.HasPred, m.PredCol, m.PredLo, m.PredHi = true, pred.Col, pred.Lo, pred.Hi
+// Query satisfies the engine Query surface with a plan over a lazy remote
+// scan (FragmentSource), the one remote scan path dist also plans over:
+// filter, and every filter the caller adds before the plan runs, travels
+// to the server in the fragment frame. The projected schema comes from the
+// catalog the server sent in its handshake. A failed fetch reaches the
+// plan's error sink, so running the plan reports it and a failed scan is
+// never mistaken for an empty table. Cancellation aborts the stream and
+// the server-side scan.
+func (r *Remote) Query(ctx context.Context, table string, cols []string, filter exec.Expr) *exec.Plan {
+	i := slices.IndexFunc(r.tables, func(s *types.Schema) bool { return s.Name == table })
+	if i < 0 {
+		return exec.FromError(fmt.Errorf("%w: %s", core.ErrNoTable, table))
 	}
-	return m
-}
-
-// Query satisfies the engine Query surface by materializing a remote
-// table scan — a fragment with nothing pushed down — into an exec plan.
-// Cancellation aborts the stream and the server-side scan.
-func (r *Remote) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	m := newFragment(ctx, table, cols, pred)
-	sch, rows, err := r.scan(ctx, &m)
-	if err != nil {
-		// Carry the failure on the plan: running it yields the error, and
-		// ch.RunQuery reports it, so a failed scan is never mistaken for
-		// an empty table.
-		return exec.FromError(err)
-	}
-	return exec.From(exec.NewMemSource(sch, rows))
+	fs := r.Fragment(ctx, table, r.tables[i].Project(cols))
+	p := exec.From(fs)
+	fs.OnError(p.ErrSink())
+	return p.Filter(filter)
 }
 
 // Snapshot satisfies the engine Snapshot surface. The wire carries no read
@@ -679,8 +667,8 @@ type remoteSnapshot struct {
 func (s remoteSnapshot) ReadTS() uint64 { return 0 }
 
 // Query implements core.Snapshot.
-func (s remoteSnapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
-	return s.r.Query(s.ctx, table, cols, pred)
+func (s remoteSnapshot) Query(table string, cols []string, filter exec.Expr) *exec.Plan {
+	return s.r.Query(s.ctx, table, cols, filter)
 }
 
 // Close implements core.Snapshot. It has nothing to release: each scan the
@@ -692,7 +680,7 @@ func (s remoteSnapshot) Close() {}
 // it: one round trip carries only the (small, aggregated) result set.
 func (r *Remote) RunCH(ctx context.Context, n int) ([]types.Row, error) {
 	m := wire.Query{Deadline: deadlineOf(ctx), N: uint32(n), Profile: exec.ProfileFrom(ctx) != nil}
-	_, rows, err := r.stream(ctx, wire.MsgQuery, func(traceID, spanID uint64) []byte {
+	rows, err := r.stream(ctx, wire.MsgQuery, func(traceID, spanID uint64) []byte {
 		m.TraceID, m.SpanID = traceID, spanID
 		return m.Encode(nil)
 	})

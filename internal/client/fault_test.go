@@ -68,7 +68,8 @@ func handshake(t *testing.T, nc net.Conn) bool {
 	if _, err := wire.DecodeHello(payload); err != nil {
 		return false
 	}
-	h := wire.ServerHello{Version: wire.Version, Arch: 1, Meta: map[string]int64{"fake": 1}}
+	h := wire.ServerHello{Version: wire.Version, Arch: 1, Meta: map[string]int64{"fake": 1},
+		Tables: []*types.Schema{types.NewSchema("acct", 0, types.Column{Name: "id", Type: types.Int}, types.Column{Name: "bal", Type: types.Float})}}
 	return wire.WriteFrame(nc, wire.MsgServerHello, h.Encode(nil)) == nil
 }
 
@@ -387,17 +388,19 @@ func TestCorruptStreamConnNotPooled(t *testing.T) {
 
 func TestFailedQueryPlanCarriesError(t *testing.T) {
 	// A scan that fails after retries must return a plan that reports
-	// the failure, not one indistinguishable from an empty table.
+	// the failure when it runs, not one indistinguishable from an empty
+	// table.
 	f := startFake(t, errorThenServe(wire.CodeInternal, 1, 0))
 	r, _ := connect(t, f, Options{})
 	plan := r.Query(context.Background(), "acct", nil, nil)
-	var we *wire.Error
-	if err := plan.Err(); !errors.As(err, &we) || we.Code != wire.CodeInternal {
-		t.Fatalf("plan.Err() = %v, want internal wire error", plan.Err())
-	}
 	rows, err := plan.RunCtx(context.Background())
-	if err == nil || rows != nil {
-		t.Fatalf("RunCtx = (%v, %v), want (nil, error)", rows, err)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeInternal || rows != nil {
+		t.Fatalf("RunCtx = (%v, %v), want (nil, internal wire error)", rows, err)
+	}
+	// A table the handshake catalog lacks fails at construction.
+	if err := r.Query(context.Background(), "nope", nil, nil).Err(); !errors.Is(err, core.ErrNoTable) {
+		t.Fatalf("unknown table: Err() = %v, want core.ErrNoTable", err)
 	}
 }
 
@@ -449,7 +452,7 @@ func TestMalformedPartialBreaksConn(t *testing.T) {
 	r, reg := connect(t, f, Options{})
 
 	schema := []types.Column{{Name: "g", Type: types.Int}, {Name: "v", Type: types.Float}}
-	fs := r.Fragment(context.Background(), "acct", schema, nil)
+	fs := r.Fragment(context.Background(), "acct", schema)
 	var sinkErr error
 	fs.OnError(func(err error) { sinkErr = err })
 	ps := fs.PushAgg([]string{"g"}, []exec.Agg{{Kind: exec.Sum, Expr: exec.ColName("v"), Name: "s"}})

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"sort"
 
 	"htap/internal/exec"
 	"htap/internal/obs"
@@ -31,16 +30,17 @@ type FragmentSource struct {
 	inner   exec.Source
 }
 
-// Fragment builds a lazy source over table on this endpoint. schema is the
-// projected result schema (the coordinator knows it from the catalog; the
-// wire carries only the column names). pred is the advisory zone-map range,
-// exactly as on the local Query path.
-func (r *Remote) Fragment(ctx context.Context, table string, schema []types.Column, pred *exec.ScanPred) *FragmentSource {
+// Fragment builds a lazy source over table on this endpoint: a plain
+// table scan until the plan pushes work into it. schema is the projected
+// result schema (the caller knows it from the catalog; the wire carries
+// only the column names).
+func (r *Remote) Fragment(ctx context.Context, table string, schema []types.Column) *FragmentSource {
 	cols := make([]string, len(schema))
 	for i, c := range schema {
 		cols[i] = c.Name
 	}
-	return &FragmentSource{r: r, ctx: ctx, m: newFragment(ctx, table, cols, pred), schema: schema}
+	m := wire.Fragment{Deadline: deadlineOf(ctx), Table: table, Cols: cols, Profile: exec.ProfileFrom(ctx) != nil}
+	return &FragmentSource{r: r, ctx: ctx, m: m, schema: schema}
 }
 
 // OnError registers the sink that receives a fetch failure. Without a sink
@@ -51,35 +51,16 @@ func (s *FragmentSource) OnError(fn func(error)) { s.onErr = fn }
 // Schema implements exec.Source without fetching.
 func (s *FragmentSource) Schema() []types.Column { return s.schema }
 
-// PushPred implements exec.PredPusher: an accepted conjunct is evaluated
-// on the server, inside the shard engine's own scan pushdown machinery.
-// Once the fragment has been sent nothing more can be pushed.
+// PushPred implements exec.PredPusher: an accepted conjunct travels in
+// the frame and is evaluated on the server, inside the shard engine's own
+// scan pushdown machinery. Once the fragment has been sent nothing more
+// can be pushed.
 func (s *FragmentSource) PushPred(p exec.PushedPred) bool {
 	if s.started {
 		return false
 	}
-	fp, ok := fragPredOf(p)
-	if !ok {
-		return false
-	}
-	s.m.Preds = append(s.m.Preds, fp)
+	s.m.Preds = append(s.m.Preds, p)
 	return true
-}
-
-// fragPredOf converts an exec-level pushed predicate to its wire form.
-func fragPredOf(p exec.PushedPred) (wire.FragPred, bool) {
-	switch p.Kind {
-	case exec.PushCmp:
-		return wire.FragPred{Kind: wire.FragPredCmp, Col: p.Col, Op: uint8(p.Op), Datum: p.Datum}, true
-	case exec.PushPrefix:
-		return wire.FragPred{Kind: wire.FragPredPrefix, Col: p.Col, Prefix: p.Prefix}, true
-	case exec.PushInSet:
-		ints := append([]int64(nil), p.Ints...)
-		sort.Slice(ints, func(i, j int) bool { return ints[i] < ints[j] })
-		return wire.FragPred{Kind: wire.FragPredInSet, Col: p.Col, Ints: ints}, true
-	default:
-		return wire.FragPred{}, false
-	}
 }
 
 // fetch runs the fragment once, materializing the shard's (filtered,
@@ -89,7 +70,10 @@ func (s *FragmentSource) fetch() {
 		return
 	}
 	s.started = true
-	_, rows, err := s.r.scan(s.ctx, &s.m)
+	rows, err := s.r.stream(s.ctx, wire.MsgFragment, func(traceID, spanID uint64) []byte {
+		s.m.TraceID, s.m.SpanID = traceID, spanID
+		return s.m.Encode(nil)
+	})
 	if err != nil {
 		if s.onErr != nil {
 			s.onErr(err)
@@ -205,11 +189,7 @@ func (s *FragmentSource) PushTopK(k int, keys []exec.SortKey) bool {
 	if !s.CanPushTopK(keys) {
 		return false
 	}
-	spec := &wire.FragTopK{K: int64(k)}
-	for _, key := range keys {
-		spec.Keys = append(spec.Keys, wire.FragSortKey{Col: key.Col, Desc: key.Desc})
-	}
-	s.m.TopK = spec
+	s.m.TopK = &wire.FragTopK{K: int64(k), Keys: append([]exec.SortKey(nil), keys...)}
 	return true
 }
 

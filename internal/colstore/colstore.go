@@ -306,32 +306,6 @@ func (t *Table) Seal(rows []types.Row) []*Segment {
 	return segs
 }
 
-// Builder accumulates rows and seals them into segments of a table.
-type Builder struct {
-	t    *Table
-	rows []types.Row
-}
-
-// NewBuilder returns a builder appending into t.
-func (t *Table) NewBuilder() *Builder { return &Builder{t: t} }
-
-// Add buffers one row; the builder seals a segment each SegmentRows rows.
-func (b *Builder) Add(row types.Row) {
-	b.rows = append(b.rows, row)
-	if len(b.rows) >= SegmentRows {
-		b.Flush()
-	}
-}
-
-// Flush seals any buffered rows into a segment and publishes it.
-func (b *Builder) Flush() {
-	if len(b.rows) == 0 {
-		return
-	}
-	b.t.AppendRows(b.rows)
-	b.rows = b.rows[:0]
-}
-
 func buildSegment(schema *types.Schema, rows []types.Row) *Segment {
 	n := len(rows)
 	seg := &Segment{

@@ -158,14 +158,14 @@ func TestFloatRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuilderSealsSegments(t *testing.T) {
+func TestAppendRowsSealsSegments(t *testing.T) {
 	tbl := NewTable(testSchema)
-	b := tbl.NewBuilder()
 	n := SegmentRows + 100
-	for i := 0; i < n; i++ {
-		b.Add(mkRow(int64(i), int64(i%10), float64(i), "x"))
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = mkRow(int64(i), int64(i%10), float64(i), "x")
 	}
-	b.Flush()
+	tbl.AppendRows(rows)
 	segs := tbl.Version().Segs
 	if len(segs) != 2 {
 		t.Fatalf("segments = %d, want 2", len(segs))

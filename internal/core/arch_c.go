@@ -66,11 +66,16 @@ type EngineC struct {
 	rowEngine
 	rowDev  *disk.Device
 	imcs    []atomic.Pointer[imcsTable] // nil when the table is not loaded
+	loading []atomic.Pointer[imcsTable] // a LoadColumns build, fed commits until it replaces imcs
 	advisor *colsel.Advisor
 	cfg     ConfigC
 
 	pushdowns atomic.Int64
 	fallbacks atomic.Int64
+
+	// afterLoadScan, when set, runs between LoadColumns' row-store scan
+	// and its swap of the IMCS table: tests commit there to race the load.
+	afterLoadScan func()
 }
 
 // NewEngineC builds architecture C.
@@ -94,6 +99,7 @@ func NewEngineC(cfg ConfigC) *EngineC {
 	}
 	e.init(ArchC, "disk-row+dist-col", cfg.Schemas, cfg.Parallelism, e.installWrites)
 	e.imcs = make([]atomic.Pointer[imcsTable], len(cfg.Schemas))
+	e.loading = make([]atomic.Pointer[imcsTable], len(cfg.Schemas))
 	for i, s := range cfg.Schemas {
 		e.addRows(rowstore.NewDiskBacked(uint32(i), s, e.rowDev), rowFloor{&e.engineBase})
 	}
@@ -105,12 +111,14 @@ func NewEngineC(cfg ConfigC) *EngineC {
 
 // installWrites is architecture C's install step: new versions in the disk
 // row store; changes propagate, projected once, to the IMCS delta of
-// loaded tables.
+// loaded tables and of a load in progress.
 func (e *EngineC) installWrites(commitTS uint64, writes []txn.Write) {
 	eachTable(writes, func(id uint32, ws []txn.Write) {
 		e.rows[id].Apply(commitTS, ws)
-		if it := e.imcs[id].Load(); it != nil {
-			it.delta.Append(commitTS, it.project(ws))
+		for _, it := range []*imcsTable{e.imcs[id].Load(), e.loading[id].Load()} {
+			if it != nil {
+				it.delta.Append(commitTS, it.project(ws))
+			}
 		}
 	})
 }
@@ -161,6 +169,10 @@ func shardFor(key int64, n int) int {
 
 // LoadColumns (re)extracts the given columns of a table into the IMCS,
 // replacing the previous projection. The key column is always included.
+// Readers keep the previous table until the new one is built. The new
+// table's delta is fed from the load's scan point on, so a commit that
+// races the load reaches the new table: it is in the scan when it
+// committed at or below the scan point, and in the delta otherwise.
 func (e *EngineC) LoadColumns(table string, cols []string) {
 	id := e.ts.mustID(table)
 	full := e.ts.schemas[id]
@@ -176,25 +188,41 @@ func (e *EngineC) LoadColumns(table string, cols []string) {
 	}
 	proj := types.NewSchema(full.Name, 0, projCols...)
 
-	builders := make([]*colstore.Builder, e.cfg.Shards)
-	for i := range builders {
+	for range e.cfg.Shards {
 		sh := colstore.NewTable(proj)
 		observeSelectivity(e.fb, ArchC, sh)
 		it.parts = append(it.parts, sh)
-		builders[i] = sh.NewBuilder()
 	}
-	// The load publishes shards at snap: a merge like any other.
-	snap := e.mergePoint(e.readPoint)
+	// The load publishes shards at snap: a merge like any other, so it
+	// runs under the sync lock. With no commit in flight, snap is the
+	// newest commit and every later one lands in the new delta.
+	e.syncMu.Lock()
+	defer e.syncMu.Unlock()
+	var snap uint64
+	e.mgr.Quiesce(func() {
+		e.loading[id].Store(it)
+		snap = e.mergePoint(e.readPoint)
+	})
 	defer e.pins.Release(snap)
+	rows := make([][]types.Row, len(it.parts))
 	e.rows[id].Scan(snap, func(key int64, r types.Row) bool {
-		builders[shardFor(key, len(builders))].Add(it.projectRow(r))
+		i := shardFor(key, len(rows))
+		rows[i] = append(rows[i], it.projectRow(r))
 		return true
 	})
-	for i, b := range builders {
-		b.Flush()
-		it.parts[i].SetApplied(snap)
+	for i, sh := range it.parts {
+		ed := sh.Edit()
+		ed.Add(sh.Seal(rows[i])...)
+		ed.SetApplied(snap)
+		ed.Publish()
 	}
-	e.imcs[id].Store(it)
+	if e.afterLoadScan != nil {
+		e.afterLoadScan()
+	}
+	e.mgr.Quiesce(func() {
+		e.imcs[id].Store(it)
+		e.loading[id].Store(nil)
+	})
 }
 
 // Unload evicts a table from the IMCS.
@@ -247,26 +275,28 @@ func (e *EngineC) PushdownStats() (pushdowns, fallbacks int64) {
 	return e.pushdowns.Load(), e.fallbacks.Load()
 }
 
-// RowSource forces the disk row-store access path, bypassing the cost
-// model; the hybrid-scan experiments use it as the row-only baseline. The
-// scan materializes under a pin of its read point.
-func (e *EngineC) RowSource(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
+// RowSource plans a scan on the disk row-store access path, bypassing the
+// cost model; the hybrid-scan experiments use it as the row-only baseline.
+// The scan materializes under a pin of its read point, walking only the
+// key range filter bounds, and the plan keeps the rows filter passes.
+func (e *EngineC) RowSource(ctx context.Context, table string, cols []string, filter exec.Expr) *exec.Plan {
 	id := e.ts.mustID(table)
 	ts := e.pins.Pin(e.readPoint)
 	defer e.pins.Release(ts)
-	return exec.NewRowScan(ctx, e.rows[id], ts, cols, pred)
+	return exec.From(exec.NewRowScan(ctx, e.rows[id], ts, cols, filter)).Filter(filter)
 }
 
-// ColSource forces the IMCS access path in a snapshot of its own,
-// bypassing the cost model; the requested columns must be loaded.
-func (e *EngineC) ColSource(ctx context.Context, table string, cols []string, pred *exec.ScanPred) exec.Source {
+// ColSource plans a scan on the IMCS access path in a snapshot of its own,
+// bypassing the cost model, keeping the rows filter passes; the requested
+// columns must be loaded.
+func (e *EngineC) ColSource(ctx context.Context, table string, cols []string, filter exec.Expr) *exec.Plan {
 	id := int(e.ts.mustID(table))
 	s := e.open(ctx)
 	defer s.Close()
 	if len(s.reps[id]) == 0 || !covers(s.reps[id][0].vers[0].Schema, cols) {
 		panic(fmt.Sprintf("core: ColSource(%s): columns not loaded", table))
 	}
-	return s.scan(id, cols, pred)
+	return exec.From(s.scan(id, cols)).Filter(filter)
 }
 
 // replicas implements columnar: a loaded table's IMCS replica.
@@ -280,8 +310,10 @@ func (e *EngineC) replicas(id int) []*replica {
 // source implements columnar: record the access pattern, then push down
 // to the IMCS when the projection covers the query and the cost model
 // prefers the columnar path; otherwise scan the disk row store. Both read
-// at the snapshot.
-func (e *EngineC) source(s *snapshot, id int, cols []string, pred *exec.ScanPred) exec.Source {
+// at the snapshot. The planner's inputs come from filter's pushable
+// conjuncts: bounds on the key column make an index range, and any
+// pushable conjunct prunes zone maps.
+func (e *EngineC) source(s *snapshot, id int, cols []string, filter exec.Expr) exec.Source {
 	full := e.ts.schemas[id]
 	qcols := cols
 	if qcols == nil {
@@ -301,13 +333,15 @@ func (e *EngineC) source(s *snapshot, id int, cols []string, pred *exec.ScanPred
 	if reps := s.reps[id]; len(reps) > 0 {
 		covered, deltaRows = covers(reps[0].vers[0].Schema, qcols), reps[0].r.delta.Unmerged()
 	}
+	pushable := exec.Pushable(filter)
+	_, _, keyRange := exec.IntBounds(filter, full.Cols[full.KeyCol].Name)
 	in := planner.TableInput{
 		Rows:        rowsN,
 		Cols:        len(full.Cols),
 		NeedCols:    len(qcols),
-		Selectivity: e.selEstimate(full.Name, pred),
-		KeyRange:    pred != nil && pred.Col == full.Cols[full.KeyCol].Name,
-		ZoneMapped:  pred != nil,
+		Selectivity: e.selEstimate(full.Name, pushable),
+		KeyRange:    keyRange,
+		ZoneMapped:  pushable,
 		RowOnDisk:   true,
 		DeltaRows:   deltaRows,
 		HasColumn:   covered,
@@ -315,19 +349,19 @@ func (e *EngineC) source(s *snapshot, id int, cols []string, pred *exec.ScanPred
 	d := e.cfg.Cost.Choose(in)
 	if covered && d.Path == planner.ColPath {
 		e.pushdowns.Add(1)
-		return s.scan(id, qcols, pred)
+		return s.scan(id, qcols)
 	}
 	e.fallbacks.Add(1)
-	return exec.NewRowScan(s.ctx, e.rows[id], s.readTS, qcols, pred)
+	return exec.NewRowScan(s.ctx, e.rows[id], s.readTS, qcols, filter)
 }
 
-// selEstimate estimates the fraction of rows a scan's predicate keeps:
-// by default the observed selection density of previous pushed-down scans
-// of the same table (planner.Feedback) — the paper's §2.4 criticizes
+// selEstimate estimates the fraction of rows a scan's pushable conjuncts
+// keep: by default the observed selection density of previous pushed-down
+// scans of the same table (planner.Feedback) — the paper's §2.4 criticizes
 // static assumptions — with the fixed heuristic as the cold-start value
 // and the SelFeedbackOff fallback.
-func (e *EngineC) selEstimate(table string, pred *exec.ScanPred) float64 {
-	if pred == nil {
+func (e *EngineC) selEstimate(table string, pushable bool) float64 {
+	if !pushable {
 		return 1
 	}
 	if !e.cfg.SelFeedbackOff {

@@ -162,10 +162,10 @@ func (b *engineBase) SetParallelism(n int) { b.par.Store(int32(n)) }
 // snapshot closes as soon as the plan's sources are built: column versions
 // are immutable and a row scan materializes when it is planned, so the
 // plan reads nothing a later commit may prune.
-func (b *engineBase) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+func (b *engineBase) Query(ctx context.Context, table string, cols []string, filter exec.Expr) *exec.Plan {
 	s := b.open(ctx)
 	defer s.Close()
-	return s.Query(table, cols, pred)
+	return s.Query(table, cols, filter)
 }
 
 // syncRound runs one synchronization round under the sync lock, span and

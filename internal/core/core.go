@@ -137,9 +137,10 @@ type Engine interface {
 	// it (client disconnect, deadline) abandons the remaining segments
 	// mid-scan. The caller closes it when its plans have run.
 	Snapshot(ctx context.Context) Snapshot
-	// Query is shorthand for Snapshot(ctx).Query(...): a one-scan query.
+	// Query is shorthand for Snapshot(ctx).Query(table, cols, filter): a
+	// one-scan query keeping the rows filter passes (every row when nil).
 	// It closes its snapshot itself.
-	Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan
+	Query(ctx context.Context, table string, cols []string, filter exec.Expr) *exec.Plan
 
 	// Sync forces one data-synchronization round (delta merge / rebuild).
 	Sync()
@@ -163,8 +164,11 @@ type Snapshot interface {
 	// ReadTS is the commit timestamp the snapshot reads at.
 	ReadTS() uint64
 	// Query plans a scan of table (all columns when cols is nil) under the
-	// engine's degree of parallelism and memory governor.
-	Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan
+	// engine's degree of parallelism and memory governor, keeping the rows
+	// filter passes (every row when filter is nil). The plan equals
+	// Query(table, cols, nil).Filter(filter); passing the filter here also
+	// lets the access path read it (C's planner, a key-range row scan).
+	Query(table string, cols []string, filter exec.Expr) *exec.Plan
 	// Close releases the read point: row versions only it could see may
 	// then be pruned. Plans built before Close stay valid, since every
 	// scan is planned from immutable versions or materialized rows, but no

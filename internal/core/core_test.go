@@ -538,6 +538,33 @@ func TestEngineCCommitRacesLoadColumns(t *testing.T) {
 	}
 }
 
+// TestLoadColumnsKeepsRacingCommit commits a row between LoadColumns'
+// row-store scan and its swap of the IMCS table, and counts through the
+// forced IMCS path: the row must reach the new table, through its delta.
+func TestLoadColumnsKeepsRacingCommit(t *testing.T) {
+	e := NewEngineC(ConfigC{Schemas: testSchemas(), Shards: 2, Disk: disk.MemConfig()})
+	defer e.Close()
+	for i := int64(0); i < 10; i++ {
+		if err := Exec(context.Background(), e, func(tx Tx) error { return tx.Insert("acct", acct(i, 0, 1)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.LoadColumns("acct", []string{"bal"})
+	e.afterLoadScan = func() {
+		if err := Exec(context.Background(), e, func(tx Tx) error { return tx.Insert("acct", acct(10, 0, 1)) }); err != nil {
+			t.Error(err)
+		}
+	}
+	e.LoadColumns("acct", []string{"bal"})
+	if got := e.ColSource(context.Background(), "acct", []string{"id", "bal"}, nil).Count(); got != 11 {
+		t.Fatalf("IMCS rows after the load = %d, want 11", got)
+	}
+	e.Sync()
+	if got := e.ColSource(context.Background(), "acct", []string{"id", "bal"}, nil).Count(); got != 11 {
+		t.Fatalf("IMCS rows after Sync = %d, want 11", got)
+	}
+}
+
 func TestEngineDLayerPromotion(t *testing.T) {
 	e := NewEngineD(ConfigD{Schemas: testSchemas(), L1Rows: 4, L2Rows: 8})
 	defer e.Close()

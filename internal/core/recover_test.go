@@ -103,7 +103,7 @@ func TestRecoverReplaysCommitted(t *testing.T) {
 			// The IMCS restarts cold; reloading columns serves the recovered
 			// data through the columnar path too.
 			c.LoadColumns("acct", []string{"id", "bal"})
-			if got := exec.From(c.ColSource(context.Background(), "acct", []string{"id"}, nil)).Count(); got != 9 {
+			if got := c.ColSource(context.Background(), "acct", []string{"id"}, nil).Count(); got != 9 {
 				t.Fatalf("recovered IMCS rows = %d, want 9", got)
 			}
 		}

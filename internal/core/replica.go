@@ -55,8 +55,9 @@ type columnar interface {
 	readPoint() uint64
 	// replicas returns table id's replicas in scan order.
 	replicas(id int) []*replica
-	// source is the access path of one scan of table id in s.
-	source(s *snapshot, id int, cols []string, pred *exec.ScanPred) exec.Source
+	// source is the access path of one scan of table id in s. It only
+	// reads filter, to choose the path; the plan applies it.
+	source(s *snapshot, id int, cols []string, filter exec.Expr) exec.Source
 }
 
 // snapshot is the Snapshot of the four architectures: every table's
@@ -120,33 +121,35 @@ func (s *snapshot) Close() {
 }
 
 // Query implements Snapshot: the architecture's access path under the
-// engine's degree of parallelism and memory governor.
-func (s *snapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+// engine's degree of parallelism and memory governor, with filter pushed
+// into it by Plan.Filter.
+func (s *snapshot) Query(table string, cols []string, filter exec.Expr) *exec.Plan {
 	b := s.b
 	b.om.queries.Inc()
 	dop := int(b.par.Load())
 	if dop <= 0 {
 		dop = exec.DefaultParallelism()
 	}
-	return b.govern(s.ctx, b.arch.Label(), exec.From(s.Source(table, cols, pred)).Parallel(dop))
+	return b.govern(s.ctx, b.arch.Label(), exec.From(s.Source(table, cols, filter)).Parallel(dop)).Filter(filter)
 }
 
 // Source is the access path Query plans over, before the engine's degree
-// of parallelism and memory governor: the dist coordinator unions its
-// local shards' sources under its own.
-func (s *snapshot) Source(table string, cols []string, pred *exec.ScanPred) exec.Source {
-	return s.b.col.source(s, int(s.b.ts.mustID(table)), cols, pred)
+// of parallelism, memory governor and filter: the dist coordinator unions
+// its local shards' sources under its own and filters the union. filter
+// is only read, to choose the path.
+func (s *snapshot) Source(table string, cols []string, filter exec.Expr) exec.Source {
+	return s.b.col.source(s, int(s.b.ts.mustID(table)), cols, filter)
 }
 
 // scan reads table id's replicas: a column scan of every version, under
 // the delta's net effect up to readTS, which masks every part of its
 // replica and contributes its rows once.
-func (s *snapshot) scan(id int, cols []string, pred *exec.ScanPred) exec.Source {
+func (s *snapshot) scan(id int, cols []string) exec.Source {
 	var srcs []exec.Source
 	for _, r := range s.reps[id] {
 		o := r.view.Overlay(s.readTS)
 		for _, v := range r.vers {
-			srcs = append(srcs, exec.NewColScan(s.ctx, v, cols, pred, o))
+			srcs = append(srcs, exec.NewColScan(s.ctx, v, cols, o))
 			o = o.MaskOnly()
 		}
 	}
@@ -161,6 +164,6 @@ func (s *snapshot) scan(id int, cols []string, pred *exec.ScanPred) exec.Source 
 func (b *engineBase) replicas(id int) []*replica { return b.reps[id] }
 
 // source implements columnar: every architecture but C scans its replicas.
-func (b *engineBase) source(s *snapshot, id int, cols []string, pred *exec.ScanPred) exec.Source {
-	return s.scan(id, cols, pred)
+func (b *engineBase) source(s *snapshot, id int, cols []string, _ exec.Expr) exec.Source {
+	return s.scan(id, cols)
 }

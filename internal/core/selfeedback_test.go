@@ -66,13 +66,10 @@ func observeSelective(t *testing.T, e *EngineC) {
 // the observation must change nothing.
 func TestSelFeedbackFlipsAccessPath(t *testing.T) {
 	ctx := context.Background()
-	// ScanPred is advisory (zone pruning + cost-model KeyRange input); the
-	// Filter supplies the exact row selection on either path.
-	keyRange := &exec.ScanPred{Col: "id", Lo: 5, Hi: 5}
+	// The filter, stated once, is both the cost model's KeyRange input and
+	// the exact row selection on either path.
 	point := func(e *EngineC) int {
-		return e.Query(ctx, "acct", nil, keyRange).
-			Filter(exec.Cmp(exec.EQ, exec.ColName("id"), exec.ConstInt(5))).
-			Count()
+		return e.Query(ctx, "acct", nil, exec.Cmp(exec.EQ, exec.ColName("id"), exec.ConstInt(5))).Count()
 	}
 
 	e := newFeedbackEngine(t, false)

@@ -39,7 +39,7 @@ func snapCases() []snapCase {
 		{name: "C-row", e: NewEngineC(ConfigC{Schemas: testSchemas(), Shards: 2, Disk: disk.MemConfig()}), scan: query},
 		{name: "C-IMCS", e: imcs,
 			scan: func(s Snapshot, table string, cols []string) *exec.Plan {
-				return exec.From(s.(*snapshot).scan(int(imcs.ts.mustID(table)), cols, nil))
+				return exec.From(s.(*snapshot).scan(int(imcs.ts.mustID(table)), cols))
 			},
 			setup: func() {
 				imcs.LoadColumns("acct", []string{"region", "bal"})

@@ -301,9 +301,10 @@ type snapshot struct {
 }
 
 // localSource is what the coordinator needs of a local shard's snapshot:
-// the raw access path its Query plans over (core's snapshots provide it).
+// the raw access path its Query plans over (core's snapshots provide it),
+// which only reads filter.
 type localSource interface {
-	Source(table string, cols []string, pred *exec.ScanPred) exec.Source
+	Source(table string, cols []string, filter exec.Expr) exec.Source
 }
 
 // Snapshot implements core.Engine.
@@ -336,9 +337,11 @@ func (s *snapshot) Close() {
 // and merge. The plan is wired exactly like a single engine's — context,
 // parallelism, memory accountant, profile — plus an error sink that turns
 // a failed shard fragment into a query error instead of missing rows.
-func (s *snapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+// filter distributes over the shards: local column scans and remote
+// fragment frames each take their pushable conjuncts.
+func (s *snapshot) Query(table string, cols []string, filter exec.Expr) *exec.Plan {
 	d, ctx := s.d, s.ctx
-	src, frags := s.scatter(table, cols, pred)
+	src, frags := s.scatter(table, cols, filter)
 	if prof := exec.ProfileFrom(ctx); prof != nil {
 		prof.SetArch("dist")
 	}
@@ -358,13 +361,13 @@ func (s *snapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec
 			})
 		}
 	}
-	return p
+	return p.Filter(filter)
 }
 
 // Query implements core.Engine: a one-scan query in a snapshot of its own,
 // closed once the shards' sources are built (see core.Engine.Query).
-func (d *Engine) Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+func (d *Engine) Query(ctx context.Context, table string, cols []string, filter exec.Expr) *exec.Plan {
 	s := d.Snapshot(ctx)
 	defer s.Close()
-	return s.Query(table, cols, pred)
+	return s.Query(table, cols, filter)
 }

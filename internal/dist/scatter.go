@@ -23,7 +23,7 @@ type fragRef struct {
 // remote shards contribute a lazy fragment whose unsent window lets
 // Plan.Filter push predicates into the frame. Replicated tables live on
 // every shard, so only shard 0 scans — anything else would duplicate rows.
-func (s *snapshot) scatter(table string, cols []string, pred *exec.ScanPred) (exec.Source, []fragRef) {
+func (s *snapshot) scatter(table string, cols []string, filter exec.Expr) (exec.Source, []fragRef) {
 	d, ctx := s.d, s.ctx
 	sch := d.byName[table]
 	if sch == nil {
@@ -33,37 +33,20 @@ func (s *snapshot) scatter(table string, cols []string, pred *exec.ScanPred) (ex
 	if replicated(table) {
 		shards = shards[:1]
 	}
-	proj := projectedSchema(sch, cols)
+	proj := sch.Project(cols)
 	srcs := make([]exec.Source, len(shards))
 	var frags []fragRef
 	for i, sh := range shards {
 		if sh.local != nil {
-			srcs[i] = s.local[i].(localSource).Source(table, cols, pred)
+			srcs[i] = s.local[i].(localSource).Source(table, cols, filter)
 			continue
 		}
-		fs := sh.remote.Fragment(ctx, table, proj, pred)
+		fs := sh.remote.Fragment(ctx, table, proj)
 		srcs[i] = fs
 		frags = append(frags, fragRef{shard: sh.name, src: fs})
 	}
 	scatterFragments.Add(int64(len(srcs)))
 	return &mergeCount{inner: exec.NewUnion(srcs...), d: d}, frags
-}
-
-// projectedSchema resolves the scan's output schema from the catalog;
-// unknown columns pass through as Int so the binder (which validates
-// names itself) reports them, not a panic here.
-func projectedSchema(sch *types.Schema, cols []string) []types.Column {
-	if cols == nil {
-		return sch.Cols
-	}
-	out := make([]types.Column, len(cols))
-	for i, c := range cols {
-		out[i] = types.Column{Name: c, Type: types.Int}
-		if j := sch.ColIndex(c); j >= 0 {
-			out[i] = sch.Cols[j]
-		}
-	}
-	return out
 }
 
 // mergeCount is the coordinator's gather point: an order-preserving

@@ -209,8 +209,9 @@ func TestRowScanSource(t *testing.T) {
 	if len(rows) != 5 || len(rows[0]) != 2 {
 		t.Fatalf("rowscan = %v", rows)
 	}
-	// Key-range pushdown.
-	p = From(NewRowScan(context.Background(), st, 0, nil, &ScanPred{Col: "id", Lo: 2, Hi: 4}))
+	// The key range bounds the B+-tree walk: the scan itself yields only
+	// the rows inside it.
+	p = From(NewRowScan(context.Background(), st, 0, nil, Between(ColName("id"), 2, 4)))
 	if got := p.Count(); got != 3 {
 		t.Fatalf("range rowscan = %d", got)
 	}
@@ -221,7 +222,7 @@ func TestColScanWithOverlay(t *testing.T) {
 	tbl.AppendRows(testRows())
 
 	// No overlay: pure column scan.
-	if got := From(NewColScan(context.Background(), tbl.Version(), nil, nil, nil)).Count(); got != 5 {
+	if got := From(NewColScan(context.Background(), tbl.Version(), nil, nil)).Count(); got != 5 {
 		t.Fatalf("pure scan = %d", got)
 	}
 
@@ -232,7 +233,7 @@ func TestColScanWithOverlay(t *testing.T) {
 		{Table: 1, Key: 2, Op: txn.OpDelete},
 		{Table: 1, Key: 6, Op: txn.OpInsert, Row: sale(6, 4, 60, "fig")},
 	})
-	rows := From(NewColScan(context.Background(), tbl.Version(), nil, nil, d.Overlay(10))).Sort(SortKey{Col: "id"}).Run()
+	rows := From(NewColScan(context.Background(), tbl.Version(), nil, d.Overlay(10))).Sort(SortKey{Col: "id"}).Run()
 	if len(rows) != 5 {
 		t.Fatalf("overlay scan = %d rows: %v", len(rows), rows)
 	}
@@ -256,18 +257,21 @@ func TestColScanZonePruning(t *testing.T) {
 		rows = append(rows, sale(int64(i), int64(i), float64(i), "x"))
 	}
 	tbl.AppendRows(rows)
-	pred := &ScanPred{Col: "region", Lo: 0, Hi: 10}
-	got := From(NewColScan(context.Background(), tbl.Version(), nil, pred, nil)).
+	before := pushSegsPruned.Value()
+	got := From(NewColScan(context.Background(), tbl.Version(), nil, nil)).
 		Filter(Between(ColName("region"), 0, 10)).Count()
 	if got != 11 {
 		t.Fatalf("pruned scan = %d, want 11", got)
+	}
+	if pruned := pushSegsPruned.Value() - before; pruned < 2 {
+		t.Fatalf("zone maps pruned %d segments, want the 2 outside the range", pruned)
 	}
 }
 
 func TestColScanProjection(t *testing.T) {
 	tbl := colstore.NewTable(salesSchema)
 	tbl.AppendRows(testRows())
-	rows := From(NewColScan(context.Background(), tbl.Version(), []string{"item", "amount"}, nil, nil)).Run()
+	rows := From(NewColScan(context.Background(), tbl.Version(), []string{"item", "amount"}, nil)).Run()
 	if len(rows[0]) != 2 || rows[0][0].Kind != types.String {
 		t.Fatalf("projection = %v", rows[0])
 	}
@@ -293,7 +297,7 @@ func BenchmarkColScanAgg(b *testing.B) {
 	tbl.AppendRows(rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		From(NewColScan(context.Background(), tbl.Version(), []string{"region", "amount"}, nil, nil)).
+		From(NewColScan(context.Background(), tbl.Version(), []string{"region", "amount"}, nil)).
 			Agg([]string{"region"}, Agg{Sum, ColName("amount"), "s"}).Count()
 	}
 }

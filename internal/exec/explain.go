@@ -42,10 +42,6 @@ func (s *memSource) explain() (string, []Source) {
 }
 
 func (s *colScan) explain() (string, []Source) {
-	pred := ""
-	if s.pred != nil {
-		pred = fmt.Sprintf(", prune=%s∈[%d,%d]", s.pred.Col, s.pred.Lo, s.pred.Hi)
-	}
 	ov := ""
 	if s.overlay != nil {
 		ov = fmt.Sprintf(", delta=%d rows/%d masked", len(s.overlay.Rows), len(s.overlay.Masked))
@@ -58,8 +54,8 @@ func (s *colScan) explain() (string, []Source) {
 		}
 		push = fmt.Sprintf(", pushdown=[%s]", strings.Join(ps, " AND "))
 	}
-	return fmt.Sprintf("ColumnScan(%s, segments=%d, cols=%d%s%s%s)",
-		s.v.Schema.Name, len(s.v.Segs), len(s.schema), pred, ov, push), nil
+	return fmt.Sprintf("ColumnScan(%s, segments=%d, cols=%d%s%s)",
+		s.v.Schema.Name, len(s.v.Segs), len(s.schema), ov, push), nil
 }
 
 func (s *errSource) explain() (string, []Source) {

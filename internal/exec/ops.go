@@ -22,14 +22,6 @@ type Source interface {
 	Next() *Batch
 }
 
-// ScanPred is an advisory single-column integer range used for zone-map
-// pruning and planner selectivity estimates. Plans must still apply the
-// full filter; the predicate only lets scans skip whole segments.
-type ScanPred struct {
-	Col    string
-	Lo, Hi int64
-}
-
 // --- filter ---
 
 type filterOp struct {
@@ -333,9 +325,10 @@ func (p *Plan) Err() error { return p.err }
 // constants are pushed down into column scans (see pushdown.go), where
 // they evaluate on encoded vectors and prune segments via zone maps;
 // everything else runs in a residual filter operator. The rewrite never
-// changes results, only where predicates are evaluated.
+// changes results, only where predicates are evaluated. A nil e is no
+// filter: the plan comes back unchanged.
 func (p *Plan) Filter(e Expr) *Plan {
-	if p.err != nil {
+	if p.err != nil || e == nil {
 		return p
 	}
 	src := p.src

@@ -3,7 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"htap/internal/bitmap"
@@ -38,32 +38,34 @@ func PushdownRows() (scanned, materialized int64) {
 	return pushRowsScanned.Value(), pushRowsMat.Value()
 }
 
-type predKind uint8
+// PushKind classifies a pushable conjunct.
+type PushKind uint8
 
+// Pushable conjunct shapes: col ⊗ const, a string prefix, an int IN-set.
 const (
-	predCmp predKind = iota + 1
-	predPrefix
-	predInSet
+	PushCmp PushKind = iota + 1
+	PushPrefix
+	PushInSet
 )
 
 // colPred is one filter conjunct a column scan evaluates directly on
 // encoded segment vectors.
 type colPred struct {
-	kind   predKind
+	kind   PushKind
 	col    string             // column name, present in both scan output and table schema
-	op     CmpOp              // predCmp comparison
-	d      types.Datum        // predCmp comparand
-	prefix string             // predPrefix
-	set    map[int64]struct{} // predInSet (shared read-only with the source expression)
+	op     CmpOp              // PushCmp comparison
+	d      types.Datum        // PushCmp comparand
+	prefix string             // PushPrefix
+	set    map[int64]struct{} // PushInSet (shared read-only with the source expression)
 	idx    int                // table-schema column ordinal (encoded vector index)
 	outIdx int                // scan-output ordinal, for filtering materialized overlay rows
 }
 
 func (p *colPred) String() string {
 	switch p.kind {
-	case predPrefix:
+	case PushPrefix:
 		return fmt.Sprintf("%s LIKE %q%%", p.col, p.prefix)
-	case predInSet:
+	case PushInSet:
 		return fmt.Sprintf("%s IN (...%d)", p.col, len(p.set))
 	default:
 		return fmt.Sprintf("(%s %s %s)", p.col, p.op, p.d)
@@ -75,9 +77,9 @@ func (p *colPred) String() string {
 // the predicate was extracted from bit for bit.
 func (p *colPred) matchRow(r types.Row) bool {
 	switch p.kind {
-	case predPrefix:
+	case PushPrefix:
 		return strings.HasPrefix(r[p.outIdx].Str(), p.prefix)
-	case predInSet:
+	case PushInSet:
 		_, ok := p.set[r[p.outIdx].Int()]
 		return ok
 	default:
@@ -143,35 +145,25 @@ func asColPred(e Expr) (colPred, bool) {
 	case *cmpExpr:
 		if c, ok := t.l.(*colRef); ok {
 			if k, ok2 := t.r.(*constExpr); ok2 && !k.d.IsNull() {
-				return colPred{kind: predCmp, col: c.name, op: t.op, d: k.d}, true
+				return colPred{kind: PushCmp, col: c.name, op: t.op, d: k.d}, true
 			}
 		}
 		if k, ok := t.l.(*constExpr); ok && !k.d.IsNull() {
 			if c, ok2 := t.r.(*colRef); ok2 {
-				return colPred{kind: predCmp, col: c.name, op: flipCmp(t.op), d: k.d}, true
+				return colPred{kind: PushCmp, col: c.name, op: flipCmp(t.op), d: k.d}, true
 			}
 		}
 	case *likeExpr:
 		if c, ok := t.col.(*colRef); ok {
-			return colPred{kind: predPrefix, col: c.name, prefix: t.prefix}, true
+			return colPred{kind: PushPrefix, col: c.name, prefix: t.prefix}, true
 		}
 	case *inExpr:
 		if c, ok := t.col.(*colRef); ok {
-			return colPred{kind: predInSet, col: c.name, set: t.set}, true
+			return colPred{kind: PushInSet, col: c.name, set: t.set}, true
 		}
 	}
 	return colPred{}, false
 }
-
-// PushKind classifies a PushedPred.
-type PushKind uint8
-
-// Pushable predicate shapes, mirroring the conjuncts fuseFilter accepts.
-const (
-	PushCmp PushKind = iota + 1
-	PushPrefix
-	PushInSet
-)
 
 // PushedPred is the exported, transport-friendly form of one pushable
 // conjunct: col ⊗ const, a string prefix, or an int IN-set. A source that
@@ -195,19 +187,15 @@ func AsPushedPred(e Expr) (PushedPred, bool) {
 	if !ok {
 		return PushedPred{}, false
 	}
-	switch cp.kind {
-	case predPrefix:
-		return PushedPred{Kind: PushPrefix, Col: cp.col, Prefix: cp.prefix}, true
-	case predInSet:
-		ints := make([]int64, 0, len(cp.set))
+	p := PushedPred{Kind: cp.kind, Col: cp.col, Op: cp.op, Datum: cp.d, Prefix: cp.prefix}
+	if cp.kind == PushInSet {
+		p.Ints = make([]int64, 0, len(cp.set))
 		for v := range cp.set {
-			ints = append(ints, v)
+			p.Ints = append(p.Ints, v)
 		}
-		sort.Slice(ints, func(i, j int) bool { return ints[i] < ints[j] })
-		return PushedPred{Kind: PushInSet, Col: cp.col, Ints: ints}, true
-	default:
-		return PushedPred{Kind: PushCmp, Col: cp.col, Op: cp.op, Datum: cp.d}, true
+		slices.Sort(p.Ints)
 	}
+	return p, true
 }
 
 // Expr rebuilds the predicate as an expression with identical semantics;
@@ -283,13 +271,18 @@ func fusePusher(s PredPusher, expr Expr) Source {
 		}
 		residual = append(residual, e)
 	}
+	return withResidual(s, residual)
+}
+
+// withResidual wraps src in a filter of the conjuncts it did not take.
+func withResidual(src Source, residual []Expr) Source {
 	switch len(residual) {
 	case 0:
-		return s
+		return src
 	case 1:
-		return &filterOp{in: s, expr: residual[0]}
+		return &filterOp{in: src, expr: residual[0]}
 	default:
-		return &filterOp{in: s, expr: &andExpr{terms: residual}}
+		return &filterOp{in: src, expr: &andExpr{terms: residual}}
 	}
 }
 
@@ -315,14 +308,7 @@ func (s *colScan) fuseFilter(expr Expr) Source {
 		return &filterOp{in: s, expr: expr}
 	}
 	s.selObs = s.v.SelObserver()
-	switch len(residual) {
-	case 0:
-		return s
-	case 1:
-		return &filterOp{in: s, expr: residual[0]}
-	default:
-		return &filterOp{in: s, expr: &andExpr{terms: residual}}
-	}
+	return withResidual(s, residual)
 }
 
 // acceptPred resolves the predicate's column against the scan's table and
@@ -341,7 +327,7 @@ func (s *colScan) acceptPred(p *colPred) bool {
 		return false
 	}
 	switch ct := s.v.Schema.Cols[ti].Type; p.kind {
-	case predCmp:
+	case PushCmp:
 		switch ct {
 		case types.Int, types.Float:
 			if p.d.Kind != types.Int && p.d.Kind != types.Float {
@@ -354,11 +340,11 @@ func (s *colScan) acceptPred(p *colPred) bool {
 		default:
 			return false
 		}
-	case predPrefix:
+	case PushPrefix:
 		if ct != types.String {
 			return false
 		}
-	case predInSet:
+	case PushInSet:
 		if ct != types.Int {
 			return false
 		}
@@ -375,11 +361,11 @@ func (s *colScan) zonesPrune(seg *colstore.Segment) bool {
 		p := &s.pushed[i]
 		z := &seg.Zones[p.idx]
 		switch p.kind {
-		case predPrefix:
+		case PushPrefix:
 			if z.PruneStrPrefix(p.prefix) {
 				return true
 			}
-		case predCmp:
+		case PushCmp:
 			if zonePruneCmp(z, s.v.Schema.Cols[p.idx].Type, p.op, p.d) {
 				return true
 			}
@@ -397,26 +383,8 @@ func zonePruneCmp(z *colstore.ZoneMap, ct types.ColType, op CmpOp, d types.Datum
 		if d.Kind != types.Int {
 			return false // mixed numeric comparand: row-filter only
 		}
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		switch op {
-		case EQ:
-			lo, hi = d.I, d.I
-		case LT:
-			if d.I == math.MinInt64 {
-				return true
-			}
-			hi = d.I - 1
-		case LE:
-			hi = d.I
-		case GT:
-			if d.I == math.MaxInt64 {
-				return true
-			}
-			lo = d.I + 1
-		case GE:
-			lo = d.I
-		}
-		return z.PruneInt(lo, hi)
+		lo, hi := intRange(op, d.I)
+		return lo > hi || z.PruneInt(lo, hi)
 	case types.Float:
 		v := d.Float()
 		switch op {
@@ -435,6 +403,61 @@ func zonePruneCmp(z *colstore.ZoneMap, ct types.ColType, op CmpOp, d types.Datum
 			return z.PruneStr("", d.S, true)
 		default: // GT, GE
 			return z.PruneStr(d.S, "", false)
+		}
+	}
+	return false
+}
+
+// intRange is the INT interval [lo, hi] that `col op v` keeps (lo > hi
+// when it keeps nothing); NE keeps the whole line.
+func intRange(op CmpOp, v int64) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	switch op {
+	case EQ:
+		lo, hi = v, v
+	case LT:
+		if v == math.MinInt64 {
+			return 0, -1
+		}
+		hi = v - 1
+	case LE:
+		hi = v
+	case GT:
+		if v == math.MaxInt64 {
+			return 0, -1
+		}
+		lo = v + 1
+	case GE:
+		lo = v
+	}
+	return lo, hi
+}
+
+// IntBounds is how a scan reads a filter it does not apply itself: the
+// tightest [lo, hi] that filter's pushable conjuncts with INT comparands
+// place on column col, and whether any does. Rows outside the bounds fail
+// the filter; rows inside may still fail it, so the plan keeps applying
+// it. lo > hi means no row passes. A nil filter places no bounds.
+func IntBounds(filter Expr, col string) (lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	for _, e := range splitConjuncts(filter, nil) {
+		p, pushable := asColPred(e)
+		if !pushable || p.kind != PushCmp || p.col != col || p.d.Kind != types.Int {
+			continue
+		}
+		l, h := intRange(p.op, p.d.I)
+		lo, hi, ok = max(lo, l), min(hi, h), true
+	}
+	return lo, hi, ok
+}
+
+// Pushable reports whether any conjunct of filter has a shape a scan can
+// evaluate on encoded segments (and prune zone maps with). A nil filter
+// has none.
+func Pushable(filter Expr) bool {
+	for _, e := range splitConjuncts(filter, nil) {
+		if _, ok := asColPred(e); ok {
+			return true
 		}
 	}
 	return false
@@ -464,9 +487,9 @@ func (s *colScan) computeSel(m colstore.Morsel) (*bitmap.Bitmap, bool) {
 		v := seg.Cols[p.idx]
 		var runs int
 		switch p.kind {
-		case predPrefix:
+		case PushPrefix:
 			colstore.FilterStrPrefix(v.(colstore.StrVector), p.prefix, sel)
-		case predInSet:
+		case PushInSet:
 			runs = colstore.FilterIntSet(v.(colstore.IntVector), p.set, sel)
 		default:
 			runs = colstore.FilterVec(v, predOp(p.op), p.d, sel)

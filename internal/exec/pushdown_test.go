@@ -152,7 +152,7 @@ func TestPushdownMatchesNaiveFilter(t *testing.T) {
 				if overlay != nil {
 					oname = "overlay"
 				}
-				scan := func() Source { return NewColScan(ctx, tbl.Version(), cols, nil, overlay) }
+				scan := func() Source { return NewColScan(ctx, tbl.Version(), cols, overlay) }
 				schema := scan().Schema()
 				naive := From(&filterOp{in: scan(), expr: pred.Bind(schema)})
 				want, err := naive.RunCtx(ctx)
@@ -178,7 +178,7 @@ func TestPushdownMatchesNaiveFilter(t *testing.T) {
 func TestPushdownRewrites(t *testing.T) {
 	ctx := context.Background()
 	tbl := pushTable(100, nil)
-	scan := func() Source { return NewColScan(ctx, tbl.Version(), nil, nil, nil) }
+	scan := func() Source { return NewColScan(ctx, tbl.Version(), nil, nil) }
 
 	// Fully pushable conjunction: no residual filter remains.
 	p := From(scan()).Filter(And(Cmp(LT, ColName("id"), ConstInt(50)), Cmp(EQ, ColName("tag"), ConstStr("x"))))
@@ -244,7 +244,7 @@ func TestPushdownSelectivityObserver(t *testing.T) {
 	tbl := pushTable(4096, nil) // exactly one segment
 	var got []float64
 	tbl.SetSelObserver(func(sel float64) { got = append(got, sel) })
-	n := From(NewColScan(context.Background(), tbl.Version(), nil, nil, nil)).
+	n := From(NewColScan(context.Background(), tbl.Version(), nil, nil)).
 		Filter(Cmp(LT, ColName("id"), ConstInt(1024))).Count()
 	if n != 1024 {
 		t.Fatalf("count = %d", n)
@@ -277,7 +277,7 @@ func TestPushdownZonePruneSkipsSegments(t *testing.T) {
 	tbl.AppendRows(rows)
 	ctx := context.Background()
 	before := pushSegsPruned.Value()
-	n := From(NewColScan(ctx, tbl.Version(), nil, nil, nil)).
+	n := From(NewColScan(ctx, tbl.Version(), nil, nil)).
 		Filter(Cmp(GE, ColName("amt"), ConstFloat(float64(colstore.SegmentRows)))).Count()
 	if n != colstore.SegmentRows {
 		t.Fatalf("float-pruned count = %d", n)
@@ -286,7 +286,7 @@ func TestPushdownZonePruneSkipsSegments(t *testing.T) {
 		t.Fatalf("float zone prune did not skip a segment (%d -> %d)", before, pushSegsPruned.Value())
 	}
 	before = pushSegsPruned.Value()
-	n = From(NewColScan(ctx, tbl.Version(), nil, nil, nil)).
+	n = From(NewColScan(ctx, tbl.Version(), nil, nil)).
 		Filter(HasPrefix(ColName("tag"), "zz-")).Count()
 	if n != colstore.SegmentRows {
 		t.Fatalf("prefix-pruned count = %d", n)

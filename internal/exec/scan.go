@@ -54,20 +54,18 @@ func (s *memSource) Split(n int) []Source {
 
 // NewRowScan scans the row store at snapshot ts, projecting cols (all
 // columns when nil). This is the row-side access path of the hybrid
-// row/column technique. The scan materializes eagerly but polls ctx every
-// few hundred rows, so a cancelled query abandons the B+-tree walk instead
-// of finishing it; the truncated result is discarded by Plan.RunCtx, which
-// reports the context error.
-func NewRowScan(ctx context.Context, st *rowstore.Store, ts uint64, cols []string, pred *ScanPred) Source {
+// row/column technique. The scan only reads filter (nil = none): the
+// bounds its conjuncts place on the key column narrow the B+-tree walk,
+// the "row-based index scan" half of the paper's hybrid SPJ example, and
+// the plan still applies the filter itself. The scan materializes eagerly
+// but polls ctx every few hundred rows, so a cancelled query abandons the
+// walk instead of finishing it; the truncated result is discarded by
+// Plan.RunCtx, which reports the context error.
+func NewRowScan(ctx context.Context, st *rowstore.Store, ts uint64, cols []string, filter Expr) Source {
 	ctx = orBackground(ctx)
 	schema, idxs := projectSchema(st.Schema, cols)
 	var rows []types.Row
-	lo, hi := int64(-1<<63), int64(1<<63-1)
-	if pred != nil && pred.Col == st.Schema.Cols[st.Schema.KeyCol].Name {
-		// Key-range predicates become B+-tree range scans: the "row-based
-		// index scan" half of the paper's hybrid SPJ example.
-		lo, hi = pred.Lo, pred.Hi
-	}
+	lo, hi, _ := IntBounds(filter, st.Schema.Cols[st.Schema.KeyCol].Name)
 	n := 0
 	st.ScanRange(ts, lo, hi, func(_ int64, r types.Row) bool {
 		if n++; n&255 == 0 && ctx.Err() != nil {
@@ -112,8 +110,6 @@ type colScan struct {
 	v       *colstore.Version
 	schema  []types.Column
 	idxs    []int
-	pred    *ScanPred
-	predIdx int
 	overlay *delta.Overlay
 
 	morsels []colstore.Morsel // unscanned morsels; the head may be partly scanned
@@ -148,19 +144,16 @@ func (s *colScan) attachStats(st *OpStats) { s.st = st }
 // delta overlay: the paper's "in-memory delta and column scan" when the
 // overlay comes from a Mem delta, its "log-based delta and column scan"
 // when it comes from a Log delta, and its pure "column scan" when the
-// overlay is nil. The version is immutable, so the scan reads one state of
-// the table however long it runs. The scan polls ctx between batches, so
-// cancelling the context stops a multi-segment scan mid-flight;
-// Plan.RunCtx surfaces the context error.
-func NewColScan(ctx context.Context, v *colstore.Version, cols []string, pred *ScanPred, overlay *delta.Overlay) Source {
+// overlay is nil. A filter reaches the scan through Plan.Filter, whose
+// pushed conjuncts prune segments by their zone maps. The version is
+// immutable, so the scan reads one state of the table however long it
+// runs. The scan polls ctx between batches, so cancelling the context
+// stops a multi-segment scan mid-flight; Plan.RunCtx surfaces the context
+// error.
+func NewColScan(ctx context.Context, v *colstore.Version, cols []string, overlay *delta.Overlay) Source {
 	schema, idxs := projectSchema(v.Schema, cols)
-	s := &colScan{ctx: orBackground(ctx), v: v, schema: schema, idxs: idxs, pred: pred, predIdx: -1, overlay: overlay, row: -1}
+	s := &colScan{ctx: orBackground(ctx), v: v, schema: schema, idxs: idxs, overlay: overlay, row: -1}
 	s.morsels = v.Morsels(MorselRows)
-	if pred != nil {
-		if i := v.Schema.ColIndex(pred.Col); i >= 0 && v.Schema.Cols[i].Type == types.Int {
-			s.predIdx = i
-		}
-	}
 	if overlay != nil {
 		// Materialize in key order: overlay.Rows is a map, and map
 		// iteration order must not leak into query results.
@@ -224,20 +217,17 @@ func (s *colScan) Next() *Batch {
 	return b
 }
 
-// enter starts morsel m. On the first morsel of a segment the zone maps
-// prune it (the advisory ScanPred, then the pushed predicates) and the
-// segment's selection is built: computeSel when predicates are pushed,
-// otherwise the morsel's delete bitmap, read as its clear bits.
+// enter starts morsel m. On the first morsel of a segment its selection
+// is built: computeSel, which may prune the segment by its zone maps, when
+// predicates are pushed, otherwise the morsel's delete bitmap, read as its
+// clear bits.
 func (s *colScan) enter(m colstore.Morsel) {
 	s.row = m.Lo
 	if m.Seg != s.seg {
 		s.seg = m.Seg
-		s.skip = s.predIdx >= 0 && m.Seg.Zones[s.predIdx].PruneInt(s.pred.Lo, s.pred.Hi)
-		switch {
-		case s.skip:
-		case len(s.pushed) > 0:
+		if len(s.pushed) > 0 {
 			s.sel, s.skip = s.computeSel(m)
-		default:
+		} else {
 			s.del = m.Del
 		}
 	}

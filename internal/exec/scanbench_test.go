@@ -28,7 +28,7 @@ func BenchmarkScanFilter(b *testing.B) {
 		b.Run(fmt.Sprintf("sel=%v%%/strings", sel), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows, err := From(NewColScan(ctx, tbl.Version(), []string{"k", "name"}, nil, nil)).
+				rows, err := From(NewColScan(ctx, tbl.Version(), []string{"k", "name"}, nil)).
 					Filter(pred).RunCtx(ctx)
 				if err != nil {
 					b.Fatal(err)
@@ -43,7 +43,7 @@ func BenchmarkScanFilter(b *testing.B) {
 		pred := Cmp(LT, ColName("grp"), ConstInt(4))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := From(NewColScan(ctx, tbl.Version(), []string{"grp", "val"}, nil, nil)).
+			if _, err := From(NewColScan(ctx, tbl.Version(), []string{"grp", "val"}, nil)).
 				Filter(pred).CountCtx(ctx); err != nil {
 				b.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func BenchmarkScanFilter(b *testing.B) {
 		pred := Cmp(EQ, ColName("name"), ConstStr("name-0017"))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := From(NewColScan(ctx, tbl.Version(), []string{"name", "val"}, nil, nil)).
+			rows, err := From(NewColScan(ctx, tbl.Version(), []string{"name", "val"}, nil)).
 				Filter(pred).RunCtx(ctx)
 			if err != nil {
 				b.Fatal(err)

@@ -123,7 +123,7 @@ func Table2AP(o Opts) []APRow {
 		if ov != nil {
 			overlay = ov()
 		}
-		exec.From(exec.NewColScan(context.Background(), tbl.Version(), []string{"grp", "val"}, nil, overlay)).
+		exec.From(exec.NewColScan(context.Background(), tbl.Version(), []string{"grp", "val"}, overlay)).
 			Agg([]string{"grp"}, exec.Agg{Kind: exec.Sum, Expr: exec.ColName("val"), Name: "s"}).
 			Count()
 		return time.Since(start)
@@ -422,18 +422,15 @@ func Table2QOHybrid(o Opts) []HybridRow {
 	ec := e.(*core.EngineC)
 	_ = s
 
-	lo := ch.OrderKey(1, 1, 0)
-	hi := ch.OrderKey(1, 1, 9_999_999)
-	pred := &exec.ScanPred{Col: "o_key", Lo: lo, Hi: hi}
-	filter := exec.Between(exec.ColName("o_key"), lo, hi)
+	district := exec.Between(exec.ColName("o_key"), ch.OrderKey(1, 1, 0), ch.OrderKey(1, 1, 9_999_999))
 
 	var out []HybridRow
 	// Row-only: both sides from the disk row store.
 	{
-		src := ec.RowSource(context.Background(), ch.TOrders, []string{"o_key"}, pred)
+		orders := ec.RowSource(context.Background(), ch.TOrders, []string{"o_key"}, district)
 		lines := time.Now()
-		n := exec.From(src).Filter(filter).
-			Join(exec.From(ec.RowSource(context.Background(), ch.TOrderLine, []string{"ol_o_key", "ol_amount"}, nil)),
+		n := orders.
+			Join(ec.RowSource(context.Background(), ch.TOrderLine, []string{"ol_o_key", "ol_amount"}, nil),
 				[]string{"o_key"}, []string{"ol_o_key"}).
 			Agg([]string{"o_key"}, exec.Agg{Kind: exec.Sum, Expr: exec.ColName("ol_amount"), Name: "rev"}).
 			Count()
@@ -442,8 +439,8 @@ func Table2QOHybrid(o Opts) []HybridRow {
 	// Column-only: both sides from the IMCS.
 	{
 		start := time.Now()
-		n := exec.From(ec.ColSource(context.Background(), ch.TOrders, []string{"o_key"}, pred)).Filter(filter).
-			Join(exec.From(ec.ColSource(context.Background(), ch.TOrderLine, []string{"ol_o_key", "ol_amount"}, nil)),
+		n := ec.ColSource(context.Background(), ch.TOrders, []string{"o_key"}, district).
+			Join(ec.ColSource(context.Background(), ch.TOrderLine, []string{"ol_o_key", "ol_amount"}, nil),
 				[]string{"o_key"}, []string{"ol_o_key"}).
 			Agg([]string{"o_key"}, exec.Agg{Kind: exec.Sum, Expr: exec.ColName("ol_amount"), Name: "rev"}).
 			Count()
@@ -454,7 +451,7 @@ func Table2QOHybrid(o Opts) []HybridRow {
 	{
 		start := time.Now()
 		snap := e.Snapshot(context.Background())
-		n := snap.Query(ch.TOrders, []string{"o_key"}, pred).Filter(filter).
+		n := snap.Query(ch.TOrders, []string{"o_key"}, district).
 			Join(snap.Query(ch.TOrderLine, []string{"ol_o_key", "ol_amount"}, nil),
 				[]string{"o_key"}, []string{"ol_o_key"}).
 			Agg([]string{"o_key"}, exec.Agg{Kind: exec.Sum, Expr: exec.ColName("ol_amount"), Name: "rev"}).

@@ -39,7 +39,7 @@ import (
 type Engine interface {
 	ch.Engine
 	Arch() core.Arch
-	Query(ctx context.Context, table string, cols []string, pred *exec.ScanPred) *exec.Plan
+	Query(ctx context.Context, table string, cols []string, filter exec.Expr) *exec.Plan
 	Sync()
 	Freshness() core.Freshness
 }

@@ -64,7 +64,7 @@ func NewDataset(rows, cols int, seed int64) *Dataset {
 	}
 	d.Row.SetPins(d.Mgr.Pins())
 	rng := rand.New(rand.NewSource(seed))
-	builder := d.Col.NewBuilder()
+	all := make([]types.Row, 0, rows)
 	for r := 0; r < rows; r++ {
 		row := make(types.Row, cols+1)
 		row[0] = types.NewInt(int64(r))
@@ -74,9 +74,9 @@ func NewDataset(rows, cols int, seed int64) *Dataset {
 		if err := d.Row.Load(row); err != nil {
 			panic(err)
 		}
-		builder.Add(row)
+		all = append(all, row)
 	}
-	builder.Flush()
+	d.Col.AppendRows(all)
 	return d
 }
 
@@ -94,12 +94,13 @@ func (d *Dataset) projection(n int) []string {
 	return out
 }
 
-// source builds the scan source for a layout.
-func (d *Dataset) source(l Layout, cols []string, pred *exec.ScanPred) exec.Source {
+// scan plans a scan of cols under a layout, keeping the rows filter
+// passes (every row when filter is nil).
+func (d *Dataset) scan(l Layout, cols []string, filter exec.Expr) *exec.Plan {
 	if l == RowLayout {
-		return exec.NewRowScan(context.Background(), d.Row, d.Mgr.Oracle().Watermark(), cols, pred)
+		return exec.From(exec.NewRowScan(context.Background(), d.Row, d.Mgr.Oracle().Watermark(), cols, filter)).Filter(filter)
 	}
-	return exec.NewColScan(context.Background(), d.Col.Version(), cols, pred, nil)
+	return exec.From(exec.NewColScan(context.Background(), d.Col.Version(), cols, nil)).Filter(filter)
 }
 
 // ScanResult reports one scan measurement.
@@ -114,11 +115,9 @@ type ScanResult struct {
 // column store).
 func (d *Dataset) RunScan(l Layout, projCols int, selectivity float64) ScanResult {
 	cols := d.projection(projCols)
-	var pred *exec.ScanPred
 	var filter exec.Expr
 	if selectivity > 0 && selectivity < 1 {
 		hi := int64(float64(d.Rows) * selectivity)
-		pred = &exec.ScanPred{Col: "k", Lo: 0, Hi: hi - 1}
 		filter = exec.Between(exec.ColName("k"), 0, hi-1)
 		cols = append([]string{"k"}, cols...)
 	}
@@ -127,12 +126,8 @@ func (d *Dataset) RunScan(l Layout, projCols int, selectivity float64) ScanResul
 		scanLayout = ColLayout
 	}
 	start := time.Now()
-	p := exec.From(d.source(scanLayout, cols, pred))
-	if filter != nil {
-		p = p.Filter(filter)
-	}
 	aggCol := cols[len(cols)-1]
-	rows := p.Agg(nil, exec.Agg{Kind: exec.Sum, Expr: exec.ColName(aggCol), Name: "s"}).Run()
+	rows := d.scan(scanLayout, cols, filter).Agg(nil, exec.Agg{Kind: exec.Sum, Expr: exec.ColName(aggCol), Name: "s"}).Run()
 	return ScanResult{Layout: l, Duration: time.Since(start), Sum: rows[0][0].Int()}
 }
 

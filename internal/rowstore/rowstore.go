@@ -22,12 +22,9 @@ import (
 	"htap/internal/types"
 )
 
-// Errors returned by transactional operations: the existence rule's,
-// which txn.Txn.Put applies.
-var (
-	ErrDuplicate = txn.ErrDuplicate
-	ErrNotFound  = txn.ErrNotFound
-)
+// ErrNotFound is returned by transactional operations on a missing key:
+// the existence rule's, which txn.Txn.Put applies.
+var ErrNotFound = txn.ErrNotFound
 
 type version struct {
 	begin   uint64

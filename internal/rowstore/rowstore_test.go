@@ -102,12 +102,12 @@ func TestDuplicateInsert(t *testing.T) {
 	s := New(1, testSchema)
 	tx := m.Begin()
 	s.Insert(tx, acct(1, 1))
-	if err := s.Insert(tx, acct(1, 2)); !errors.Is(err, ErrDuplicate) {
+	if err := s.Insert(tx, acct(1, 2)); !errors.Is(err, txn.ErrDuplicate) {
 		t.Fatalf("same-txn duplicate: %v", err)
 	}
 	commitVia(t, tx, s)
 	tx = m.Begin()
-	if err := s.Insert(tx, acct(1, 3)); !errors.Is(err, ErrDuplicate) {
+	if err := s.Insert(tx, acct(1, 3)); !errors.Is(err, txn.ErrDuplicate) {
 		t.Fatalf("cross-txn duplicate: %v", err)
 	}
 	tx.Abort()

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"htap/internal/core"
 	"htap/internal/exec"
@@ -49,34 +50,31 @@ func (c *session) handlePrepare(payload []byte) error {
 
 // handleFragment runs a scan fragment — a plain remote table scan, or one
 // carrying the coordinator's pushed-down work: project the requested
-// columns, re-apply the pushed predicates through the local Filter rewrite
-// — so they fuse into encoded column scans and prune zone maps exactly as a
-// local query's would — run the aggregate or top-k spec if there is one,
-// and stream the survivors.
+// columns, hand the pushed conjuncts to Query as its filter — so they fuse
+// into encoded column scans and prune zone maps exactly as a local query's
+// would — run the aggregate or top-k spec if there is one, and stream the
+// survivors.
 func (c *session) handleFragment(payload []byte) error {
 	m, err := wire.DecodeFragment(payload)
 	if err != nil {
 		return c.sendErr(badRequest("%v", err))
 	}
-	f, err := c.checkFragment(m)
+	filter, aggs, err := c.checkFragment(m)
 	if err != nil {
 		return c.sendErr(err)
 	}
 	sp := obs.Trace.StartRemote("server.fragment", m.TraceID, m.SpanID).Attr("table", m.Table)
 	return c.runOLAP(m.Deadline, m.Profile, sp, func(ctx context.Context) (olapReply, error) {
-		plan := c.srv.cfg.Engine.Query(ctx, m.Table, m.Cols, f.pred)
-		for _, e := range f.filters {
-			plan = plan.Filter(e)
-		}
+		plan := c.srv.cfg.Engine.Query(ctx, m.Table, m.Cols, filter)
 		if m.Agg != nil {
-			groups, err := plan.PartialAgg(m.Agg.GroupBy, f.aggs)
+			groups, err := plan.PartialAgg(m.Agg.GroupBy, aggs)
 			if err != nil {
 				return nil, err
 			}
-			return func(eos wire.EOS) error { return c.streamPartials(groups, f.aggs, eos) }, nil
+			return func(eos wire.EOS) error { return c.streamPartials(groups, aggs, eos) }, nil
 		}
 		if m.TopK != nil {
-			plan = plan.TopK(int(m.TopK.K), f.topK...)
+			plan = plan.TopK(int(m.TopK.K), m.TopK.Keys...)
 		}
 		sch := plan.Schema()
 		rows, err := plan.RunCtx(ctx)
@@ -87,81 +85,59 @@ func (c *session) handleFragment(payload []byte) error {
 	})
 }
 
-// fragment is a wire.Fragment's pushed-down work in exec form.
-type fragment struct {
-	pred    *exec.ScanPred
-	filters []exec.Expr
-	aggs    []exec.Agg     // m.Agg's aggregates
-	topK    []exec.SortKey // m.TopK's keys
-}
-
 // checkFragment validates every name and bound in m before any of it
 // reaches exec, whose binder treats unknown columns as programmer error
-// (panic); wire input is not trusted.
-func (c *session) checkFragment(m wire.Fragment) (fragment, error) {
-	var f fragment
+// (panic); wire input is not trusted. It returns m's pushed work in exec
+// form: the conjunction of its predicates (nil when there are none) and
+// its aggregates.
+func (c *session) checkFragment(m wire.Fragment) (filter exec.Expr, aggs []exec.Agg, err error) {
 	sch := c.srv.cfg.Engine.Schema(m.Table)
 	if sch == nil {
-		return f, fmt.Errorf("%w: %s", core.ErrNoTable, m.Table)
+		return nil, nil, fmt.Errorf("%w: %s", core.ErrNoTable, m.Table)
 	}
 	for _, col := range m.Cols {
 		if sch.ColIndex(col) < 0 {
-			return f, badRequest("no column %q in %s", col, m.Table)
+			return nil, nil, badRequest("no column %q in %s", col, m.Table)
 		}
 	}
-	for _, fp := range m.Preds {
-		pp, err := pushedPredOf(fp)
-		if err != nil {
-			return f, badRequest("%v", err)
+	var conj []exec.Expr
+	for _, p := range m.Preds {
+		if !slices.Contains(m.Cols, p.Col) {
+			return nil, nil, badRequest("predicate column %q not in projection", p.Col)
 		}
-		if !inProjection(pp.Col, m.Cols) {
-			return f, badRequest("predicate column %q not in projection", pp.Col)
-		}
-		f.filters = append(f.filters, pp.Expr())
+		conj = append(conj, p.Expr())
 	}
-	if m.HasPred {
-		f.pred = &exec.ScanPred{Col: m.PredCol, Lo: m.PredLo, Hi: m.PredHi}
+	if len(conj) > 0 {
+		filter = exec.And(conj...)
 	}
 	if m.Agg != nil {
-		aggs, err := fragAggsOf(m.Agg, m.Cols)
-		if err != nil {
-			return f, badRequest("%v", err)
+		if aggs, err = fragAggsOf(m.Agg, m.Cols); err != nil {
+			return nil, nil, badRequest("%v", err)
 		}
-		f.aggs = aggs
 	}
 	if m.TopK != nil {
 		if m.TopK.K < 1 || m.TopK.K > maxFragTopK {
-			return f, badRequest("top-k bound %d outside [1, %d]", m.TopK.K, maxFragTopK)
+			return nil, nil, badRequest("top-k bound %d outside [1, %d]", m.TopK.K, maxFragTopK)
 		}
 		for _, k := range m.TopK.Keys {
-			if !inProjection(k.Col, m.Cols) {
-				return f, badRequest("top-k column %q not in projection", k.Col)
+			if !slices.Contains(m.Cols, k.Col) {
+				return nil, nil, badRequest("top-k column %q not in projection", k.Col)
 			}
-			f.topK = append(f.topK, exec.SortKey{Col: k.Col, Desc: k.Desc})
 		}
 	}
-	return f, nil
+	return filter, aggs, nil
 }
 
 // maxFragTopK bounds the per-fragment top-k heap a frame may request;
 // wire input is not trusted to size server allocations.
 const maxFragTopK = 1 << 20
 
-func inProjection(col string, cols []string) bool {
-	for _, c := range cols {
-		if c == col {
-			return true
-		}
-	}
-	return false
-}
-
 // fragAggsOf validates a wire aggregate spec against the fragment's
 // projection and rebuilds the exec aggregates. Only bare projected
 // columns travel — the coordinator declined anything richer.
 func fragAggsOf(spec *wire.FragAgg, cols []string) ([]exec.Agg, error) {
 	for _, g := range spec.GroupBy {
-		if !inProjection(g, cols) {
+		if !slices.Contains(cols, g) {
 			return nil, fmt.Errorf("group-by column %q not in projection", g)
 		}
 	}
@@ -173,7 +149,7 @@ func fragAggsOf(spec *wire.FragAgg, cols []string) ([]exec.Agg, error) {
 		}
 		aggs[i] = exec.Agg{Kind: kind, Name: fmt.Sprintf("a%d", i)}
 		if kind != exec.Count {
-			if !inProjection(a.Col, cols) {
+			if !slices.Contains(cols, a.Col) {
 				return nil, fmt.Errorf("aggregate column %q not in projection", a.Col)
 			}
 			aggs[i].Expr = exec.ColName(a.Col)
@@ -228,22 +204,4 @@ func (c *session) handleRebalance(payload []byte) error {
 		return c.sendErr(err)
 	}
 	return c.send(wire.MsgRebalanceInfo, wire.RebalanceInfo{Moved: moved, Version: version}.Encode(nil))
-}
-
-// pushedPredOf converts a wire predicate back to its exec form, rejecting
-// malformed kinds and operators instead of letting them bind.
-func pushedPredOf(fp wire.FragPred) (exec.PushedPred, error) {
-	switch fp.Kind {
-	case wire.FragPredCmp:
-		if fp.Op < uint8(exec.EQ) || fp.Op > uint8(exec.GE) {
-			return exec.PushedPred{}, fmt.Errorf("bad comparison op %d", fp.Op)
-		}
-		return exec.PushedPred{Kind: exec.PushCmp, Col: fp.Col, Op: exec.CmpOp(fp.Op), Datum: fp.Datum}, nil
-	case wire.FragPredPrefix:
-		return exec.PushedPred{Kind: exec.PushPrefix, Col: fp.Col, Prefix: fp.Prefix}, nil
-	case wire.FragPredInSet:
-		return exec.PushedPred{Kind: exec.PushInSet, Col: fp.Col, Ints: fp.Ints}, nil
-	default:
-		return exec.PushedPred{}, fmt.Errorf("bad predicate kind %d", fp.Kind)
-	}
 }

@@ -168,6 +168,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		Version: wire.Version,
 		Arch:    uint8(cfg.Engine.Arch()),
 		Meta:    cfg.Meta,
+		Tables:  cfg.Engine.Tables(),
 	}.Encode(nil)
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -202,6 +203,7 @@ func (s *Server) helloPayload() []byte {
 		Version: wire.Version,
 		Arch:    uint8(s.cfg.Engine.Arch()),
 		Meta:    meta,
+		Tables:  s.cfg.Engine.Tables(),
 	}.Encode(nil)
 }
 

@@ -369,12 +369,12 @@ type heldSnapshot struct {
 	e   *cancelAtFirstBatch
 }
 
-func (s heldSnapshot) Query(table string, cols []string, pred *exec.ScanPred) *exec.Plan {
+func (s heldSnapshot) Query(table string, cols []string, filter exec.Expr) *exec.Plan {
 	type sourcer interface {
-		Source(table string, cols []string, pred *exec.ScanPred) exec.Source
+		Source(table string, cols []string, filter exec.Expr) exec.Source
 	}
-	src := s.Snapshot.(sourcer).Source(table, cols, pred)
-	return exec.From(&heldSource{Source: src, ctx: s.ctx, e: s.e})
+	src := s.Snapshot.(sourcer).Source(table, cols, filter)
+	return exec.From(&heldSource{Source: src, ctx: s.ctx, e: s.e}).Filter(filter)
 }
 
 type heldSource struct {

@@ -194,6 +194,16 @@ func (m *Manager) AdvanceTxnID(id uint64) {
 	}
 }
 
+// Quiesce runs fn with no commit in flight: every timestamp Commit has
+// drawn is applied and below the watermark, and commits wait until fn
+// returns. A reader that must see each commit either in a scan at the
+// watermark or in a feed it registers (a columnar load) registers under it.
+func (m *Manager) Quiesce(fn func()) {
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
+	fn()
+}
+
 // Stats returns a snapshot of counters.
 func (m *Manager) Stats() Stats {
 	return Stats{Commits: m.commits.Load(), Aborts: m.aborts.Load(), Conflicts: m.conflicts.Load()}

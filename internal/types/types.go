@@ -245,6 +245,23 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
+// Project returns the columns cols names, in order: every column when cols
+// is nil. A name the schema lacks passes through as an INT column, for the
+// binder or the peer that validates names to report.
+func (s *Schema) Project(cols []string) []Column {
+	if cols == nil {
+		return s.Cols
+	}
+	out := make([]Column, len(cols))
+	for i, c := range cols {
+		out[i] = Column{Name: c, Type: Int}
+		if j := s.ColIndex(c); j >= 0 {
+			out[i] = s.Cols[j]
+		}
+	}
+	return out
+}
+
 // MustCol returns the ordinal of the named column and panics if absent;
 // workload builders use it so that typos fail fast.
 func (s *Schema) MustCol(name string) int {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"htap/internal/exec"
 	"htap/internal/types"
 )
 
@@ -42,14 +43,15 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	row := types.Row{types.NewInt(42), types.NewFloat(3.25), types.NewString("morsel"), types.Null}
 	seed(MsgHello, Hello{Version: Version}.Encode(nil))
-	seed(MsgServerHello, ServerHello{Version: Version, Arch: 2, Meta: map[string]int64{"scale": 4, "hist": -9}}.Encode(nil))
+	seed(MsgServerHello, ServerHello{Version: Version, Arch: 2, Meta: map[string]int64{"scale": 4, "hist": -9},
+		Tables: []*types.Schema{types.NewSchema("item", 0, types.Column{Name: "i_id", Type: types.Int}, types.Column{Name: "i_name", Type: types.String})}}.Encode(nil))
 	seed(MsgBegin, Begin{Deadline: 1700000000000000000}.Encode(nil))
 	seed(MsgGet, KeyReq{Table: "orders", Key: -7}.Encode(nil))
 	seed(MsgInsert, RowReq{Table: "order_line", Row: row}.Encode(nil))
 	seed(MsgQuery, Query{Deadline: 1, N: 21}.Encode(nil))
 	// Type 10 is the retired MsgScan (corpus file seed-04 is a frame an old
 	// client sent): no decoder claims it, whatever the payload looks like.
-	seed(10, Fragment{Table: "item", Cols: []string{"i_id", "i_price"}, HasPred: true, PredCol: "i_id", PredLo: -3, PredHi: 900}.Encode(nil))
+	seed(10, legacyRange(Fragment{Table: "item", Cols: []string{"i_id", "i_price"}}, "i_id", -3, 900))
 	seed(MsgSchema, Schema{Cols: []types.Column{{Name: "k", Type: types.Int}, {Name: "v", Type: types.String}}}.Encode(nil))
 	seed(MsgBatch, Batch{Rows: []types.Row{row, {types.NewString("")}}}.Encode(nil))
 	seed(MsgEOS, EOS{Rows: 1 << 40}.Encode(nil))
@@ -57,15 +59,15 @@ func FuzzFrameDecode(f *testing.F) {
 	seed(MsgError, EncodeError(nil, &Error{Code: CodeConflict, Msg: "write-write conflict"}))
 	seed(MsgCommit, nil)
 	seed(MsgPrepare, Prepare{Deadline: 1700000000000000000, TraceID: 7, SpanID: 9}.Encode(nil))
-	seed(MsgFragment, Fragment{
+	// An older peer's range ahead of the three conjunct kinds.
+	seed(MsgFragment, legacyRange(Fragment{
 		Deadline: 2, Table: "order_line", Cols: []string{"ol_w_id", "ol_amount"},
-		HasPred: true, PredCol: "ol_key", PredLo: 16, PredHi: 1 << 40,
-		Preds: []FragPred{
-			{Kind: FragPredCmp, Col: "ol_amount", Op: 5, Datum: types.NewFloat(0.25)},
-			{Kind: FragPredPrefix, Col: "ol_dist_info", Prefix: "ab"},
-			{Kind: FragPredInSet, Col: "ol_number", Ints: []int64{-3, 0, 7}},
+		Preds: []exec.PushedPred{
+			{Kind: exec.PushCmp, Col: "ol_amount", Op: exec.GT, Datum: types.NewFloat(0.25)},
+			{Kind: exec.PushPrefix, Col: "ol_dist_info", Prefix: "ab"},
+			{Kind: exec.PushInSet, Col: "ol_number", Ints: []int64{-3, 0, 7}},
 		},
-	}.Encode(nil))
+	}, "ol_key", 16, 1<<40))
 	seed(MsgFragment, Fragment{
 		Table: "order_line", Cols: []string{"ol_number", "ol_amount"},
 		Agg: &FragAgg{GroupBy: []string{"ol_number"}, Aggs: []FragAggFn{
@@ -74,7 +76,7 @@ func FuzzFrameDecode(f *testing.F) {
 	}.Encode(nil))
 	seed(MsgFragment, Fragment{
 		Table: "customer", Cols: []string{"c_balance", "c_id"},
-		TopK: &FragTopK{K: 10, Keys: []FragSortKey{{Col: "c_balance", Desc: true}, {Col: "c_id"}}},
+		TopK: &FragTopK{K: 10, Keys: []exec.SortKey{{Col: "c_balance", Desc: true}, {Col: "c_id"}}},
 	}.Encode(nil))
 	// A partial-state frame shaped like exec.EncodePartial output: group
 	// key, then per aggregate the exact-sum bytes, integer sum, count,

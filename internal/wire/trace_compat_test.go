@@ -3,8 +3,39 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
+
+	"htap/internal/exec"
+	"htap/internal/types"
 )
+
+// legacyRange returns m's encoding as an older peer wrote it with an
+// advisory key range: the range byte 1, then the column and the INT
+// bounds, where today's encoders write a 0 range byte.
+func legacyRange(m Fragment, col string, lo, hi int64) []byte {
+	head := binary.AppendVarint(nil, m.Deadline)
+	head = appendString(head, m.Table)
+	head = binary.AppendUvarint(head, uint64(len(m.Cols)))
+	for _, c := range m.Cols {
+		head = appendString(head, c)
+	}
+	rest := m.Encode(nil)[len(head):]
+	if rest[0] != 0 {
+		panic("legacyRange: no range byte where expected")
+	}
+	out := appendString(append(head, 1), col)
+	out = binary.AppendVarint(binary.AppendVarint(out, lo), hi)
+	return append(out, rest[1:]...)
+}
+
+// rangePair is the pair of conjuncts an older peer's range decodes to.
+func rangePair(col string, lo, hi int64) []exec.PushedPred {
+	return []exec.PushedPred{
+		{Kind: exec.PushCmp, Col: col, Op: exec.GE, Datum: types.NewInt(lo)},
+		{Kind: exec.PushCmp, Col: col, Op: exec.LE, Datum: types.NewInt(hi)},
+	}
+}
 
 // The trace/profile trailers must be invisible to old peers in both
 // directions: a frame without trace context is byte-identical to the
@@ -26,6 +57,17 @@ func TestTraceTrailerBackwardCompat(t *testing.T) {
 	}
 	if got := (EOS{Rows: 42}).Encode(nil); !bytes.Equal(got, oldEOS) {
 		t.Fatalf("profile-less EOS not byte-identical: %x vs %x", got, oldEOS)
+	}
+
+	// A fragment without a range encodes as it always did: a 0 range
+	// byte, no conjuncts, no spec.
+	oldFrag := binary.AppendVarint(nil, 77)
+	oldFrag = appendString(oldFrag, "stock")
+	oldFrag = binary.AppendUvarint(oldFrag, 1)
+	oldFrag = appendString(oldFrag, "s_i_id")
+	oldFrag = append(oldFrag, 0, 0, 0)
+	if got := (Fragment{Deadline: 77, Table: "stock", Cols: []string{"s_i_id"}}).Encode(nil); !bytes.Equal(got, oldFrag) {
+		t.Fatalf("range-less Fragment not byte-identical: %x vs %x", got, oldFrag)
 	}
 
 	// Direction 2: old-peer bytes decode with zero trailer fields.
@@ -57,12 +99,11 @@ func TestTraceTrailerRoundTrip(t *testing.T) {
 	}
 	f := Fragment{
 		Deadline: 9, Table: "stock", Cols: []string{"s_i_id", "s_quantity"},
-		HasPred: true, PredCol: "s_quantity", PredLo: 1, PredHi: 10,
 		TraceID: 11, SpanID: 12, Profile: true,
 	}
-	got, err := DecodeFragment(f.Encode(nil))
+	got, err := DecodeFragment(legacyRange(f, "s_quantity", 1, 10))
 	if err != nil || got.TraceID != 11 || got.SpanID != 12 || !got.Profile ||
-		got.Table != "stock" || len(got.Cols) != 2 || !got.HasPred {
+		got.Table != "stock" || len(got.Cols) != 2 || !reflect.DeepEqual(got.Preds, rangePair("s_quantity", 1, 10)) {
 		t.Fatalf("Fragment round trip: %+v, %v", got, err)
 	}
 	e := EOS{Rows: 10, HasProfile: true, ExecNS: 123, AdmitNS: 45, SpillNS: 6,

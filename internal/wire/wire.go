@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 
+	"htap/internal/exec"
 	"htap/internal/types"
 )
 
@@ -157,7 +158,6 @@ type Error struct {
 // shed signal the benchmark driver and tests match on.
 var (
 	ErrOverloaded = &Error{Code: CodeOverloaded, Msg: "server overloaded"}
-	ErrNotFound   = &Error{Code: CodeNotFound, Msg: "key not found"}
 	ErrShutdown   = &Error{Code: CodeShutdown, Msg: "server draining"}
 )
 
@@ -328,14 +328,18 @@ func DecodeHello(b []byte) (Hello, error) {
 	return h, d.err
 }
 
-// ServerHello is the server handshake: the engine's architecture plus a
-// small integer-valued metadata map. htapd advertises its dataset scale
-// and the history-key watermark there, so a remote benchmark driver can
-// rebuild its client-side directories without re-reading the tables.
+// ServerHello is the server handshake: the engine's architecture, a
+// small integer-valued metadata map, and the served tables' schemas.
+// htapd advertises its dataset scale and the history-key watermark in the
+// map, so a remote benchmark driver can rebuild its client-side
+// directories without re-reading the tables; the schemas let a client plan
+// over a table before any row arrives. The schemas trail the map: older
+// peers neither send nor read them.
 type ServerHello struct {
 	Version uint32
 	Arch    uint8
 	Meta    map[string]int64
+	Tables  []*types.Schema
 }
 
 // Encode appends the payload encoding. Map order is not canonicalized;
@@ -347,6 +351,14 @@ func (h ServerHello) Encode(dst []byte) []byte {
 	for k, v := range h.Meta {
 		dst = appendString(dst, k)
 		dst = binary.AppendVarint(dst, v)
+	}
+	if len(h.Tables) == 0 {
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(h.Tables)))
+	for _, s := range h.Tables {
+		dst = binary.AppendUvarint(appendString(dst, s.Name), uint64(s.KeyCol))
+		dst = Schema{Cols: s.Cols}.Encode(dst)
 	}
 	return dst
 }
@@ -367,6 +379,12 @@ func DecodeServerHello(b []byte) (ServerHello, error) {
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			k := d.str()
 			h.Meta[k] = d.varint()
+		}
+	}
+	if d.err == nil && len(d.b) > 0 {
+		n = d.uvarint()
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			h.Tables = append(h.Tables, &types.Schema{Name: d.str(), KeyCol: int(d.uvarint()), Cols: d.cols()})
 		}
 	}
 	return h, d.err
@@ -545,28 +563,6 @@ func DecodePrepare(b []byte) (Prepare, error) {
 	return m, d.err
 }
 
-// Pushable predicate kinds carried by a Fragment, mirroring
-// exec.PushedPred: a column⊗constant comparison, a string prefix, or an
-// int IN-set.
-const (
-	FragPredCmp    uint8 = 1
-	FragPredPrefix uint8 = 2
-	FragPredInSet  uint8 = 3
-)
-
-// FragPred is one pushed conjunct of a fragment scan. The shard rebuilds
-// the expression and runs it through its own pushdown rewrite, so the
-// conjunct evaluates on encoded segment vectors with the coordinator's
-// exact comparison semantics.
-type FragPred struct {
-	Kind   uint8
-	Col    string
-	Op     uint8       // FragPredCmp: exec.CmpOp numbering
-	Datum  types.Datum // FragPredCmp comparand
-	Prefix string      // FragPredPrefix
-	Ints   []int64     // FragPredInSet, sorted ascending
-}
-
 // Fragment spec kinds: the trailing operator a fragment pushes past the
 // filtered scan. Absent on old-release frames — the decoder treats an
 // empty remainder as no spec, like the trace trailer.
@@ -590,36 +586,30 @@ type FragAgg struct {
 	Aggs    []FragAggFn
 }
 
-// FragSortKey is one key of a pushed-down top-k.
-type FragSortKey struct {
-	Col  string
-	Desc bool
-}
-
 // FragTopK asks the shard to bound the filtered scan to the k smallest
 // rows under Keys (total order — see exec's top-k comparator). The
 // response stays a normal batch stream.
 type FragTopK struct {
 	K    int64
-	Keys []FragSortKey
+	Keys []exec.SortKey
 }
 
 // Fragment is a table scan run on the peer (MsgFragment), optionally
 // carrying a scatter–gather subplan: the filter conjuncts the
-// coordinator's pushdown rewrite fused into the scan, plus at most one of
-// an aggregate or top-k spec. Cols nil means every column. HasPred guards
-// the advisory zone-map range, mirroring exec.ScanPred. The response is a
-// Schema/Batch/EOS stream, or a MsgPartial stream when an aggregate spec
-// is present.
+// coordinator's pushdown rewrite fused into the scan (exec.PushedPred is
+// their one transport form), plus at most one of an aggregate or top-k
+// spec. Cols nil means every column. The response is a Schema/Batch/EOS
+// stream, or a MsgPartial stream when an aggregate spec is present.
+//
+// Payload: deadline, table, columns, a range byte, the conjuncts, the
+// spec trailer, the trace trailer. The range byte is always written 0;
+// older peers wrote 1 followed by a column and an INT range, which decodes
+// as that column's GE and LE conjuncts ahead of the others.
 type Fragment struct {
 	Deadline int64
 	Table    string
 	Cols     []string
-	HasPred  bool
-	PredCol  string
-	PredLo   int64
-	PredHi   int64
-	Preds    []FragPred
+	Preds    []exec.PushedPred
 	Agg      *FragAgg
 	TopK     *FragTopK
 	TraceID  uint64
@@ -635,25 +625,18 @@ func (m Fragment) Encode(dst []byte) []byte {
 	for _, c := range m.Cols {
 		dst = appendString(dst, c)
 	}
-	if !m.HasPred {
-		dst = append(dst, 0)
-	} else {
-		dst = append(dst, 1)
-		dst = appendString(dst, m.PredCol)
-		dst = binary.AppendVarint(dst, m.PredLo)
-		dst = binary.AppendVarint(dst, m.PredHi)
-	}
+	dst = append(dst, 0) // the range byte
 	dst = binary.AppendUvarint(dst, uint64(len(m.Preds)))
 	for _, p := range m.Preds {
-		dst = append(dst, p.Kind)
+		dst = append(dst, byte(p.Kind))
 		dst = appendString(dst, p.Col)
 		switch p.Kind {
-		case FragPredCmp:
-			dst = append(dst, p.Op)
+		case exec.PushCmp:
+			dst = append(dst, byte(p.Op))
 			dst = types.AppendRow(dst, types.Row{p.Datum})
-		case FragPredPrefix:
+		case exec.PushPrefix:
 			dst = appendString(dst, p.Prefix)
-		case FragPredInSet:
+		case exec.PushInSet:
 			dst = binary.AppendUvarint(dst, uint64(len(p.Ints)))
 			for _, v := range p.Ints {
 				dst = binary.AppendVarint(dst, v)
@@ -690,7 +673,8 @@ func (m Fragment) Encode(dst []byte) []byte {
 	return appendTraceCtx(dst, m.TraceID, m.SpanID, m.Profile)
 }
 
-// DecodeFragment parses a MsgFragment payload. Claimed counts never
+// DecodeFragment parses a MsgFragment payload, rejecting unknown
+// predicate kinds and comparison operators. Claimed counts never
 // preallocate: slices grow only while payload bytes remain, so a hostile
 // header cannot make the decoder over-allocate.
 func DecodeFragment(b []byte) (Fragment, error) {
@@ -701,17 +685,21 @@ func DecodeFragment(b []byte) (Fragment, error) {
 		m.Cols = append(m.Cols, d.str())
 	}
 	if d.byte() == 1 {
-		m.HasPred = true
-		m.PredCol = d.str()
-		m.PredLo = d.varint()
-		m.PredHi = d.varint()
+		col := d.str()
+		lo, hi := d.varint(), d.varint()
+		m.Preds = append(m.Preds,
+			exec.PushedPred{Kind: exec.PushCmp, Col: col, Op: exec.GE, Datum: types.NewInt(lo)},
+			exec.PushedPred{Kind: exec.PushCmp, Col: col, Op: exec.LE, Datum: types.NewInt(hi)})
 	}
 	n = d.uvarint()
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		p := FragPred{Kind: d.byte(), Col: d.str()}
+		p := exec.PushedPred{Kind: exec.PushKind(d.byte()), Col: d.str()}
 		switch p.Kind {
-		case FragPredCmp:
-			p.Op = d.byte()
+		case exec.PushCmp:
+			p.Op = exec.CmpOp(d.byte())
+			if (p.Op < exec.EQ || p.Op > exec.GE) && d.err == nil {
+				d.err = fmt.Errorf("wire: unknown fragment comparison operator %d", p.Op)
+			}
 			if r := d.row(); d.err == nil {
 				if len(r) != 1 {
 					d.fail("fragment comparand")
@@ -719,9 +707,9 @@ func DecodeFragment(b []byte) (Fragment, error) {
 					p.Datum = r[0]
 				}
 			}
-		case FragPredPrefix:
+		case exec.PushPrefix:
 			p.Prefix = d.str()
-		case FragPredInSet:
+		case exec.PushInSet:
 			k := d.uvarint()
 			for j := uint64(0); j < k && d.err == nil; j++ {
 				p.Ints = append(p.Ints, d.varint())
@@ -752,7 +740,7 @@ func DecodeFragment(b []byte) (Fragment, error) {
 			t := &FragTopK{K: int64(d.uvarint())}
 			k := d.uvarint()
 			for i := uint64(0); i < k && d.err == nil; i++ {
-				key := FragSortKey{Col: d.str()}
+				key := exec.SortKey{Col: d.str()}
 				switch d.byte() {
 				case 0:
 				case 1:
@@ -867,13 +855,19 @@ func (m Schema) Encode(dst []byte) []byte {
 // DecodeSchema parses a MsgSchema payload.
 func DecodeSchema(b []byte) (Schema, error) {
 	d := &dec{b: b}
+	m := Schema{Cols: d.cols()}
+	return m, d.err
+}
+
+// cols reads a Schema encoding: a count, then each column's name and type.
+func (d *dec) cols() []types.Column {
+	var cols []types.Column
 	n := d.uvarint()
-	m := Schema{}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		name := d.str()
-		m.Cols = append(m.Cols, types.Column{Name: name, Type: types.ColType(d.byte())})
+		cols = append(cols, types.Column{Name: name, Type: types.ColType(d.byte())})
 	}
-	return m, d.err
+	return cols
 }
 
 // Batch carries result rows. A stream is MsgSchema, zero or more

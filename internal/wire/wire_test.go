@@ -92,6 +92,14 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, in) {
 			t.Fatalf("got %+v err %v", got, err)
 		}
+		in.Tables = []*types.Schema{types.NewSchema("acct", 1,
+			types.Column{Name: "note", Type: types.String},
+			types.Column{Name: "id", Type: types.Int},
+			types.Column{Name: "bal", Type: types.Float})}
+		got, err = DecodeServerHello(in.Encode(nil))
+		if err != nil || !reflect.DeepEqual(got, in) {
+			t.Fatalf("with tables: got %+v err %v", got, err)
+		}
 	})
 	t.Run("begin", func(t *testing.T) {
 		got, err := DecodeBegin(Begin{Deadline: 123456789}.Encode(nil))
@@ -121,13 +129,15 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("fragment-plain-scan", func(t *testing.T) {
-		in := Fragment{
-			Deadline: 5, Table: "order_line", Cols: []string{"ol_i_id", "ol_quantity"},
-			HasPred: true, PredCol: "ol_i_id", PredLo: -10, PredHi: 500,
-		}
-		got, err := DecodeFragment(in.Encode(nil))
+		in := Fragment{Deadline: 5, Table: "order_line", Cols: []string{"ol_i_id", "ol_quantity"}}
+		got, err := DecodeFragment(legacyRange(in, "ol_i_id", -10, 500))
+		in.Preds = rangePair("ol_i_id", -10, 500)
 		if err != nil || !reflect.DeepEqual(got, in) {
 			t.Fatalf("got %+v err %v", got, err)
+		}
+		got, err = DecodeFragment(in.Encode(nil))
+		if err != nil || !reflect.DeepEqual(got, in) {
+			t.Fatalf("re-encoded: got %+v err %v", got, err)
 		}
 	})
 	t.Run("fragment-all-columns", func(t *testing.T) {
@@ -167,7 +177,10 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 func TestDecodeTruncatedPayloads(t *testing.T) {
-	full := Fragment{Table: "t", Cols: []string{"a"}, HasPred: true, PredCol: "a", PredLo: 1, PredHi: 2}.Encode(nil)
+	full := legacyRange(Fragment{Table: "t", Cols: []string{"a"}}, "a", 1, 2)
+	if m, err := DecodeFragment(full); err != nil || !reflect.DeepEqual(m.Preds, rangePair("a", 1, 2)) {
+		t.Fatalf("full payload decoded %+v, %v", m, err)
+	}
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeFragment(full[:cut]); err == nil && cut < len(full)-1 {
 			// Some prefixes decode cleanly (e.g. before the pred flag the
